@@ -2,12 +2,17 @@
 
 Mirrors the compiled extension's semantics: identical grid coordinates
 (endpoint exact), identical left-to-right accumulation order for the
-per-dimension terms, and the same Boltzmann/entropy formulas.  Values may
+per-dimension terms (separable lattices are built by chained outer sums,
+which keep that order), and the same Boltzmann formula.  Values may
 still differ from the compiled path by a few ulps because libm and
-NumPy's vectorized transcendentals round differently.
+NumPy's vectorized transcendentals round differently.  The entropy
+comes from the closed form in ``boltzmann`` instead of a log2 pass over
+the probabilities, so it may differ from the compiled path by ~1e-14.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,8 +47,8 @@ def lattice_values(kind, lower, upper, points_per_dim, shift):
     d = lower.size
     m = int(points_per_dim)
     axes = [_axis_coordinates(lower[i], upper[i], m) for i in range(d)]
-    total = np.zeros((m,) * d)
     if kind == KIND_ROSENBROCK:
+        total = np.zeros((m,) * d)
         for i in range(d - 1):
             a, b = axes[i], axes[i + 1]
             pair = 100.0 * (b[None, :] - a[:, None] ** 2) ** 2 + (1.0 - a[:, None]) ** 2
@@ -51,13 +56,13 @@ def lattice_values(kind, lower, upper, points_per_dim, shift):
             shape[i] = m
             shape[i + 1] = m
             total += pair.reshape(shape)
-    else:
-        for i in range(d):
-            term = _axis_terms(kind, axes[i], shift[i])
-            shape = [1] * d
-            shape[i] = m
-            total += term.reshape(shape)
-    return total.reshape(-1)
+        return total.reshape(-1)
+    # chained outer sums keep the left-to-right order (0 + t_0) + t_1 + ...
+    # of the per-element accumulation, one full-size pass in all
+    total = np.zeros(1)
+    for i in range(d):
+        total = np.add.outer(total, _axis_terms(kind, axes[i], shift[i])).reshape(-1)
+    return total
 
 
 def boltzmann(values, scale):
@@ -66,18 +71,21 @@ def boltzmann(values, scale):
     Returns (probabilities, argmin_index, sigma, entropy_bits) where
     sigma is the population standard deviation of the values (1.0 when
     the spread is below 1e-12) and probabilities are proportional to
-    exp(-scale * (v - v_min) / sigma).
+    exp(-scale * (v - v_min) / sigma).  With e the scaled exponent and
+    Z the weight sum, the entropy is (ln Z + sum(p * e)) / ln 2.
     """
     v = np.ascontiguousarray(values, dtype=np.float64)
     argmin_index = int(np.argmin(v))
-    vmin = v[argmin_index]
-    mean = float(v.mean())
-    dev = v - mean
-    sigma = float(np.sqrt(np.mean(dev * dev)))
+    sigma = float(np.std(v))
     if sigma < 1e-12:
         sigma = 1.0
-    w = np.exp(-(v - vmin) * scale / sigma)
-    probs = w / w.sum()
-    pos = probs[probs > 0.0]
-    entropy = max(float(-np.sum(pos * np.log2(pos))), 0.0)
+    e = v - v[argmin_index]
+    e *= scale
+    e /= sigma
+    probs = np.negative(e)
+    np.exp(probs, out=probs)
+    z = probs.sum()
+    probs /= z
+    e *= probs
+    entropy = max((math.log(z) + float(e.sum())) / math.log(2.0), 0.0)
     return probs, argmin_index, sigma, entropy

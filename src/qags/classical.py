@@ -136,6 +136,8 @@ def run_ags(f, initial_bounds, cfg=None):
         if float(values[argmin_index]) < best_value:
             best_value = float(values[argmin_index])
             best_point = centre
+        # free this lattice before the next one is built
+        del values
         half = cfg.shrink_factor * box.width / 2.0
         box_next = SearchBox(
             np.maximum(box.lower, centre - half),

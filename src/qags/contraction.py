@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .grid import SearchBox, decode_many
+from .grid import SearchBox, axis_indices, decode_many, pack_indices
 from .quantum import entropy_fraction
 
 
@@ -90,10 +90,20 @@ def select_region(dist, quantile=0.75):
 
 def contract_bounds(spec, selection):
     """Tight axis-aligned hull of the selected points, clamped to the
-    current bounds (a defensive no-op since decoded points lie inside)."""
-    points = decode_many(spec, selection.selected_indices)
-    new_lower = np.maximum(spec.bounds.lower, points.min(axis=0))
-    new_upper = np.minimum(spec.bounds.upper, points.max(axis=0))
+    current bounds (a defensive no-op since decoded points lie inside).
+
+    Grid coordinates never decrease as the per-axis index grows, so the
+    hull's corners are the points at each axis's lowest and highest
+    selected index; only those two are decoded.
+    """
+    lows, highs = [], []
+    for i in range(spec.dimension):
+        js = axis_indices(spec, selection.selected_indices, i)
+        lows.append(js.min())
+        highs.append(js.max())
+    corners = decode_many(spec, [pack_indices(spec, lows), pack_indices(spec, highs)])
+    new_lower = np.maximum(spec.bounds.lower, corners[0])
+    new_upper = np.minimum(spec.bounds.upper, corners[1])
     return SearchBox(new_lower, new_upper)
 
 

@@ -173,10 +173,13 @@ def run(f, initial_bounds, cfg):
         spec = GridSpec(f.arity, cfg.qubits_per_dim, box)
         values = grid_values(f, spec)
         dist = distribution_from_values(spec, values, cfg.law)
-        argmin_index = int(np.argmin(values))
+        # exact readout: the first-index grid argmin
+        argmin_index = dist.f_min_index
         if float(values[argmin_index]) < best_value:
             best_value = float(values[argmin_index])
             best_point = decode(spec, argmin_index)
+        # hold at most one lattice's arrays at a time
+        del values
         if cfg.shots > 0:
             dist = sample(dist, cfg.shots, cfg.seed + (k - 1))
         selection = select_region(dist, cfg.quantile)
@@ -194,6 +197,7 @@ def run(f, initial_bounds, cfg):
                 verdict=verdict,
             )
         )
+        del dist, selection
         box = box_next
         if verdict is not Verdict.CONTINUE:
             break

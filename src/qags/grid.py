@@ -158,20 +158,33 @@ def decode(spec, flat_index):
     return decode_many(spec, np.array([flat_index], dtype=np.int64))[0]
 
 
+def axis_indices(spec, flat_indices, i):
+    """Per-dimension grid index along dimension i of each flat index."""
+    shift = spec.qubits_per_dim * (spec.dimension - 1 - i)
+    return (flat_indices >> shift) & (spec.points_per_dim - 1)
+
+
+def pack_indices(spec, per_dim_indices):
+    """Pack per-dimension grid indices into a flat index (the inverse of
+    axis_indices over all dimensions)."""
+    flat = 0
+    for j in per_dim_indices:
+        flat = (flat << spec.qubits_per_dim) | int(j)
+    return flat
+
+
 def decode_many(spec, flat_indices):
-    """Vectorized decode: (K,) flat indices -> (K, d) coordinates."""
+    """Vectorized decode: (K,) flat indices -> (K, d) coordinates.
+
+    Each column is gathered from the endpoint-exact axis table, so every
+    coordinate equals ``coordinate(spec, i, j)`` bit for bit.
+    """
     flats = np.asarray(flat_indices, dtype=np.int64)
     if flats.size and (flats.min() < 0 or flats.max() >= spec.total_points):
         raise IndexError("flat index out of range")
-    n = spec.qubits_per_dim
-    d = spec.dimension
-    m = spec.points_per_dim
-    shifts = (n * (d - 1 - np.arange(d))).astype(np.int64)
-    js = (flats[:, None] >> shifts[None, :]) & (m - 1)
-    coords = spec.bounds.lower[None, :] + js * spec.step[None, :]
-    at_top = js == m - 1
-    if at_top.any():
-        coords = np.where(at_top, np.broadcast_to(spec.bounds.upper, coords.shape), coords)
+    coords = np.empty((flats.size, spec.dimension))
+    for i in range(spec.dimension):
+        coords[:, i] = spec.axis_coordinates(i)[axis_indices(spec, flats, i)]
     return coords
 
 
@@ -185,7 +198,7 @@ def encode(spec, point):
     if p.shape != (spec.dimension,):
         raise InvalidInputError("point arity mismatch")
     m = spec.points_per_dim
-    flat = 0
+    js = []
     for i in range(spec.dimension):
         width = spec.bounds.width[i]
         if width == 0.0:
@@ -198,5 +211,5 @@ def encode(spec, point):
             tol = 1e-9 * width
             if abs(coordinate(spec, i, j) - p[i]) > tol:
                 raise OffGridError(f"coordinate {p[i]} not on grid axis {i}")
-        flat = (flat << spec.qubits_per_dim) | j
-    return flat
+        js.append(j)
+    return pack_indices(spec, js)

@@ -12,7 +12,7 @@ from qags.contraction import (
     should_terminate,
 )
 from qags.errors import InvalidInputError
-from qags.grid import GridSpec, SearchBox
+from qags.grid import GridSpec, SearchBox, decode_many
 from qags.quantum import QuantumDistribution
 
 
@@ -118,6 +118,42 @@ class TestContractBounds:
             threshold_probability=0.0,
         )
         assert spec.bounds.contains_box(contract_bounds(spec, sel))
+
+
+def _hull_cases():
+    """(spec, selected flat indices) pairs covering the hull's corner cases."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for d, n in [(1, 4), (2, 3), (3, 2), (4, 2), (5, 1), (2, 6)]:
+        lower = rng.uniform(-50.0, 50.0, d)
+        upper = lower + rng.uniform(0.1, 9.7, d)
+        spec = GridSpec(d, n, SearchBox(lower, upper))
+        total = spec.total_points
+        for size in (1, 2, total // 3 + 1, total):
+            cases.append((spec, rng.choice(total, size, replace=False)))  # unsorted
+        cases.append((spec, np.array([total - 1])))
+        cases.append((spec, np.array([total - 1, 0])))
+        cases.append((spec, np.array([total // 2, total - 1])))
+        cases.append((spec, np.array([2**n - 1])))  # top index on the last axis only
+    flat_axis = SearchBox(np.array([-1.0, 2.5, 0.0]), np.array([1.0, 2.5, 3.0]))
+    spec = GridSpec(3, 2, flat_axis)
+    cases.append((spec, rng.choice(64, 20, replace=False)))
+    cases.append((spec, np.array([63])))
+    return cases
+
+
+class TestHullOfSelection:
+    @pytest.mark.parametrize("spec,selected", _hull_cases())
+    def test_equals_hull_of_every_decoded_point(self, spec, selected):
+        sel = RegionSelection(
+            quantile=0.75,
+            selected_indices=selected.astype(np.int64),
+            threshold_probability=0.0,
+        )
+        points = decode_many(spec, sel.selected_indices)
+        box = contract_bounds(spec, sel)
+        assert np.array_equal(box.lower, np.maximum(spec.bounds.lower, points.min(axis=0)))
+        assert np.array_equal(box.upper, np.minimum(spec.bounds.upper, points.max(axis=0)))
 
 
 class TestShouldTerminate:

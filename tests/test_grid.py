@@ -162,6 +162,27 @@ class TestCodec:
         for flat in (0, 1, 17, 63):
             assert np.array_equal(pts[flat], decode(spec, flat))
 
+    @pytest.mark.parametrize("d,n", [(1, 1), (1, 6), (2, 3), (3, 2), (4, 2)])
+    def test_decode_many_equals_scalar_coordinate(self, d, n):
+        # awkward widths, a zero-width axis and a negative-zero bound
+        rng = np.random.default_rng(10 * d + n)
+        lower = rng.uniform(-1e3, 1e3, d)
+        upper = lower + rng.uniform(0.0, 7.3, d)
+        upper[0] = lower[0]
+        lower[-1], upper[-1] = -0.0, 1.9
+        spec = GridSpec(d, n, SearchBox(lower, upper))
+        flats = np.arange(spec.total_points)
+        digits = [
+            [(flat >> (n * (d - 1 - i))) % 2**n for i in range(d)] for flat in range(2 ** (n * d))
+        ]
+        ref = np.array([[coordinate(spec, i, j) for i, j in enumerate(js)] for js in digits])
+        got = decode_many(spec, flats)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        shuffled = rng.permutation(flats)
+        assert np.array_equal(decode_many(spec, shuffled), ref[shuffled])
+
     def test_encode_inverse(self):
         spec = GridSpec(2, 4, box2())
         for flat in (0, 1, 100, 255):

@@ -1,6 +1,7 @@
 """Backend dispatch and compiled-vs-fallback parity."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,70 @@ def test_wrapper_matches_fallback():
     got = kernels.lattice_values(kernels.KIND_SPHERE, lo, hi, 8)
     ref = _kernels_py.lattice_values(kernels.KIND_SPHERE, lo, hi, 8, np.zeros(2))
     assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def _broadcast_reference(kind, lower, upper, m, shift):
+    """The per-element accumulation 0 + t_0 + t_1 + ... done as d
+    broadcast passes over the full lattice."""
+    d = lower.size
+    total = np.zeros((m,) * d)
+    for i in range(d):
+        xs = _kernels_py._axis_coordinates(lower[i], upper[i], m)
+        shape = [1] * d
+        shape[i] = m
+        total += _kernels_py._axis_terms(kind, xs, shift[i]).reshape(shape)
+    return total.reshape(-1)
+
+
+@pytest.mark.parametrize("kind,name", KINDS[:3])
+@pytest.mark.parametrize("d", range(1, 11))
+def test_lattice_values_equal_broadcast_reference(kind, name, d):
+    m = max(2, min(33, round(2e4 ** (1.0 / d))))
+    rng = np.random.default_rng(31 * d + kind)
+    lo = rng.uniform(-10.0, -0.5, d)
+    hi = rng.uniform(0.5, 10.0, d)
+    shift = rng.uniform(-2.0, 2.0, d)
+    if d > 1:
+        hi[d // 2] = lo[d // 2]  # degenerate axis
+    got = _kernels_py.lattice_values(kind, lo, hi, m, shift)
+    ref = _broadcast_reference(kind, lo, hi, m, shift)
+    assert got.shape == (m**d,)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _boltzmann_inputs():
+    rng = np.random.default_rng(23)
+    return {
+        "normal": (rng.normal(50.0, 20.0, 4096), 1.0),
+        "amplitude law": (rng.normal(-3.0, 0.5, 1000), 2.0),
+        "underflow": (rng.normal(0.0, 1.0, 1000), 400.0),  # most weights are 0
+        "all but one underflow": (np.r_[np.zeros(1), np.full(15, 1.0)], 2000.0),
+        "constant": (np.full(64, 7.0), 1.0),
+        "single state": (np.array([3.5]), 1.0),
+        "ties": (np.repeat(rng.normal(0.0, 1.0, 8), 16), 1.0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_boltzmann_inputs()))
+def test_boltzmann_matches_direct_formulas(case):
+    values, scale = _boltzmann_inputs()[case]
+    probs, argmin_index, sigma, entropy = _kernels_py.boltzmann(values, scale)
+
+    dev = values - values.mean()
+    sigma_ref = float(np.sqrt(np.mean(dev * dev)))
+    if sigma_ref < 1e-12:
+        sigma_ref = 1.0
+    weights = np.exp(-(values - values.min()) * scale / sigma_ref)
+    assert argmin_index == int(np.argmin(values))
+    assert sigma == sigma_ref
+    assert np.array_equal(probs, weights / weights.sum())
+
+    pos = probs[probs > 0.0]
+    entropy_ref = max(-math.fsum(pos * np.log2(pos)), 0.0)
+    assert entropy == pytest.approx(entropy_ref, rel=1e-12, abs=0.0)
+    if "underflow" in case:
+        assert pos.size < probs.size
 
 
 @needs_native
