@@ -68,49 +68,48 @@ def points_per_dim_for(cfg, dimension):
     return max(2, min(cfg.points_per_dim, _integer_root(cfg.budget_points, dimension)))
 
 
-def _axis_coords(box, m):
-    axes = []
-    for i in range(box.dimension):
-        lo = float(box.lower[i])
-        hi = float(box.upper[i])
-        xs = lo + (hi - lo) / (m - 1) * np.arange(m, dtype=np.float64)
-        xs[-1] = hi
-        axes.append(xs)
-    return axes
-
-
-def _lattice_point(box, m, flat):
-    """Decode a flat lattice index (dimension 0 most significant)."""
-    d = box.dimension
-    out = np.empty(d, dtype=np.float64)
+def _lattice_point(axes, flat):
+    """Decode a flat lattice index (dimension 0 most significant) by
+    gathering from the axis tables the lattice was evaluated on."""
+    m = axes[0].size
+    out = np.empty(len(axes))
     rem = int(flat)
-    for i in range(d - 1, -1, -1):
-        j = rem % m
-        rem //= m
-        lo = float(box.lower[i])
-        hi = float(box.upper[i])
-        out[i] = hi if j == m - 1 else lo + j * (hi - lo) / (m - 1)
+    for i in range(len(axes) - 1, -1, -1):
+        rem, j = divmod(rem, m)
+        out[i] = axes[i][j]
     return out
 
 
-def _lattice_values(objective, box, m):
-    """Objective values over the full lattice, flattened with dimension 0
-    most significant.  Uses the closed-form kernel when available."""
+def _lattice_argmin(objective, box, axes):
+    """First-index argmin and minimum of the objective over the lattice
+    spanned by ``axes``, streamed block by block so no full value vector
+    or coordinate matrix exists.  Uses the closed-form kernel when
+    available; either way the evaluation counter advances by the lattice
+    size."""
+    m = axes[0].size
     if objective.kernel_kind is not None:
-        values = kernels.lattice_values(
+        objective.count_evaluations(m**box.dimension)
+        blocks = kernels.lattice_value_blocks(
             objective.kernel_kind, box.lower, box.upper, m, objective.shift
         )
-        objective.count_evaluations(m**box.dimension)
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
+    else:
+        blocks = (
+            (start, objective.evaluate_batch(coords))
+            for start, coords in kernels.coordinate_blocks(axes)
+        )
+    best_index, best_value = 0, np.inf
+    for start, values in blocks:
+        j = int(np.argmin(values))  # a NaN is its own argmin
+        if not (np.isfinite(values[j]) and np.isfinite(values.max())):
+            bad = start + int(np.flatnonzero(~np.isfinite(values))[0])
             raise EvaluationError(
                 "objective returned a non-finite value on the grid",
-                point=_lattice_point(box, m, bad),
+                point=_lattice_point(axes, bad),
             )
-        return values
-    grids = np.meshgrid(*_axis_coords(box, m), indexing="ij")
-    coords = np.stack(grids, axis=-1).reshape(-1, box.dimension)
-    return objective.evaluate_batch(coords)
+        # strict: ties across blocks keep the lower index
+        if values[j] < best_value:
+            best_index, best_value = start + j, float(values[j])
+    return best_index, best_value
 
 
 def run_ags(f, initial_bounds, cfg=None):
@@ -130,14 +129,12 @@ def run_ags(f, initial_bounds, cfg=None):
     k = 0
     while True:
         k += 1
-        values = _lattice_values(f, box, m)
-        argmin_index = int(np.argmin(values))
-        centre = _lattice_point(box, m, argmin_index)
-        if float(values[argmin_index]) < best_value:
-            best_value = float(values[argmin_index])
+        axes = kernels.lattice_axes(box.lower, box.upper, m)
+        argmin_index, value = _lattice_argmin(f, box, axes)
+        centre = _lattice_point(axes, argmin_index)
+        if value < best_value:
+            best_value = value
             best_point = centre
-        # free this lattice before the next one is built
-        del values
         half = cfg.shrink_factor * box.width / 2.0
         box_next = SearchBox(
             np.maximum(box.lower, centre - half),

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels_py import _axis_coordinates
 from .errors import InvalidInputError, OffGridError
 
 DEFAULT_QUBIT_CAP = 30
@@ -131,11 +132,9 @@ class GridSpec:
         return self.bounds.width / (self.points_per_dim - 1)
 
     def axis_coordinates(self, i):
-        """All 2**n grid coordinates along dimension i, endpoint exact."""
-        m = self.points_per_dim
-        xs = self.bounds.lower[i] + np.arange(m) * self.step[i]
-        xs[-1] = self.bounds.upper[i]
-        return xs
+        """All 2**n grid coordinates along dimension i, endpoint exact: the
+        same table the lattice kernels evaluate on."""
+        return _axis_coordinates(self.bounds.lower[i], self.bounds.upper[i], self.points_per_dim)
 
 
 def coordinate(spec, i, j):

@@ -3,7 +3,9 @@
 The compiled extension (qags._kernels) is preferred when importable; the
 NumPy fallback (qags._kernels_py) is otherwise selected automatically.
 Set QAGS_BACKEND=python or QAGS_BACKEND=native to force a backend; the
-native request fails loudly instead of silently degrading.
+native request fails loudly instead of silently degrading.  The streamed
+lattice blocks (lattice_value_blocks, coordinate_blocks) always run in
+NumPy: the compiled extension has no block entry point.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from ._kernels_py import (  # re-exported kind ids; fallback implementation
     KIND_ROSENBROCK,
     KIND_SPHERE,
     KIND_STYBLINSKI_TANG,
+    coordinate_blocks,
 )
 from . import _kernels_py
 
@@ -44,18 +47,40 @@ def active_backend():
     return BACKEND
 
 
+def _lattice_args(lower, upper, shift):
+    lower = np.ascontiguousarray(lower, dtype=np.float64)
+    upper = np.ascontiguousarray(upper, dtype=np.float64)
+    if shift is None:
+        shift = np.zeros(lower.size)
+    return lower, upper, np.ascontiguousarray(shift, dtype=np.float64)
+
+
 def lattice_values(kind, lower, upper, points_per_dim, shift=None):
     """Evaluate a built-in objective on the full uniform lattice.
 
     Returns 2**(n*d) values in flat-index order without materializing
     the point coordinates.
     """
-    lower = np.ascontiguousarray(lower, dtype=np.float64)
-    upper = np.ascontiguousarray(upper, dtype=np.float64)
-    if shift is None:
-        shift = np.zeros(lower.size)
-    shift = np.ascontiguousarray(shift, dtype=np.float64)
+    lower, upper, shift = _lattice_args(lower, upper, shift)
     return _impl.lattice_values(int(kind), lower, upper, int(points_per_dim), shift)
+
+
+def lattice_axes(lower, upper, points_per_dim):
+    """Per-axis coordinate tables of the lattice the kernels evaluate:
+    m points from lower to upper, the last one exactly upper."""
+    lower, upper, _ = _lattice_args(lower, upper, None)
+    return _kernels_py._axes(lower, upper, int(points_per_dim))
+
+
+def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
+    """lattice_values as a stream of (start, values) over contiguous
+    flat-index blocks of at most 2**16 states.
+
+    Always computed in NumPy: every block is bit-identical to the
+    matching slice of the NumPy backend's lattice_values.
+    """
+    lower, upper, shift = _lattice_args(lower, upper, shift)
+    return _kernels_py.lattice_value_blocks(int(kind), lower, upper, int(points_per_dim), shift)
 
 
 def boltzmann(values, scale):

@@ -90,7 +90,9 @@ class ObjectiveFunction:
     """A named objective of fixed arity with an evaluation counter.
 
     ``batch_fn`` vectorizes over an (N, d) matrix of points; when absent,
-    batch evaluation falls back to a row-by-row loop.  ``kernel_kind``
+    batch evaluation falls back to a row-by-row loop.  Lattice evaluation
+    calls it on row blocks of at most 65,536 rows, so it must be
+    row-wise: each output value depends on its own row only.  ``kernel_kind``
     tags objectives the lattice kernels can evaluate without
     materializing point coordinates.
     """

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import EvaluationError, InvalidInputError
-from .grid import GridSpec, decode, decode_many
+from .grid import GridSpec, decode, decode_many  # noqa: F401  (decode_many: re-exported)
 
 
 class EncodingLaw(enum.Enum):
@@ -75,8 +75,9 @@ def grid_values(objective, spec):
     """Objective values over every grid point, in flat-index order.
 
     Uses the lattice kernel when the objective advertises one (no point
-    matrix is materialized); otherwise decodes all points and evaluates
-    in batch.  Either way the objective's evaluation counter advances by
+    matrix is materialized); otherwise evaluates in batch on coordinate
+    blocks of at most 2^16 rows, so the full (2^(n*d), d) matrix never
+    exists.  Either way the objective's evaluation counter advances by
     2^(n*d).
     """
     if objective.arity != spec.dimension:
@@ -98,8 +99,11 @@ def grid_values(objective, spec):
                 point=decode(spec, idx),
             )
         return values
-    coords = decode_many(spec, np.arange(spec.total_points, dtype=np.int64))
-    return objective.evaluate_batch(coords)
+    axes = [spec.axis_coordinates(i) for i in range(spec.dimension)]
+    values = np.empty(spec.total_points)
+    for start, coords in kernels.coordinate_blocks(axes):
+        values[start:start + len(coords)] = objective.evaluate_batch(coords)
+    return values
 
 
 def distribution_from_values(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):

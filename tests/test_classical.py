@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
-from qags.classical import AgsConfig, _integer_root, points_per_dim_for, run_ags
+from qags import kernels
+from qags.classical import (
+    AgsConfig,
+    _integer_root,
+    _lattice_argmin,
+    _lattice_point,
+    points_per_dim_for,
+    run_ags,
+)
 from qags.contraction import Verdict
-from qags.errors import InvalidInputError
+from qags.errors import EvaluationError, InvalidInputError
 from qags.grid import SearchBox
-from qags.objectives import ObjectiveFunction, make_rosenbrock, make_sphere
+from qags.objectives import ObjectiveFunction, get_objective, make_rosenbrock, make_sphere
 
 
 class TestIntegerRoot:
@@ -117,3 +125,120 @@ class TestAgsConfig:
             AgsConfig(max_iterations=0)
         with pytest.raises(InvalidInputError):
             AgsConfig(delta=0.0)
+
+
+class TestStreamedLattice:
+    """run_ags streams each lattice in blocks of at most 2^16 states and
+    keeps only the first-index argmin and its value."""
+
+    @staticmethod
+    def _batch_only(d, batch, seen=None):
+        def fn_batch(pts):
+            if seen is not None:
+                seen.append(len(pts))
+            return batch(pts)
+
+        return ObjectiveFunction(
+            name="batch-only",
+            arity=d,
+            fn=lambda x: float(batch(x[None, :])[0]),
+            batch_fn=fn_batch,
+        )
+
+    @staticmethod
+    def _integer_box(m):
+        # step 1: lattice coordinates are the integers 0..m-1
+        return SearchBox.cube(2, 0.0, float(m - 1))
+
+    def test_constant_objective_argmin_is_zero(self):
+        m = 400  # 160,000 states: three blocks
+        box = self._integer_box(m)
+        const = self._batch_only(2, lambda pts: np.full(len(pts), 2.5))
+        axes = kernels.lattice_axes(box.lower, box.upper, m)
+        assert _lattice_argmin(const, box, axes) == (0, 2.5)
+        flat_box = SearchBox(np.array([1.5, -2.0]), np.array([1.5, -2.0]))
+        flat_axes = kernels.lattice_axes(flat_box.lower, flat_box.upper, m)
+        assert _lattice_argmin(make_sphere(2), flat_box, flat_axes) == (0, 1.5**2 + 2.0**2)
+
+    def test_equal_minima_in_two_blocks_give_lower_index(self):
+        m = 400
+        box = self._integer_box(m)
+        twin = self._batch_only(
+            2, lambda pts: ((pts[:, 0] - 10.0) * (pts[:, 0] - 300.0)) ** 2 + (pts[:, 1] - 7.0) ** 2
+        )
+        axes = kernels.lattice_axes(box.lower, box.upper, m)
+        # zeros at flat 10*400+7 (first block) and 300*400+7 (second block)
+        assert _lattice_argmin(twin, box, axes) == (4007, 0.0)
+        report = run_ags(twin, box, AgsConfig(points_per_dim=m, budget_points=m * m))
+        assert report.iterations[0].best_point_so_far.tolist() == [10.0, 7.0]
+
+    @pytest.mark.parametrize("name", ["sphere", "rastrigin", "styblinski_tang", "rosenbrock"])
+    @pytest.mark.parametrize("d,m", [(2, 400), (3, 61), (5, 11)])
+    def test_kernel_argmin_equals_full_lattice_argmin(self, name, d, m):
+        # symmetric boxes put equal values in several blocks
+        obj = get_objective(name, d)
+        box = SearchBox.cube(d, -4.0, 4.0)
+        axes = kernels.lattice_axes(box.lower, box.upper, m)
+        full = kernels.lattice_values(obj.kernel_kind, box.lower, box.upper, m, obj.shift)
+        j = int(np.argmin(full))
+        assert _lattice_argmin(obj, box, axes) == (j, float(full[j]))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_kernel_non_finite_in_later_block_names_its_point(self):
+        # (x0 - 0)^2 overflows from x0 > ~1.34e154, i.e. from row 268 of
+        # 400: flat index 107,200, in the second block
+        m = 400
+        box = SearchBox(np.array([0.0, 0.0]), np.array([2e154, 1.0]))
+        axes = kernels.lattice_axes(box.lower, box.upper, m)
+        with pytest.raises(EvaluationError) as err:
+            _lattice_argmin(make_sphere(2), box, axes)
+        assert err.value.point.tolist() == [axes[0][268], 0.0]
+        assert not np.isfinite(axes[0][268] ** 2) and np.isfinite(axes[0][267] ** 2)
+        with pytest.raises(EvaluationError) as err:
+            run_ags(make_sphere(2), box, AgsConfig(points_per_dim=m, budget_points=m * m))
+        assert err.value.point.tolist() == [axes[0][268], 0.0]
+
+    def test_batch_non_finite_in_later_block_names_its_point(self):
+        m = 400
+        box = self._integer_box(m)
+        obj = self._batch_only(2, lambda pts: np.where(pts[:, 0] >= 300.0, np.inf, 0.0))
+        with pytest.raises(EvaluationError) as err:
+            run_ags(obj, box, AgsConfig(points_per_dim=m, budget_points=m * m))
+        assert err.value.point.tolist() == [300.0, 0.0]
+
+    def test_batch_fn_gets_at_most_one_block(self):
+        seen = []
+        obj = self._batch_only(3, lambda pts: np.sum(pts * pts, axis=1), seen)
+        box = SearchBox.cube(3, -1.0, 1.0)
+        axes = kernels.lattice_axes(box.lower, box.upper, 61)
+        _lattice_argmin(obj, box, axes)
+        assert max(seen) <= 1 << 16
+        assert sum(seen) == 61**3
+        assert len(seen) > 1
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_eval_count_advances_by_lattice_size(self, batch):
+        d, m = 3, 61
+        obj = make_sphere(d)
+        if batch:
+            obj = self._batch_only(d, obj.batch_fn)
+        box = SearchBox.cube(d, -2.0, 3.0)
+        axes = kernels.lattice_axes(box.lower, box.upper, m)
+        for expected in (m**d, 2 * m**d):
+            _lattice_argmin(obj, box, axes)
+            assert obj.eval_count == expected
+
+    def test_decoded_centre_is_an_evaluated_point(self):
+        # on this box lo + j*(hi-lo)/(m-1) and the axis table
+        # lo + j*((hi-lo)/(m-1)) differ at j = 3, 6, 7 and 3, 6, 9
+        m = 11
+        lo, hi = np.array([-4.7, -0.7]), np.array([3.3, 0.4])
+        j = np.arange(m - 1)
+        assert np.any(lo[0] + j * (hi[0] - lo[0]) / (m - 1) != lo[0] + j * ((hi[0] - lo[0]) / (m - 1)))
+        axes = kernels.lattice_axes(lo, hi, m)
+        coords = np.concatenate([c for _, c in kernels.coordinate_blocks(axes)])
+        for flat in range(m * m):
+            assert np.array_equal(_lattice_point(axes, flat), coords[flat])
+        report = run_ags(make_sphere(2), SearchBox(lo, hi), AgsConfig(points_per_dim=m))
+        first = report.iterations[0].best_point_so_far
+        assert any(np.array_equal(first, row) for row in coords)

@@ -211,3 +211,111 @@ def test_invalid_backend_rejected():
     proc = _run_with_backend("fortran", "import qags")
     assert proc.returncode != 0
     assert "QAGS_BACKEND" in proc.stderr
+
+
+# --- streamed lattice blocks --------------------------------------------------
+
+BLOCK_MS = [2, 3, 5, 7, 8, 32]
+# the default, a size that divides no lattice here, one smaller than some
+# axes, and one smaller than every axis but the shortest
+BLOCK_SIZES = [None, 1000, 48, 5, 3]
+
+
+def _lattice_case(d, m, seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-10.0, -0.5, d)
+    hi = rng.uniform(0.5, 10.0, d)
+    shift = rng.uniform(-2.0, 2.0, d)
+    return lo, hi, shift
+
+
+def _block_dims(block, m):
+    cap = 1 << 20 if block is None else 5000
+    return [d for d in range(1, 11) if m**d <= cap]
+
+
+def _joined(blocks, block):
+    """Concatenate (start, array) blocks, checking they tile the lattice
+    in order and none exceeds the block size."""
+    limit = block or _kernels_py.BLOCK_STATES
+    parts, starts, at = [], [], 0
+    for start, arr in blocks:
+        starts.append(start)
+        assert start == at
+        assert 0 < len(arr) <= limit
+        at += len(arr)
+        parts.append(arr)
+    return np.concatenate(parts), starts
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("m", BLOCK_MS)
+@pytest.mark.parametrize("kind,name", KINDS)
+def test_lattice_value_blocks_join_to_lattice_values(monkeypatch, kind, name, m, block):
+    if block is not None:
+        monkeypatch.setattr(_kernels_py, "BLOCK_STATES", block)
+    for d in _block_dims(block, m):
+        if kind == kernels.KIND_ROSENBROCK and d < 2:
+            continue
+        lo, hi, shift = _lattice_case(d, m, 13 * d + m)
+        if d > 2:
+            hi[1] = lo[1]  # degenerate axis
+        ref = _kernels_py.lattice_values(kind, lo, hi, m, shift)
+        got, _ = _joined(_kernels_py.lattice_value_blocks(kind, lo, hi, m, shift), block)
+        assert np.array_equal(got, ref), (d, m)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_lattice_value_blocks_span_several_blocks():
+    lo, hi, shift = _lattice_case(4, 32, 5)
+    blocks = list(kernels.lattice_value_blocks(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
+    assert len(blocks) == 16
+    assert all(len(v) == _kernels_py.BLOCK_STATES == 1 << 16 for _, v in blocks)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("m", BLOCK_MS)
+def test_coordinate_blocks_equal_meshgrid_lattice(monkeypatch, m, block):
+    if block is not None:
+        monkeypatch.setattr(_kernels_py, "BLOCK_STATES", block)
+    for d in _block_dims(block, m):
+        lo, hi, shift = _lattice_case(d, m, 7 * d + m)
+        axes = kernels.lattice_axes(lo, hi, m)
+        got, starts = _joined(kernels.coordinate_blocks(axes), block)
+        ref = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        assert np.array_equal(got, ref), (d, m)
+        # the same ranges as the value blocks
+        value_starts = [s for s, _ in _kernels_py.lattice_value_blocks(0, lo, hi, m, shift)]
+        assert starts == value_starts
+
+
+@pytest.mark.parametrize("block", [None, 100, 3])
+@pytest.mark.parametrize("d,n", [(1, 5), (2, 4), (3, 3), (5, 2), (2, 9)])
+def test_coordinate_blocks_equal_decode_many(monkeypatch, d, n, block):
+    from qags.grid import GridSpec, SearchBox, decode_many
+
+    if block is not None:
+        monkeypatch.setattr(_kernels_py, "BLOCK_STATES", block)
+    lo, hi, _ = _lattice_case(d, 1 << n, d + n)
+    spec = GridSpec(d, n, SearchBox(lo, hi))
+    axes = [spec.axis_coordinates(i) for i in range(d)]
+    got, _ = _joined(kernels.coordinate_blocks(axes), block)
+    assert np.array_equal(got, decode_many(spec, np.arange(spec.total_points)))
+
+
+def test_one_axis_table():
+    from qags.grid import GridSpec, SearchBox
+
+    lo, hi, _ = _lattice_case(3, 16, 2)
+    spec = GridSpec(3, 4, SearchBox(lo, hi))
+    for i, xs in enumerate(kernels.lattice_axes(lo, hi, 16)):
+        assert np.array_equal(xs, spec.axis_coordinates(i))
+        assert xs[0] == lo[i] and xs[-1] == hi[i]
+
+
+@pytest.mark.parametrize("k,m", [(3, 5), (600, 2), (5000, 8), (5000, 9), (40, 64)])
+def test_outer_sum_equals_add_outer(k, m):
+    rng = np.random.default_rng(k + m)
+    left = rng.normal(0.0, 1e3, k)
+    right = rng.normal(0.0, 1e-3, m)
+    assert np.array_equal(_kernels_py._outer_sum(left, right), np.add.outer(left, right).reshape(-1))

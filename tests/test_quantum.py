@@ -170,6 +170,41 @@ class TestGridValues:
             grid_values(obj, spec1(n=2))
 
 
+class TestGridValuesBatchBlocks:
+    """Objectives without a lattice kernel are evaluated on coordinate
+    blocks of at most 2^16 rows."""
+
+    @staticmethod
+    def recording(batch, seen):
+        def fn_batch(pts):
+            seen.append(len(pts))
+            return batch(pts)
+
+        return ObjectiveFunction(
+            name="recording", arity=2, fn=lambda x: float(batch(x[None, :])[0]), batch_fn=fn_batch
+        )
+
+    def test_equals_one_full_batch(self):
+        seen = []
+        obj = self.recording(make_rastrigin(2).batch_fn, seen)
+        s = GridSpec(2, 9, SearchBox(np.array([-5.12, -3.3]), np.array([4.1, 5.12])))
+        values = grid_values(obj, s)
+        full = make_rastrigin(2).batch_fn(decode_many(s, np.arange(s.total_points)))
+        assert np.array_equal(values, full)
+        assert max(seen) <= 1 << 16
+        assert len(seen) == 4
+        assert obj.eval_count == sum(seen) == s.total_points
+
+    def test_non_finite_in_later_block_names_its_point(self):
+        obj = self.recording(lambda pts: np.where(pts[:, 0] >= 300.0, np.inf, 0.0), [])
+        # step 1: coordinates are the integers 0..511; the first bad flat
+        # index is 300 * 512, in the third block
+        s = GridSpec(2, 9, SearchBox.cube(2, 0.0, 511.0))
+        with pytest.raises(EvaluationError) as err:
+            grid_values(obj, s)
+        assert err.value.point.tolist() == [300.0, 0.0]
+
+
 class TestEntropy:
     def test_uniform_fraction_is_one(self):
         dist = build_distribution(
