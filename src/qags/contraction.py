@@ -22,12 +22,19 @@ from .quantum import entropy_fraction
 
 
 class Verdict(enum.Enum):
-    """Termination verdict for one iteration."""
+    """Termination verdict for one iteration.
+
+    ``should_terminate`` returns the first four.  FIXED_POINT is set by
+    the driver alone, in place of CONTINUE, when an exact-readout
+    iteration leaves the box unchanged: every later iteration would
+    repeat it bit for bit.
+    """
 
     CONTINUE = "continue"
     WIDTH_FLOOR = "width_floor"
     MAX_ITERATIONS = "max_iterations"
     CONCENTRATED = "concentrated"
+    FIXED_POINT = "fixed_point"
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,14 @@ objective into a measurement distribution, selects the high-probability
 region, and contracts the bounds around it.  On termination a bounded
 quasi-Newton refinement polishes the best grid point seen anywhere in
 the run, clamped into the final box.
+
+At exact readout (shots = 0) an iteration is a pure function of its
+box, so one that leaves the box unchanged proves every later iteration
+would repeat it bit for bit; the loop stops there with verdict
+FIXED_POINT instead of re-evaluating the same lattice up to k_max.  The
+width floor, iteration cap and concentration rules keep precedence.
+Finite-shot runs draw with a new seed each iteration and never stop
+this way.
 """
 
 from __future__ import annotations
@@ -66,7 +74,10 @@ class QagsConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     """One contraction step; entropy_fraction is None for runs that have
-    no measurement distribution (the classical baseline)."""
+    no measurement distribution (the classical baseline).  The last
+    record's verdict says why the run stopped; every earlier one is
+    CONTINUE.  A FIXED_POINT record has bounds_after equal to
+    bounds_before."""
 
     k: int
     bounds_before: SearchBox
@@ -156,9 +167,10 @@ def _finish_report(
 def run(f, initial_bounds, cfg):
     """Run the full adaptive search and return its report.
 
-    Deterministic at shots = 0; at shots > 0 determinism holds for a
-    fixed seed.  The objective's evaluation counter advances by exactly
-    total_f_evals.
+    Deterministic at shots = 0, where the loop also stops at the first
+    iteration that leaves the box unchanged (FIXED_POINT); at shots > 0
+    determinism holds for a fixed seed.  The objective's evaluation
+    counter advances by exactly total_f_evals.
     """
     if f.arity != initial_bounds.dimension:
         raise InvalidInputError("objective arity does not match bounds")
@@ -185,6 +197,8 @@ def run(f, initial_bounds, cfg):
         selection = select_region(dist, cfg.quantile)
         box_next = contract_bounds(spec, selection)
         verdict = should_terminate(box, box_next, dist, k, cfg.termination)
+        if verdict is Verdict.CONTINUE and cfg.shots == 0 and box_next == box:
+            verdict = Verdict.FIXED_POINT
         records.append(
             IterationRecord(
                 k=k,

@@ -95,6 +95,17 @@ def test_rastrigin_trapped_rows_pinned():
         assert report.abs_error == pytest.approx(target, rel=1e-9)
 
 
+def test_rastrigin_presets_stop_at_fixed_point():
+    """The diagnosis behind the shortfall: on the symmetric box every row's
+    quantile hull reproduces itself, and the run stops there."""
+    stop_at = {(2, 5): 2, (3, 4): 1, (5, 3): 1, (8, 2): 1}
+    for (dim, q), k in stop_at.items():
+        report = qags_preset("rastrigin", dim, q, -5.12, 5.12)
+        last = report.iterations[-1]
+        assert (last.k, last.verdict) == (k, qags.Verdict.FIXED_POINT)
+        assert last.bounds_after == last.bounds_before
+
+
 # --- criterion 2: styblinski-tang table ------------------------------------
 
 @pytest.mark.criterion(2, "styblinski-tang table within 1e-2 of quoted values, < 60 s")
