@@ -24,7 +24,6 @@ from .errors import (
     RefinementError,
 )
 from .grid import GridSpec, SearchBox, coordinate, decode, decode_many, encode
-from .kernels import active_backend
 from .objectives import (
     REGISTRY,
     ObjectiveFunction,
@@ -71,7 +70,6 @@ __all__ = [
     "SearchBox",
     "TerminationPolicy",
     "Verdict",
-    "active_backend",
     "build_distribution",
     "contract_bounds",
     "coordinate",

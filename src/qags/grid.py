@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels_py import _axis_coordinates
+from .kernels import _axis_coordinates
 from .errors import InvalidInputError, OffGridError
 
 DEFAULT_QUBIT_CAP = 30

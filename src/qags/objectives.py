@@ -8,13 +8,12 @@ in closed form.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._kernels_py import (
+from .kernels import (
     KIND_RASTRIGIN,
     KIND_ROSENBROCK,
     KIND_SPHERE,
@@ -65,26 +64,6 @@ def sphere(x, shift=None):
     return float(np.sum(x * x))
 
 
-class _EvalCounter:
-    """Thread-safe evaluation counter."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def add(self, n=1):
-        with self._lock:
-            self._count += n
-
-    @property
-    def value(self):
-        return self._count
-
-    def reset(self):
-        with self._lock:
-            self._count = 0
-
-
 @dataclass
 class ObjectiveFunction:
     """A named objective of fixed arity with an evaluation counter.
@@ -94,7 +73,9 @@ class ObjectiveFunction:
     calls it on row blocks of at most 65,536 rows, so it must be
     row-wise: each output value depends on its own row only.  ``kernel_kind``
     tags objectives the lattice kernels can evaluate without
-    materializing point coordinates.
+    materializing point coordinates.  The evaluation counter is a plain
+    int with no lock: an instance shared between threads needs the
+    caller's own locking.
     """
 
     name: str
@@ -106,7 +87,7 @@ class ObjectiveFunction:
     canonical_domain: Optional[SearchBox] = None
     known_minimum_point: Optional[np.ndarray] = None
     known_minimum_value: Optional[float] = None
-    _counter: _EvalCounter = field(default_factory=_EvalCounter, repr=False)
+    _count: int = field(default=0, repr=False, compare=False)
 
     def _check_point(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -121,7 +102,7 @@ class ObjectiveFunction:
     def evaluate(self, x):
         x = self._check_point(x)
         value = float(self.fn(x))
-        self._counter.add(1)
+        self._count += 1
         if not np.isfinite(value):
             raise EvaluationError(f"{self.name} returned {value}", point=x)
         return value
@@ -137,7 +118,7 @@ class ObjectiveFunction:
             values = np.asarray(self.batch_fn(pts), dtype=np.float64)
         else:
             values = np.array([self.fn(row) for row in pts], dtype=np.float64)
-        self._counter.add(pts.shape[0])
+        self._count += pts.shape[0]
         bad = ~np.isfinite(values)
         if bad.any():
             idx = int(np.argmax(bad))
@@ -149,14 +130,14 @@ class ObjectiveFunction:
     def count_evaluations(self, n):
         """Credit n evaluations performed outside evaluate()/evaluate_batch()
         (used by lattice kernels that bypass the Python call path)."""
-        self._counter.add(n)
+        self._count += n
 
     @property
     def eval_count(self):
-        return self._counter.value
+        return self._count
 
     def reset_eval_count(self):
-        self._counter.reset()
+        self._count = 0
 
 
 def make_rastrigin(dimension):

@@ -1,22 +1,12 @@
-"""Backend dispatch and compiled-vs-fallback parity."""
+"""The NumPy lattice and encoding kernels against direct formulas, and
+the streamed lattice blocks against the full arrays."""
 
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from qags import _kernels_py, kernels
-
-try:
-    from qags import _kernels as _native
-except ImportError:
-    _native = None
-
-needs_native = pytest.mark.skipif(_native is None, reason="compiled kernel not built")
+from qags import kernels
 
 KINDS = [
     (kernels.KIND_SPHERE, "sphere"),
@@ -26,28 +16,16 @@ KINDS = [
 ]
 
 
-def test_backend_reported():
-    assert kernels.active_backend() in ("native", "python")
-
-
-def test_wrapper_matches_fallback():
-    lo = np.array([-2.0, -1.0])
-    hi = np.array([3.0, 4.0])
-    got = kernels.lattice_values(kernels.KIND_SPHERE, lo, hi, 8)
-    ref = _kernels_py.lattice_values(kernels.KIND_SPHERE, lo, hi, 8, np.zeros(2))
-    assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
 def _broadcast_reference(kind, lower, upper, m, shift):
     """The per-element accumulation 0 + t_0 + t_1 + ... done as d
     broadcast passes over the full lattice."""
     d = lower.size
     total = np.zeros((m,) * d)
     for i in range(d):
-        xs = _kernels_py._axis_coordinates(lower[i], upper[i], m)
+        xs = kernels._axis_coordinates(lower[i], upper[i], m)
         shape = [1] * d
         shape[i] = m
-        total += _kernels_py._axis_terms(kind, xs, shift[i]).reshape(shape)
+        total += kernels._axis_terms(kind, xs, shift[i]).reshape(shape)
     return total.reshape(-1)
 
 
@@ -61,7 +39,7 @@ def test_lattice_values_equal_broadcast_reference(kind, name, d):
     shift = rng.uniform(-2.0, 2.0, d)
     if d > 1:
         hi[d // 2] = lo[d // 2]  # degenerate axis
-    got = _kernels_py.lattice_values(kind, lo, hi, m, shift)
+    got = kernels.lattice_values(kind, lo, hi, m, shift)
     ref = _broadcast_reference(kind, lo, hi, m, shift)
     assert got.shape == (m**d,)
     assert np.array_equal(got, ref)
@@ -84,7 +62,7 @@ def _boltzmann_inputs():
 @pytest.mark.parametrize("case", list(_boltzmann_inputs()))
 def test_boltzmann_matches_direct_formulas(case):
     values, scale = _boltzmann_inputs()[case]
-    probs, argmin_index, sigma, entropy = _kernels_py.boltzmann(values, scale)
+    probs, argmin_index, sigma, entropy = kernels.boltzmann(values, scale)
 
     dev = values - values.mean()
     sigma_ref = float(np.sqrt(np.mean(dev * dev)))
@@ -100,117 +78,6 @@ def test_boltzmann_matches_direct_formulas(case):
     assert entropy == pytest.approx(entropy_ref, rel=1e-12, abs=0.0)
     if "underflow" in case:
         assert pos.size < probs.size
-
-
-@needs_native
-@pytest.mark.parametrize("kind,name", KINDS)
-@pytest.mark.parametrize("d,m", [(1, 9), (2, 32), (3, 16), (5, 6), (8, 3)])
-def test_lattice_parity(kind, name, d, m):
-    if kind == kernels.KIND_ROSENBROCK and d < 2:
-        pytest.skip("rosenbrock needs two dimensions")
-    rng = np.random.default_rng(d * 100 + m)
-    lo = rng.uniform(-10.0, -0.5, d)
-    hi = rng.uniform(0.5, 10.0, d)
-    shift = rng.uniform(-2.0, 2.0, d)
-    a = _native.lattice_values(kind, lo, hi, m, shift)
-    b = _kernels_py.lattice_values(kind, lo, hi, m, shift)
-    assert a.shape == b.shape == (m**d,)
-    assert np.allclose(a, b, rtol=5e-13, atol=1e-13)
-
-
-@needs_native
-def test_lattice_degenerate_axis_parity():
-    lo = np.array([1.0, -3.0])
-    hi = np.array([1.0, 2.0])
-    a = _native.lattice_values(kernels.KIND_RASTRIGIN, lo, hi, 4, np.zeros(2))
-    b = _kernels_py.lattice_values(kernels.KIND_RASTRIGIN, lo, hi, 4, np.zeros(2))
-    assert np.allclose(a, b, rtol=1e-13)
-
-
-@needs_native
-def test_boltzmann_parity():
-    rng = np.random.default_rng(17)
-    for size in (2, 13, 1024):
-        values = rng.normal(50.0, 20.0, size)
-        pa, ia, sa, ea = _native.boltzmann(values, 1.0)
-        pb, ib, sb, eb = _kernels_py.boltzmann(values, 1.0)
-        assert ia == ib
-        assert sa == pytest.approx(sb, rel=1e-12)
-        assert np.allclose(pa, pb, rtol=1e-12, atol=1e-15)
-        assert ea == pytest.approx(eb, rel=1e-9, abs=1e-12)
-
-
-@needs_native
-def test_boltzmann_constant_values_parity():
-    values = np.full(64, 7.0)
-    pa, ia, sa, _ = _native.boltzmann(values, 2.0)
-    pb, ib, sb, _ = _kernels_py.boltzmann(values, 2.0)
-    assert ia == ib == 0
-    assert sa == sb == 1.0
-    assert np.allclose(pa, pb)
-    assert np.allclose(pa, 1.0 / 64)
-
-
-@needs_native
-def test_boltzmann_tie_break_parity():
-    values = np.array([3.0, 1.0, 1.0, 2.0])
-    _, ia, _, _ = _native.boltzmann(values, 1.0)
-    _, ib, _, _ = _kernels_py.boltzmann(values, 1.0)
-    assert ia == ib == 1
-
-
-def _run_with_backend(backend, snippet):
-    env = dict(os.environ, QAGS_BACKEND=backend)
-    return subprocess.run(
-        [sys.executable, "-c", snippet],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-_REPORT_SNIPPET = """
-import json
-import qags
-rep = qags.run(
-    qags.get_objective("rastrigin", 2),
-    qags.SearchBox.cube(2, -5.12, 5.12),
-    qags.QagsConfig(qubits_per_dim=4),
-)
-print(json.dumps({"backend": qags.active_backend(), "value": rep.found_value,
-                  "point": [float(v) for v in rep.found_point],
-                  "evals": rep.total_f_evals}))
-"""
-
-
-def test_forced_python_backend():
-    proc = _run_with_backend("python", _REPORT_SNIPPET)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["backend"] == "python"
-
-
-@needs_native
-def test_driver_results_agree_across_backends():
-    results = {}
-    for backend in ("python", "native"):
-        proc = _run_with_backend(backend, _REPORT_SNIPPET)
-        assert proc.returncode == 0, proc.stderr
-        results[backend] = json.loads(proc.stdout)
-    assert results["python"]["backend"] == "python"
-    assert results["native"]["backend"] == "native"
-    assert results["native"]["value"] == pytest.approx(
-        results["python"]["value"], rel=1e-9, abs=1e-12
-    )
-    assert results["native"]["point"] == pytest.approx(
-        results["python"]["point"], rel=1e-6, abs=1e-9
-    )
-    assert results["native"]["evals"] == results["python"]["evals"]
-
-
-def test_invalid_backend_rejected():
-    proc = _run_with_backend("fortran", "import qags")
-    assert proc.returncode != 0
-    assert "QAGS_BACKEND" in proc.stderr
 
 
 # --- streamed lattice blocks --------------------------------------------------
@@ -237,7 +104,7 @@ def _block_dims(block, m):
 def _joined(blocks, block):
     """Concatenate (start, array) blocks, checking they tile the lattice
     in order and none exceeds the block size."""
-    limit = block or _kernels_py.BLOCK_STATES
+    limit = block or kernels.BLOCK_STATES
     parts, starts, at = [], [], 0
     for start, arr in blocks:
         starts.append(start)
@@ -253,15 +120,15 @@ def _joined(blocks, block):
 @pytest.mark.parametrize("kind,name", KINDS)
 def test_lattice_value_blocks_join_to_lattice_values(monkeypatch, kind, name, m, block):
     if block is not None:
-        monkeypatch.setattr(_kernels_py, "BLOCK_STATES", block)
+        monkeypatch.setattr(kernels, "BLOCK_STATES", block)
     for d in _block_dims(block, m):
         if kind == kernels.KIND_ROSENBROCK and d < 2:
             continue
         lo, hi, shift = _lattice_case(d, m, 13 * d + m)
         if d > 2:
             hi[1] = lo[1]  # degenerate axis
-        ref = _kernels_py.lattice_values(kind, lo, hi, m, shift)
-        got, _ = _joined(_kernels_py.lattice_value_blocks(kind, lo, hi, m, shift), block)
+        ref = kernels.lattice_values(kind, lo, hi, m, shift)
+        got, _ = _joined(kernels.lattice_value_blocks(kind, lo, hi, m, shift), block)
         assert np.array_equal(got, ref), (d, m)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
 
@@ -270,14 +137,14 @@ def test_lattice_value_blocks_span_several_blocks():
     lo, hi, shift = _lattice_case(4, 32, 5)
     blocks = list(kernels.lattice_value_blocks(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
     assert len(blocks) == 16
-    assert all(len(v) == _kernels_py.BLOCK_STATES == 1 << 16 for _, v in blocks)
+    assert all(len(v) == kernels.BLOCK_STATES == 1 << 16 for _, v in blocks)
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("m", BLOCK_MS)
 def test_coordinate_blocks_equal_meshgrid_lattice(monkeypatch, m, block):
     if block is not None:
-        monkeypatch.setattr(_kernels_py, "BLOCK_STATES", block)
+        monkeypatch.setattr(kernels, "BLOCK_STATES", block)
     for d in _block_dims(block, m):
         lo, hi, shift = _lattice_case(d, m, 7 * d + m)
         axes = kernels.lattice_axes(lo, hi, m)
@@ -285,7 +152,7 @@ def test_coordinate_blocks_equal_meshgrid_lattice(monkeypatch, m, block):
         ref = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         assert np.array_equal(got, ref), (d, m)
         # the same ranges as the value blocks
-        value_starts = [s for s, _ in _kernels_py.lattice_value_blocks(0, lo, hi, m, shift)]
+        value_starts = [s for s, _ in kernels.lattice_value_blocks(0, lo, hi, m, shift)]
         assert starts == value_starts
 
 
@@ -295,7 +162,7 @@ def test_coordinate_blocks_equal_decode_many(monkeypatch, d, n, block):
     from qags.grid import GridSpec, SearchBox, decode_many
 
     if block is not None:
-        monkeypatch.setattr(_kernels_py, "BLOCK_STATES", block)
+        monkeypatch.setattr(kernels, "BLOCK_STATES", block)
     lo, hi, _ = _lattice_case(d, 1 << n, d + n)
     spec = GridSpec(d, n, SearchBox(lo, hi))
     axes = [spec.axis_coordinates(i) for i in range(d)]
@@ -318,4 +185,4 @@ def test_outer_sum_equals_add_outer(k, m):
     rng = np.random.default_rng(k + m)
     left = rng.normal(0.0, 1e3, k)
     right = rng.normal(0.0, 1e-3, m)
-    assert np.array_equal(_kernels_py._outer_sum(left, right), np.add.outer(left, right).reshape(-1))
+    assert np.array_equal(kernels._outer_sum(left, right), np.add.outer(left, right).reshape(-1))

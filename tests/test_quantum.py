@@ -5,7 +5,13 @@ import pytest
 
 from qags.errors import EvaluationError, InvalidInputError
 from qags.grid import GridSpec, SearchBox, decode_many
-from qags.objectives import ObjectiveFunction, make_rastrigin, make_sphere
+from qags.objectives import (
+    REGISTRY,
+    ObjectiveFunction,
+    get_objective,
+    make_rastrigin,
+    make_sphere,
+)
 from qags.quantum import (
     EncodingLaw,
     QuantumDistribution,
@@ -137,11 +143,25 @@ class TestQuantumDistributionValidation:
 
 
 class TestGridValues:
-    def test_matches_batch_evaluation(self):
-        obj = make_rastrigin(2)
-        s = GridSpec(2, 3, SearchBox.cube(2, -5.12, 5.12))
-        values = grid_values(obj, s)
-        direct = make_rastrigin(2).evaluate_batch(
+    @pytest.mark.parametrize("box", ["cube", "degenerate axis", "asymmetric"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_matches_batch_evaluation(self, name, d, box):
+        """The lattice kernel against the objective's own batch formula
+        on decoded grid points."""
+        rng = np.random.default_rng([d, list(REGISTRY).index(name)])
+        shift = rng.uniform(-2.0, 2.0, d) if name == "sphere" else None
+        if box == "cube":
+            bounds = SearchBox.cube(d, -5.12, 5.12)
+        else:
+            lo = rng.uniform(-10.0, -0.5, d)
+            hi = rng.uniform(0.5, 10.0, d)
+            if box == "degenerate axis":
+                hi[d // 2] = lo[d // 2]
+            bounds = SearchBox(lo, hi)
+        s = GridSpec(d, 3 if d <= 3 else 2, bounds)
+        values = grid_values(get_objective(name, d, shift), s)
+        direct = get_objective(name, d, shift).evaluate_batch(
             decode_many(s, np.arange(s.total_points))
         )
         assert np.allclose(values, direct, rtol=1e-12, atol=1e-12)
