@@ -80,12 +80,25 @@ def select_region(dist, quantile=0.75):
 
     The distribution's maximal entry (f_min_index) always satisfies the
     threshold and is force-included, so the selection is never empty.
+    A vector with enough zeros, such as a finite-shot draw on a large
+    grid, skips the quantile's partition: its threshold is 0.0.
     """
     if not 0.0 < quantile < 1.0:
         raise InvalidInputError("quantile must lie strictly inside (0, 1)")
     probs = dist.probabilities
-    threshold = float(np.quantile(probs, quantile))
-    mask = (probs >= threshold) & (probs > 0.0)
+    # min() costs a third of a zero count, and exact-readout weights
+    # seldom underflow
+    zeros = 0 if probs.min() > 0.0 else probs.size - np.count_nonzero(probs)
+    if zeros >= quantile * probs.size + 2:
+        # np.quantile (linear) interpolates between the order statistics
+        # of ranks floor((N-1)q) and floor((N-1)q) + 1, counted from 0;
+        # with at least qN + 2 zeros both are zeros, so the threshold is
+        # exactly 0.0 and only the positivity clause selects
+        threshold = 0.0
+        mask = probs > 0.0
+    else:
+        threshold = float(np.quantile(probs, quantile))
+        mask = (probs >= threshold) & (probs > 0.0)
     assert mask[dist.f_min_index], "maximal entry must meet the threshold"
     mask[dist.f_min_index] = True
     return RegionSelection(

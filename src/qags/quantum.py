@@ -5,8 +5,9 @@ exp(-(f - f_min) / sigma) with sigma the population standard deviation of
 the grid values (temperature).  Under the probability law the measurement
 distribution is proportional to that weight; under the amplitude law the
 weight is loaded into the state amplitudes, so probabilities square it.
-Measurement is either exact readout of the distribution or finite-shot
-multinomial sampling.
+Measurement is either exact readout of the distribution or a finite-shot
+draw: inverse-CDF sampling of the shots, whose per-state counts are
+multinomially distributed.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ class QuantumDistribution:
             raise InvalidInputError("probability vector length must be 2^(n*d)")
         if not 0 <= self.f_min_index < probs.size:
             raise InvalidInputError("f_min_index out of range")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+        # NaN, -inf and negative entries fail the minimum test; +inf, and
+        # finite entries whose sum overflows, fail the sum test
+        if not float(probs.min()) >= 0.0:
             raise InvalidInputError("probabilities must be finite and non-negative")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise InvalidInputError("probabilities must sum to 1")
+        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
+            raise InvalidInputError("probabilities must be finite and sum to 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "f_min_index", int(self.f_min_index))
@@ -138,27 +141,54 @@ def entropy_fraction(dist):
     return dist.entropy_bits / (dist.spec.qubits_per_dim * dist.spec.dimension)
 
 
-def sample(dist, shots, seed):
-    """Finite-shot measurement: multinomial draw of the distribution.
+def _cdf_indices(cdf, u):
+    """Inverse-CDF lookup: the state whose cdf interval holds each u.
 
-    Returns a new distribution of empirical frequencies (renormalized so
-    they sum to 1 exactly up to round-off); its f_min_index is the
-    empirical argmax, lowest index on ties.  shots = 0 means exact
-    readout: the input distribution is returned unchanged.
+    ``cdf`` is the running sum of the probabilities and each u lies in
+    [0, cdf[-1]].  A zero-probability state has an empty interval and is
+    never returned.  A u that rounded up to cdf[-1] falls past the last
+    interval; it maps to the last state that moves the cdf, not to the
+    last state of the grid, which may be a trailing run of zeros.
+    """
+    idx = np.searchsorted(cdf, u, side="right")
+    idx[idx == cdf.size] = np.searchsorted(cdf, cdf[-1], side="left")
+    return idx
+
+
+def sample(dist, shots, seed):
+    """Finite-shot measurement: ``shots`` inverse-CDF draws.
+
+    Sorted uniforms scaled to the cdf's total are looked up in the cdf,
+    so the per-state counts follow the multinomial law in
+    O(N + shots log N), without one binomial per basis state.  Returns a
+    new distribution of empirical frequencies (renormalized so they sum
+    to 1 exactly up to round-off); its f_min_index is the empirical
+    argmax, lowest index on ties.  shots = 0 means exact readout: the
+    input distribution is returned unchanged.
     """
     if shots < 0:
         raise InvalidInputError("shots must be non-negative")
     if shots == 0:
         return dist
     rng = np.random.Generator(np.random.PCG64(seed))
-    p = dist.probabilities / dist.probabilities.sum()
-    counts = rng.multinomial(shots, p)
-    emp = counts / float(shots)
-    emp /= emp.sum()
+    cdf = np.cumsum(dist.probabilities)
+    u = rng.random(shots)
+    u.sort()
+    u *= cdf[-1]
+    idx = _cdf_indices(cdf, u)
+    del cdf
+    # idx is sorted: each run of equal indices is one drawn state
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))
+    support = idx[starts]
+    counts = np.diff(starts, append=shots)
+    freq = counts / float(shots)
+    freq /= freq.sum()
+    emp = np.zeros(dist.probabilities.size)
+    emp[support] = freq
     return QuantumDistribution(
         spec=dist.spec,
         probabilities=emp,
-        f_min_index=int(np.argmax(emp)),
+        f_min_index=int(support[np.argmax(counts)]),
         sigma=dist.sigma,
-        entropy_bits=entropy_bits_of(emp),
+        entropy_bits=entropy_bits_of(freq),
     )

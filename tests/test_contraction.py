@@ -13,7 +13,7 @@ from qags.contraction import (
 )
 from qags.errors import InvalidInputError
 from qags.grid import GridSpec, SearchBox, decode_many
-from qags.quantum import QuantumDistribution
+from qags.quantum import EncodingLaw, QuantumDistribution, distribution_from_values
 
 
 def make_dist(probs, f_min_index=None, spec=None, entropy=None):
@@ -75,6 +75,86 @@ class TestSelectRegion:
                 selected_indices=np.array([], dtype=np.int64),
                 threshold_probability=0.1,
             )
+
+
+def quantile_reference(dist, quantile):
+    """select_region as a plain np.quantile threshold, no zero-run test."""
+    probs = dist.probabilities
+    threshold = float(np.quantile(probs, quantile))
+    mask = (probs >= threshold) & (probs > 0.0)
+    mask[dist.f_min_index] = True
+    return threshold, np.flatnonzero(mask)
+
+
+def _sparse_cases():
+    """Random vectors whose zero count sweeps quantile * N +- 3."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for size in (4, 16, 1024):
+        for quantile in (0.25, 0.5, 0.75, 0.9):
+            centre = int(round(quantile * size))
+            for zeros in range(max(centre - 3, 0), min(centre + 3, size - 1) + 1):
+                for shape in ("uniform", "counts"):
+                    probs = rng.uniform(0.0, 1.0, size)
+                    if shape == "counts":
+                        # frequencies of a finite-shot draw: many ties
+                        probs = rng.integers(1, 4, size).astype(np.float64)
+                    probs[rng.choice(size, zeros, replace=False)] = 0.0
+                    cases.append(
+                        pytest.param(
+                            probs / probs.sum(), quantile, id=f"N{size}-q{quantile}-z{zeros}-{shape}"
+                        )
+                    )
+    return cases
+
+
+def _takes_zero_shortcut(probs, quantile):
+    return probs.size - np.count_nonzero(probs) >= quantile * probs.size + 2
+
+
+def _underflow_distributions():
+    """Exact-readout distributions on 2^20 states whose weights underflow:
+    a few states far below the rest (all of which underflow) and one state
+    far above the rest (which alone underflows)."""
+    spec = GridSpec(2, 10, SearchBox.cube(2, -1.0, 1.0))
+    low = np.zeros(spec.total_points)
+    low[[5, 70_000, 900_000]] = [-1.0, -1.0, -0.999]
+    high = np.linspace(-1e-5, 0.0, spec.total_points)
+    high[123] = 1.0
+    return [
+        distribution_from_values(spec, low, EncodingLaw.BOLTZMANN_AMPLITUDE),
+        distribution_from_values(spec, high, EncodingLaw.BOLTZMANN_PROBABILITY),
+    ]
+
+
+class TestSelectionParity:
+    """The zero-run shortcut selects exactly what np.quantile would."""
+
+    @pytest.mark.parametrize("probs,quantile", _sparse_cases())
+    def test_sparse_vector_matches_quantile_reference(self, probs, quantile):
+        dist = make_dist(probs)
+        sel = select_region(dist, quantile)
+        threshold, selected = quantile_reference(dist, quantile)
+        assert np.float64(sel.threshold_probability).tobytes() == np.float64(threshold).tobytes()
+        assert np.array_equal(sel.selected_indices, selected)
+
+    def test_sweep_takes_both_branches(self):
+        taken = [_takes_zero_shortcut(*case.values) for case in _sparse_cases()]
+        assert any(taken) and not all(taken)
+
+    def test_underflowed_exact_readout_matches_quantile_reference(self):
+        low, high = _underflow_distributions()
+        assert np.count_nonzero(low.probabilities) == 3
+        assert high.probabilities.size - np.count_nonzero(high.probabilities) == 1
+        for dist in (low, high):
+            for quantile in (0.25, 0.5, 0.75, 0.9):
+                sel = select_region(dist, quantile)
+                threshold, selected = quantile_reference(dist, quantile)
+                assert np.float64(sel.threshold_probability).tobytes() == (
+                    np.float64(threshold).tobytes()
+                )
+                assert np.array_equal(sel.selected_indices, selected)
+                assert _takes_zero_shortcut(dist.probabilities, quantile) == (dist is low)
 
 
 class TestContractBounds:

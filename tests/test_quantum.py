@@ -15,6 +15,7 @@ from qags.objectives import (
 from qags.quantum import (
     EncodingLaw,
     QuantumDistribution,
+    _cdf_indices,
     build_distribution,
     distribution_from_values,
     entropy_fraction,
@@ -130,6 +131,33 @@ class TestQuantumDistributionValidation:
                 sigma=1.0,
                 entropy_bits=1.0,
             )
+
+    # a negative entry: test_rejects_negative
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "probs",
+        [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [1e308, 1e308], [0.5, 0.5 + 1e-11]],
+        ids=["nan", "plus-inf", "minus-inf", "sum-overflows", "sum-off-by-1e-11"],
+    )
+    def test_rejects_invalid_probabilities(self, probs):
+        with pytest.raises(InvalidInputError):
+            QuantumDistribution(
+                spec=spec1(n=1),
+                probabilities=np.array(probs),
+                f_min_index=0,
+                sigma=1.0,
+                entropy_bits=1.0,
+            )
+
+    def test_accepts_sum_within_1e_12(self):
+        dist = QuantumDistribution(
+            spec=spec1(n=1),
+            probabilities=np.array([0.5, 0.5 + 5e-13]),
+            f_min_index=1,
+            sigma=1.0,
+            entropy_bits=1.0,
+        )
+        assert dist.probabilities[1] == 0.5 + 5e-13
 
     def test_rejects_bad_index(self):
         with pytest.raises(InvalidInputError):
@@ -282,6 +310,72 @@ class TestSample:
         dist = self._dist()
         emp = sample(dist, 100, seed=0)
         assert emp.sigma == dist.sigma
+
+
+def dist_of(probs):
+    probs = np.asarray(probs, dtype=np.float64)
+    probs = probs / probs.sum()
+    return QuantumDistribution(
+        spec=spec1(n=int(np.log2(probs.size))),
+        probabilities=probs,
+        f_min_index=int(np.argmax(probs)),
+        sigma=1.0,
+        entropy_bits=1.0,
+    )
+
+
+class TestInverseCdfSampler:
+    def test_zero_probability_states_never_drawn(self):
+        # interior zeros, and a trailing run of zeros such as underflowed
+        # Boltzmann weights leave
+        probs = np.zeros(16)
+        probs[[1, 4, 6]] = [3e-300, 1e-300, 2e-300]
+        dist = dist_of(probs)
+        for seed in range(20):
+            emp = sample(dist, 5000, seed)
+            assert np.flatnonzero(emp.probabilities).tolist() == [1, 4, 6]
+
+    def test_rounded_up_uniform_maps_to_last_positive_state(self):
+        cdf = np.cumsum([0.25, 0.0, 0.5, 0.25, 0.0, 0.0])
+        idx = _cdf_indices(cdf, np.array([0.0, 0.25, 0.9, cdf[-1], cdf[-1]]))
+        assert idx.tolist() == [0, 2, 3, 3, 3]
+
+    def test_lookup_skips_zero_width_intervals(self):
+        cdf = np.cumsum([0.0, 0.5, 0.0, 0.5])
+        idx = _cdf_indices(cdf, np.array([0.0, 0.4999, 0.5, 0.75]))
+        assert idx.tolist() == [1, 1, 3, 3]
+
+    def test_counts_within_five_standard_errors(self):
+        probs = np.array(
+            [0.0, 1.0, 2.0, 0.0, 4.0, 8.0, 0.5, 0.0, 3.0, 0.25, 6.0, 0.0, 1.5, 2.5, 0.0, 5.0]
+        )
+        dist = dist_of(probs)
+        shots = 10**6
+        emp = sample(dist, shots, seed=0)
+        p = dist.probabilities
+        counts = emp.probabilities * shots
+        standard_error = np.sqrt(shots * p * (1.0 - p))
+        assert np.all(counts[p == 0.0] == 0.0)
+        assert np.all(np.abs(counts - shots * p) <= 5.0 * standard_error)
+
+    def test_tied_counts_keep_lowest_index(self):
+        # two shots on a two-state uniform: the draws split 1-1 or fall
+        # 2-0 / 0-2; on a split the mode is the lower index
+        dist = dist_of([1.0, 1.0])
+        splits = 0
+        for seed in range(50):
+            emp = sample(dist, 2, seed)
+            if emp.probabilities[0] == emp.probabilities[1]:
+                splits += 1
+                assert emp.f_min_index == 0
+            else:
+                assert emp.f_min_index == int(np.argmax(emp.probabilities))
+        assert splits > 0
+
+    def test_entropy_of_the_empirical_frequencies(self):
+        emp = sample(dist_of(np.arange(1.0, 17.0)), 3000, seed=4)
+        p = emp.probabilities[emp.probabilities > 0.0]
+        assert emp.entropy_bits == max(float(-np.sum(p * np.log2(p))), 0.0)
 
 
 class TestLawEquivalence:
