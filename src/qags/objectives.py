@@ -70,12 +70,12 @@ class ObjectiveFunction:
 
     ``batch_fn`` vectorizes over an (N, d) matrix of points; when absent,
     batch evaluation falls back to a row-by-row loop.  Lattice evaluation
-    calls it on row blocks of at most 65,536 rows, so it must be
-    row-wise: each output value depends on its own row only.  ``kernel_kind``
-    tags objectives the lattice kernels can evaluate without
-    materializing point coordinates.  The evaluation counter is a plain
-    int with no lock: an instance shared between threads needs the
-    caller's own locking.
+    calls it on row blocks of at most 65,536 rows and the refiner on its
+    finite-difference stencils, so it must be row-wise: each output value
+    depends on its own row only.  ``kernel_kind`` tags objectives the
+    lattice kernels can evaluate without materializing point coordinates.
+    The evaluation counter is a plain int with no lock: an instance shared
+    between threads needs the caller's own locking.
     """
 
     name: str

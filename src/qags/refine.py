@@ -1,10 +1,13 @@
 """Bounded local refinement: limited-memory quasi-Newton with box projection.
 
 Gradients come from central finite differences (one-sided at the box
-boundary), search directions from the standard two-loop recursion over a
-short (s, y) history, and every trial point is projected onto the box, so
-all iterates are feasible by construction.  The refiner is deterministic
-and uses only objective evaluations.
+boundary), each stencil evaluated as one batch; search directions come
+from the standard two-loop recursion over a short (s, y) history, and
+every trial point is projected onto the box, so all iterates are feasible
+by construction.  The refiner stops at the finite-difference noise floor:
+when three accepted steps in a row leave f unchanged, further steps only
+spend evaluations.  It is deterministic and uses only objective
+evaluations.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .errors import EvaluationError, InvalidInputError, RefinementError
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+_STALL_STEPS = 3
 _CURVATURE_EPS = 1e-10
 
 
@@ -62,39 +66,45 @@ class _BudgetedObjective:
         self.used += 1
         return self.objective.evaluate(x)
 
+    def batch(self, points):
+        """Values of an (N, d) matrix of points.  When fewer than N
+        evaluations remain, evaluates the leading rows that fit, then
+        raises _OutOfEvals."""
+        room = self.limit - self.used
+        if room < len(points):
+            self.used = self.limit
+            if room:
+                self.objective.evaluate_batch(points[:room])
+            raise _OutOfEvals
+        self.used += len(points)
+        return self.objective.evaluate_batch(points)
 
-def _fd_gradient(ev, x, fx, box, scale, free):
+
+def _fd_gradient(ev_batch, x, fx, box, scale, free):
     """Central-difference gradient, one-sided where the box interferes.
 
+    The whole stencil goes to ev_batch as one (rows, d) matrix, in the
+    order a loop over the axes would evaluate it: per free axis the
+    forward row, then the backward row, whichever of them fit in the box.
     Degenerate dimensions (zero width) get gradient 0 and are never
     perturbed.  Trial points stay inside the box by construction.
     """
+    h = np.minimum(scale * np.maximum(1.0, np.abs(x)), (box.upper - box.lower) / 2.0)
+    can_up = free & (x + h <= box.upper)
+    can_down = free & (x - h >= box.lower)
+    up = np.where(can_up, x + h, x)
+    down = np.where(can_down, x - h, x)
+    # (axis, side) of each row, side 0 forward and 1 backward, axis-major
+    axis, side = np.nonzero(np.stack([can_up, can_down], axis=1))
     g = np.zeros(x.size)
-    for i in range(x.size):
-        if not free[i]:
-            continue
-        lo = box.lower[i]
-        up = box.upper[i]
-        h = scale * max(1.0, abs(x[i]))
-        half_width = (up - lo) / 2.0
-        if h > half_width:
-            h = half_width
-        can_up = x[i] + h <= up
-        can_down = x[i] - h >= lo
-        if can_up and can_down:
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            g[i] = (ev(xp) - ev(xm)) / (xp[i] - xm[i])
-        elif can_up:
-            xp = x.copy()
-            xp[i] += h
-            g[i] = (ev(xp) - fx) / (xp[i] - x[i])
-        elif can_down:
-            xm = x.copy()
-            xm[i] -= h
-            g[i] = (fx - ev(xm)) / (x[i] - xm[i])
+    if axis.size == 0:
+        return g
+    rows = np.tile(x, (axis.size, 1))
+    rows[np.arange(axis.size), axis] = np.stack([up, down], axis=1)[axis, side]
+    f_sides = np.full((x.size, 2), fx)
+    f_sides[axis, side] = ev_batch(rows)
+    moved = can_up | can_down
+    g[moved] = (f_sides[moved, 0] - f_sides[moved, 1]) / (up - down)[moved]
     return g
 
 
@@ -124,8 +134,11 @@ def refine(f, box, start, cfg=None):
 
     Returns (point, value, evals).  The point is feasible to the bound
     arithmetic exactly, and f(point) <= f(start).  Stops on projected
-    gradient below cfg.convergence_tol, the evaluation budget, or a
-    line-search stall (the finite-difference noise floor).
+    gradient below cfg.convergence_tol, the evaluation budget (exactly
+    cfg.max_evals evaluations, even when it runs out inside a stencil), a
+    line search that finds no decrease, or three consecutive accepted
+    steps that leave f unchanged (both are the finite-difference noise
+    floor).
     """
     if cfg is None:
         cfg = RefinerConfig()
@@ -146,8 +159,9 @@ def refine(f, box, start, cfg=None):
 
     s_list, y_list, rho_list = [], [], []
     try:
-        g = _fd_gradient(ev, x, fx, box, cfg.gradient_step_scale, free)
+        g = _fd_gradient(ev.batch, x, fx, box, cfg.gradient_step_scale, free)
         first_step = True
+        flat_steps = 0
         while True:
             if _projected_gradient_norm(x, g, box) < cfg.convergence_tol:
                 break
@@ -193,8 +207,13 @@ def refine(f, box, start, cfg=None):
                     break
             if not accepted:
                 break
+            # An Armijo step that leaves f unchanged is at the
+            # finite-difference noise floor; a few in a row end the run.
+            flat_steps = 0 if ft < fx else flat_steps + 1
+            if flat_steps == _STALL_STEPS:
+                break
 
-            g_new = _fd_gradient(ev, xt, ft, box, cfg.gradient_step_scale, free)
+            g_new = _fd_gradient(ev.batch, xt, ft, box, cfg.gradient_step_scale, free)
             s = xt - x
             y = g_new - g
             sy = float(np.dot(s, y))

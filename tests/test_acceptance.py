@@ -375,11 +375,10 @@ def test_criterion_6_finite_difference_gradients(data):
     )
     objective = get_objective(name, d)
     box = SearchBox.cube(d, -100.0, 100.0)
-    ev = objective.evaluate
     fd = _fd_gradient(
-        ev,
+        objective.evaluate_batch,
         point,
-        ev(point),
+        objective.evaluate(point),
         box,
         RefinerConfig().gradient_step_scale,
         np.ones(d, dtype=bool),

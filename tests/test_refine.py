@@ -6,13 +6,22 @@ import pytest
 from qags.errors import InvalidInputError, RefinementError
 from qags.grid import SearchBox
 from qags.objectives import (
+    REGISTRY,
     ObjectiveFunction,
+    get_objective,
     make_rastrigin,
     make_rosenbrock,
     make_sphere,
     make_styblinski_tang,
 )
-from qags.refine import RefinerConfig, refine
+from qags.refine import (
+    _STALL_STEPS,
+    RefinerConfig,
+    _BudgetedObjective,
+    _fd_gradient,
+    _OutOfEvals,
+    refine,
+)
 
 
 def quadratic_1d():
@@ -132,3 +141,203 @@ class TestRefinerConfig:
             RefinerConfig(history_size=0)
         with pytest.raises(InvalidInputError):
             RefinerConfig(gradient_step_scale=0.0)
+
+
+def recording(objective):
+    """objective with a log: each evaluate() appends its value, each
+    evaluate_batch() appends None."""
+    log = []
+
+    def fn(x):
+        log.append(objective.fn(x))
+        return log[-1]
+
+    def batch_fn(points):
+        log.append(None)
+        return objective.batch_fn(points)
+
+    wrapped = ObjectiveFunction(
+        name=objective.name, arity=objective.arity, fn=fn, batch_fn=batch_fn
+    )
+    return wrapped, log
+
+
+class TestStallExit:
+    # Final box, refiner start and refined (point, value) of three bench
+    # presets, recorded before the stall exit existed.  styblinski_tang
+    # d=5 q=3 used its whole 10,000-evaluation budget for this result.
+    PRESETS = {
+        "t2 d=5 q=3": (
+            "styblinski_tang", 5, -3.7755102040816326, 3.571428571428571,
+            -2.7259475218658893, -2.9035340276204025, -195.83082851885712,
+        ),
+        "t2 d=2 q=5": (
+            "styblinski_tang", 2, -3.7905743345305627, 3.4599375650364204,
+            -2.8550244120057906, -2.9035340277230075, -78.33233140754285,
+        ),
+        "t1 d=8 q=2": (
+            "rastrigin", 8, -5.12, 5.12,
+            1.706666666666667, 1.9899122336986945, 31.838649524432697,
+        ),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_bench_preset_result_unchanged(self, preset):
+        name, dim, lo, hi, start, point, value = self.PRESETS[preset]
+        x, fx, evals = refine(
+            get_objective(name, dim), SearchBox.cube(dim, lo, hi), np.full(dim, start)
+        )
+        assert x.tolist() == [point] * dim
+        assert fx == value
+        assert evals <= 200
+
+    def test_stops_on_third_consecutive_flat_step(self):
+        # Accepted steps here go: decrease, decrease, flat, flat,
+        # decrease, flat, flat, flat.  The decrease between the flat runs
+        # resets the count.
+        obj, log = recording(make_styblinski_tang(2))
+        box = SearchBox(
+            np.array([-2.9037328396519957, -2.903754711664822]),
+            np.array([-2.9033430342537647, -2.903302623736227]),
+        )
+        start = np.array([-2.903530130999521, -2.9035454547157795])
+        _, fx, evals = refine(obj, box, start)
+        # each stencil (None) follows the step it was taken at; the run
+        # stops on an accepted step, before that step's stencil
+        assert log[1] is None and log[-1] is not None
+        accepted = [log[0]] + [
+            log[i - 1] for i in range(2, len(log)) if log[i] is None
+        ] + [log[-1]]
+        flat = [b >= a for a, b in zip(accepted, accepted[1:])]
+        run = 0
+        for k, is_flat in enumerate(flat):
+            run = run + 1 if is_flat else 0
+            assert run < _STALL_STEPS or k == len(flat) - 1
+        assert run == _STALL_STEPS
+        # earlier flat steps were cut off by a decrease: a count that is
+        # not reset would have stopped before the last run
+        assert flat[:-_STALL_STEPS].count(True) >= _STALL_STEPS - 1
+        assert fx == min(accepted)
+        assert evals == obj.eval_count < RefinerConfig().max_evals
+
+
+def scalar_loop_gradient(f, x, fx, box, scale, free):
+    """The per-axis loop the batched stencil replaced, as the reference:
+    returns the gradient and the points evaluated, in order."""
+    g = np.zeros(x.size)
+    points = []
+
+    def ev(p):
+        points.append(p)
+        return f(p)
+
+    for i in range(x.size):
+        if not free[i]:
+            continue
+        h = scale * max(1.0, abs(x[i]))
+        half_width = (box.upper[i] - box.lower[i]) / 2.0
+        if h > half_width:
+            h = half_width
+        can_up = x[i] + h <= box.upper[i]
+        can_down = x[i] - h >= box.lower[i]
+        if can_up and can_down:
+            xp = x.copy()
+            xp[i] += h
+            xm = x.copy()
+            xm[i] -= h
+            g[i] = (ev(xp) - ev(xm)) / (xp[i] - xm[i])
+        elif can_up:
+            xp = x.copy()
+            xp[i] += h
+            g[i] = (ev(xp) - fx) / (xp[i] - x[i])
+        elif can_down:
+            xm = x.copy()
+            xm[i] -= h
+            g[i] = (fx - ev(xm)) / (x[i] - xm[i])
+    return g, points
+
+
+def stencil_cases():
+    """(name, point, box) with interior axes, axes on and just inside
+    either bound (one-sided rows), and a zero-width axis."""
+    rng = np.random.default_rng(11)
+    scale = RefinerConfig().gradient_step_scale
+    for name in sorted(REGISTRY):
+        for dim in (2, 3, 5, 8):
+            lower = rng.uniform(-4.0, 0.0, dim)
+            upper = lower + rng.uniform(1e-6, 4.0, dim)
+            x = rng.uniform(lower, upper)
+            x[0] = lower[0]
+            x[1] = upper[1]
+            if dim > 2:
+                upper[2] = lower[2]
+                x[2] = lower[2]
+            if dim > 3:
+                x[3] = lower[3] + 0.5 * scale
+            if dim > 4:
+                x[4] = upper[4] - 0.5 * scale * max(1.0, abs(upper[4]))
+            yield name, x, SearchBox(lower, upper)
+
+
+class TestBatchedStencil:
+    @pytest.mark.parametrize("name, x, box", list(stencil_cases()))
+    def test_equals_scalar_loop(self, name, x, box):
+        scale = RefinerConfig().gradient_step_scale
+        objective = get_objective(name, x.size)
+        free = box.width > 0.0
+        fx = objective.evaluate(x)
+        expected, points = scalar_loop_gradient(
+            objective.evaluate, x, fx, box, scale, free
+        )
+        batches = []
+
+        def ev_batch(rows):
+            batches.append(rows.copy())
+            return objective.evaluate_batch(rows)
+
+        g = _fd_gradient(ev_batch, x, fx, box, scale, free)
+        assert g.tobytes() == expected.tobytes()
+        assert len(batches) == 1
+        assert batches[0].tolist() == [p.tolist() for p in points]
+        assert len(points) < 2 * int(free.sum())  # one-sided rows were taken
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_batch_values_equal_scalar_values(self, name):
+        rng = np.random.default_rng(5)
+        for dim in range(2 if name == "rosenbrock" else 1, 13):
+            objective = get_objective(name, dim)
+            points = rng.uniform(-5.0, 5.0, (2 * dim + 1, dim))
+            batch = objective.evaluate_batch(points)
+            scalar = np.array([objective.evaluate(p) for p in points])
+            assert batch.tobytes() == scalar.tobytes(), dim
+
+    def test_budget_runs_out_inside_a_stencil(self):
+        box = SearchBox.cube(3, -5.0, 5.0)
+        start = np.array([-1.2, 1.0, 0.5])
+        _, _, unbounded = refine(make_rosenbrock(3), box, start)
+        assert unbounded > 50
+        for max_evals in range(1, 50):
+            obj = make_rosenbrock(3)
+            x, fx, evals = refine(obj, box, start, RefinerConfig(max_evals=max_evals))
+            assert evals == obj.eval_count == max_evals
+            assert box.contains(x)
+            assert fx <= make_rosenbrock(3).evaluate(start)
+
+    def test_truncated_batch_evaluates_leading_rows(self):
+        seen = []
+
+        def batch_fn(points):
+            seen.append(points.tolist())
+            return np.sum(points * points, axis=1)
+
+        obj = ObjectiveFunction(name="sq", arity=2, fn=None, batch_fn=batch_fn)
+        ev = _BudgetedObjective(obj, 6)
+        rows = np.arange(10.0).reshape(5, 2)
+        assert ev.batch(rows).tolist() == [1.0, 13.0, 41.0, 85.0, 145.0]
+        with pytest.raises(_OutOfEvals):
+            ev.batch(rows[::-1])
+        assert seen[1] == rows[::-1][:1].tolist()
+        assert ev.used == obj.eval_count == 6
+        with pytest.raises(_OutOfEvals):
+            ev.batch(rows)
+        assert len(seen) == 2 and obj.eval_count == 6
