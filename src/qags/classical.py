@@ -1,9 +1,10 @@
 """Classical adaptive grid search baseline.
 
-Same outer shape as the quantum driver (uniform grid, contract, repeat,
-refine) but the grid is a plain m-per-dimension lattice and contraction
-recentres a shrunken box on the best grid point instead of selecting a
-probability region.
+A step function for the loop in ``driver.search``, which both methods
+share (uniform grid, contract, repeat, refine).  The grid is a plain
+m-per-dimension lattice, streamed through ``quantum.lattice_blocks`` and
+reduced to its first-index argmin, and contraction recentres a shrunken
+box on the best grid point instead of selecting a probability region.
 """
 
 from __future__ import annotations
@@ -14,14 +15,10 @@ import numpy as np
 
 from . import kernels
 from .contraction import Verdict
-from .driver import (
-    CLASSICAL_BYTES_PER_POINT,
-    IterationRecord,
-    RunReport,
-    _finish_report,
-)
+from .driver import CLASSICAL_BYTES_PER_POINT, search
 from .errors import EvaluationError, InvalidInputError
 from .grid import SearchBox
+from .quantum import lattice_blocks
 from .refine import RefinerConfig
 
 
@@ -68,43 +65,19 @@ def points_per_dim_for(cfg, dimension):
     return max(2, min(cfg.points_per_dim, _integer_root(cfg.budget_points, dimension)))
 
 
-def _lattice_point(axes, flat):
-    """Decode a flat lattice index (dimension 0 most significant) by
-    gathering from the axis tables the lattice was evaluated on."""
-    m = axes[0].size
-    out = np.empty(len(axes))
-    rem = int(flat)
-    for i in range(len(axes) - 1, -1, -1):
-        rem, j = divmod(rem, m)
-        out[i] = axes[i][j]
-    return out
-
-
-def _lattice_argmin(objective, box, axes):
+def _lattice_argmin(objective, box, m):
     """First-index argmin and minimum of the objective over the lattice
-    spanned by ``axes``, streamed block by block so no full value vector
-    or coordinate matrix exists.  Uses the closed-form kernel when
-    available; either way the evaluation counter advances by the lattice
-    size."""
-    m = axes[0].size
-    if objective.kernel_kind is not None:
-        objective.count_evaluations(m**box.dimension)
-        blocks = kernels.lattice_value_blocks(
-            objective.kernel_kind, box.lower, box.upper, m, objective.shift
-        )
-    else:
-        blocks = (
-            (start, objective.evaluate_batch(coords))
-            for start, coords in kernels.coordinate_blocks(axes)
-        )
+    of m points per axis of ``box``, reduced block by block over
+    ``lattice_blocks`` so no full value vector exists."""
     best_index, best_value = 0, np.inf
-    for start, values in blocks:
+    for start, values in lattice_blocks(objective, box, m):
         j = int(np.argmin(values))  # a NaN is its own argmin
         if not (np.isfinite(values[j]) and np.isfinite(values.max())):
             bad = start + int(np.flatnonzero(~np.isfinite(values))[0])
+            axes = kernels.lattice_axes(box.lower, box.upper, m)
             raise EvaluationError(
                 "objective returned a non-finite value on the grid",
-                point=_lattice_point(axes, bad),
+                point=kernels.lattice_points(axes, bad)[0],
             )
         # strict: ties across blocks keep the lower index
         if values[j] < best_value:
@@ -117,24 +90,12 @@ def run_ags(f, initial_bounds, cfg=None):
     quantum driver (entropy_fraction is None, selected_count is 1)."""
     if cfg is None:
         cfg = AgsConfig()
-    if f.arity != initial_bounds.dimension:
-        raise InvalidInputError("objective arity does not match bounds")
-    d = f.arity
-    m = points_per_dim_for(cfg, d)
-    evals_at_start = f.eval_count
-    records = []
-    box = initial_bounds
-    best_value = np.inf
-    best_point = None
-    k = 0
-    while True:
-        k += 1
+    m = points_per_dim_for(cfg, f.arity)
+
+    def step(box, k):
+        index, value = _lattice_argmin(f, box, m)
         axes = kernels.lattice_axes(box.lower, box.upper, m)
-        argmin_index, value = _lattice_argmin(f, box, axes)
-        centre = _lattice_point(axes, argmin_index)
-        if value < best_value:
-            best_value = value
-            best_point = centre
+        centre = kernels.lattice_points(axes, index)[0]
         half = cfg.shrink_factor * box.width / 2.0
         box_next = SearchBox(
             np.maximum(box.lower, centre - half),
@@ -146,30 +107,8 @@ def run_ags(f, initial_bounds, cfg=None):
             verdict = Verdict.MAX_ITERATIONS
         else:
             verdict = Verdict.CONTINUE
-        records.append(
-            IterationRecord(
-                k=k,
-                bounds_before=box,
-                bounds_after=box_next,
-                selected_count=1,
-                entropy_fraction=None,
-                best_point_so_far=best_point.copy(),
-                best_value_so_far=best_value,
-                verdict=verdict,
-            )
-        )
-        box = box_next
-        if verdict is not Verdict.CONTINUE:
-            break
-    return _finish_report(
-        "ags",
-        f,
-        best_point,
-        best_value,
-        box,
-        cfg.refiner,
-        records,
-        lambda: f.eval_count - evals_at_start,
-        m**d,
-        (m**d) * CLASSICAL_BYTES_PER_POINT,
+        return centre, value, box_next, 1, None, verdict
+
+    return search(
+        "ags", f, initial_bounds, step, cfg.refiner, m**f.arity, CLASSICAL_BYTES_PER_POINT
     )

@@ -17,7 +17,7 @@ import time
 from .classical import AgsConfig, run_ags
 from .driver import QagsConfig, run, trace_boxes
 from .errors import InvalidInputError, QagsError
-from .grid import DEFAULT_QUBIT_CAP, GridSpec, SearchBox
+from .grid import GridSpec, SearchBox
 from .objectives import REGISTRY, get_objective
 from .quantum import EncodingLaw
 
@@ -273,12 +273,12 @@ def _cmd_bench(args):
             qubits_per_dim=qubits,
             seed=args.seed if args.seed is not None else 0,
         )
-        reports.append((dim, qubits, run(objective, box, cfg)))
+        reports.append((dim, qubits, objective, run(objective, box, cfg)))
     fmt = args.format or "csv"
     if fmt == "json":
         payload = [
             {"dim": dim, "qubits_per_dim": qubits, "report": rep.to_dict()}
-            for dim, qubits, rep in reports
+            for dim, qubits, _, rep in reports
         ]
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return 0
@@ -289,21 +289,16 @@ def _cmd_bench(args):
             f"{qubits} qubits/dim",
             _point_str(rep.found_point),
             _g6(rep.found_value),
-            _g6(_real_minimum(name, dim)),
+            _g6(objective.known_minimum_value),
             _g6(rep.abs_error),
         )
-        for dim, qubits, rep in reports
+        for dim, qubits, objective, rep in reports
     ]
     if fmt == "csv":
         _write_csv(header, rows)
     else:
         _write_md(header, rows)
     return 0
-
-
-def _real_minimum(name, dim):
-    objective = get_objective(name, dim)
-    return objective.known_minimum_value
 
 
 def _cmd_compare(args):
@@ -323,10 +318,6 @@ def _cmd_compare(args):
     rows = []
     for dim in seen:
         qubits = _COMPARE_QUBITS[dim]
-        if qubits * dim > DEFAULT_QUBIT_CAP:
-            raise _UsageError(
-                f"qubit register {qubits}*{dim} exceeds the {DEFAULT_QUBIT_CAP}-qubit cap"
-            )
         box = SearchBox.cube(dim, lo, hi)
         started = time.perf_counter()
         q_report = run(

@@ -1,6 +1,11 @@
 """End-to-end driver: grid, encode, measure, select, contract, refine.
 
-Each iteration rebuilds the qubit grid on the contracted bounds (same
+``search`` is the iteration loop both methods share: it keeps the
+records, the best point, the stop and the final refinement, and takes
+the method's contraction rule as a step function.  ``run`` is the qags
+step; ``classical.run_ags`` is the classical one.
+
+Each qags iteration rebuilds the qubit grid on the contracted bounds (same
 qubit count, so resolution rises as the volume shrinks), encodes the
 objective into a measurement distribution, selects the high-probability
 region, and contracts the bounds around it.  On termination a bounded
@@ -135,32 +140,64 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _finish_report(
-    method, objective, best_point, best_value, final_box, refiner_cfg, records,
-    total_evals_fn, grid_points, peak_bytes,
-):
-    """Shared tail of both drivers: refine, fall back to the raw best
-    point if clamping pushed the start somewhere worse, build the report."""
-    start = final_box.clip(best_point)
-    point, value, _ = refine(objective, final_box, start, refiner_cfg)
+def search(method, f, initial_bounds, step, refiner_cfg, grid_points, bytes_per_point):
+    """The iteration loop both methods share; returns the run's report.
+
+    ``step(box, k)`` evaluates one lattice over ``box`` at iteration k
+    and returns (best point, its value, next box, selected_count,
+    entropy_fraction, verdict).  The loop keeps the best point seen
+    anywhere (the earliest on ties), stops at the first verdict other
+    than CONTINUE, then refines from the best point clamped into the
+    final box, falling back to the raw best point if clamping pushed
+    the start somewhere worse.  The objective's evaluation counter
+    advances by exactly total_f_evals.
+    """
+    if f.arity != initial_bounds.dimension:
+        raise InvalidInputError("objective arity does not match bounds")
+    evals_at_start = f.eval_count
+    records = []
+    box = initial_bounds
+    best_value = np.inf
+    best_point = None
+    k = 0
+    verdict = Verdict.CONTINUE
+    while verdict is Verdict.CONTINUE:
+        k += 1
+        point, value, box_next, selected, entropy, verdict = step(box, k)
+        if value < best_value:
+            best_point, best_value = point, value
+        records.append(
+            IterationRecord(
+                k=k,
+                bounds_before=box,
+                bounds_after=box_next,
+                selected_count=selected,
+                entropy_fraction=entropy,
+                best_point_so_far=best_point.copy(),
+                best_value_so_far=best_value,
+                verdict=verdict,
+            )
+        )
+        box = box_next
+    point, value, _ = refine(f, box, box.clip(best_point), refiner_cfg)
     if best_value < value:
         # The global best grid point fell outside the final box and the
         # clamped start refined to something worse; keep the best point.
         point, value = best_point.copy(), best_value
     abs_error = None
-    if objective.known_minimum_value is not None:
-        abs_error = abs(value - objective.known_minimum_value)
+    if f.known_minimum_value is not None:
+        abs_error = abs(value - f.known_minimum_value)
     return RunReport(
         method=method,
-        function_name=objective.name,
-        dimension=objective.arity,
+        function_name=f.name,
+        dimension=f.arity,
         found_point=np.asarray(point, dtype=np.float64),
         found_value=float(value),
         abs_error=abs_error,
         iterations=records,
-        total_f_evals=total_evals_fn(),
+        total_f_evals=f.eval_count - evals_at_start,
         grid_points_per_iteration=grid_points,
-        peak_model_bytes=peak_bytes,
+        peak_model_bytes=grid_points * bytes_per_point,
     )
 
 
@@ -172,24 +209,14 @@ def run(f, initial_bounds, cfg):
     determinism holds for a fixed seed.  The objective's evaluation
     counter advances by exactly total_f_evals.
     """
-    if f.arity != initial_bounds.dimension:
-        raise InvalidInputError("objective arity does not match bounds")
-    evals_at_start = f.eval_count
-    records = []
-    box = initial_bounds
-    best_value = np.inf
-    best_point = None
-    k = 0
-    while True:
-        k += 1
+
+    def step(box, k):
         spec = GridSpec(f.arity, cfg.qubits_per_dim, box)
         values = grid_values(f, spec)
         dist = distribution_from_values(spec, values, cfg.law)
         # exact readout: the first-index grid argmin
-        argmin_index = dist.f_min_index
-        if float(values[argmin_index]) < best_value:
-            best_value = float(values[argmin_index])
-            best_point = decode(spec, argmin_index)
+        index = dist.f_min_index
+        value = float(values[index])
         # hold at most one lattice's arrays at a time
         del values
         if cfg.shots > 0:
@@ -199,34 +226,18 @@ def run(f, initial_bounds, cfg):
         verdict = should_terminate(box, box_next, dist, k, cfg.termination)
         if verdict is Verdict.CONTINUE and cfg.shots == 0 and box_next == box:
             verdict = Verdict.FIXED_POINT
-        records.append(
-            IterationRecord(
-                k=k,
-                bounds_before=box,
-                bounds_after=box_next,
-                selected_count=int(selection.selected_indices.size),
-                entropy_fraction=float(entropy_fraction(dist)),
-                best_point_so_far=best_point.copy(),
-                best_value_so_far=best_value,
-                verdict=verdict,
-            )
+        return (
+            decode(spec, index),
+            value,
+            box_next,
+            int(selection.selected_indices.size),
+            float(entropy_fraction(dist)),
+            verdict,
         )
-        del dist, selection
-        box = box_next
-        if verdict is not Verdict.CONTINUE:
-            break
-    spec_points = 1 << (cfg.qubits_per_dim * f.arity)
-    return _finish_report(
-        "qags",
-        f,
-        best_point,
-        best_value,
-        box,
-        cfg.refiner,
-        records,
-        lambda: f.eval_count - evals_at_start,
-        spec_points,
-        spec_points * QUANTUM_BYTES_PER_STATE,
+
+    grid_points = 1 << (cfg.qubits_per_dim * f.arity)
+    return search(
+        "qags", f, initial_bounds, step, cfg.refiner, grid_points, QUANTUM_BYTES_PER_STATE
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _axis_coordinates
+from .kernels import _axis_coordinates, lattice_axes, lattice_points
 from .errors import InvalidInputError, OffGridError
 
 DEFAULT_QUBIT_CAP = 30
@@ -181,10 +181,8 @@ def decode_many(spec, flat_indices):
     flats = np.asarray(flat_indices, dtype=np.int64)
     if flats.size and (flats.min() < 0 or flats.max() >= spec.total_points):
         raise IndexError("flat index out of range")
-    coords = np.empty((flats.size, spec.dimension))
-    for i in range(spec.dimension):
-        coords[:, i] = spec.axis_coordinates(i)[axis_indices(spec, flats, i)]
-    return coords
+    axes = lattice_axes(spec.bounds.lower, spec.bounds.upper, spec.points_per_dim)
+    return lattice_points(axes, flats)
 
 
 def encode(spec, point):

@@ -10,7 +10,9 @@ probabilities.
 
 ``lattice_value_blocks`` and ``coordinate_blocks`` stream a lattice in
 cache-sized flat-index blocks, each bit-identical to the matching slice
-of the full arrays.
+of the full arrays; both methods evaluate their lattices through these
+streams, and ``lattice_values`` is the reference they are tested
+against.  ``lattice_points`` is the one flat-index decoder.
 """
 
 from __future__ import annotations
@@ -210,21 +212,39 @@ def coordinate_blocks(axes):
         yield k0 * tail, coords.reshape(-1, d)
 
 
+def lattice_points(axes, flats):
+    """Decode flat lattice indices to points: (K,) -> (K, d).
+
+    Dimension 0 is the most significant digit in base m = len(axes[0]);
+    each coordinate is gathered from the axis tables, so it equals the
+    coordinate the lattice was evaluated at bit for bit.
+    """
+    rem = np.array(flats, dtype=np.int64, ndmin=1)
+    m = axes[0].size
+    out = np.empty((rem.size, len(axes)))
+    for i in range(len(axes) - 1, -1, -1):
+        rem, j = np.divmod(rem, m)
+        out[:, i] = axes[i][j]
+    return out
+
+
 def boltzmann(values, scale):
     """Boltzmann encoding of a value vector.
 
     Returns (probabilities, argmin_index, sigma, entropy_bits) where
     sigma is the population standard deviation of the values (1.0 when
     the spread is below 1e-12) and probabilities are proportional to
-    exp(-scale * (v - v_min) / sigma).  With e the scaled exponent and
+    exp(-scale * (v - v_min) / sigma).  Sigma is taken from v - v_min,
+    not from v, so a constant offset added to the values cannot round
+    the mean and move the encoding.  With e the scaled exponent and
     Z the weight sum, the entropy is (ln Z + sum(p * e)) / ln 2.
     """
     v = np.ascontiguousarray(values, dtype=np.float64)
     argmin_index = int(np.argmin(v))
-    sigma = float(np.std(v))
+    e = v - v[argmin_index]
+    sigma = float(np.std(e))
     if sigma < 1e-12:
         sigma = 1.0
-    e = v - v[argmin_index]
     e *= float(scale)
     e /= sigma
     probs = np.negative(e)

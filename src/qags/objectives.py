@@ -1,13 +1,21 @@
 """Benchmark objective functions and the objective-function wrapper.
 
-Each benchmark is available both as a plain NumPy function and, via the
-factories below, wrapped in an :class:`ObjectiveFunction` that validates
-inputs, counts evaluations, and records the known optimum when one exists
-in closed form.
+Each benchmark is written once, as a plain NumPy function that reduces
+over the last axis: it takes one point (d,) or a batch of points (N, d).
+The factories below pass that one function as both the scalar ``fn``
+and the ``batch_fn`` of an :class:`ObjectiveFunction`, which validates
+inputs, counts evaluations, and records the known optimum when one
+exists in closed form.
+
+The lattice kernels (``kernels._axis_terms``, ``kernels._rosenbrock_pair``)
+keep their own forms of the same formulas: they add the per-axis terms
+in a fixed left-to-right order instead of NumPy's pairwise sum, and
+building them from these functions would move lattice values by ulps.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,7 +43,7 @@ def rastrigin(x):
     Global minimum f(0, ..., 0) = 0; highly multimodal.
     """
     x = np.asarray(x, dtype=np.float64)
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
 def styblinski_tang(x):
@@ -44,7 +52,7 @@ def styblinski_tang(x):
     Global minimum ~= -39.16617*d at x_i ~= -2.9035340.
     """
     x = np.asarray(x, dtype=np.float64)
-    return float(0.5 * np.sum(x ** 4 - 16.0 * x * x + 5.0 * x))
+    return 0.5 * np.sum(x ** 4 - 16.0 * x * x + 5.0 * x, axis=-1)
 
 
 def rosenbrock(x):
@@ -53,7 +61,9 @@ def rosenbrock(x):
     Global minimum f(1, ..., 1) = 0 along a narrow curved valley.
     """
     x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    return np.sum(
+        100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (1.0 - x[..., :-1]) ** 2, axis=-1
+    )
 
 
 def sphere(x, shift=None):
@@ -61,7 +71,7 @@ def sphere(x, shift=None):
     x = np.asarray(x, dtype=np.float64)
     if shift is not None:
         x = x - np.asarray(shift, dtype=np.float64)
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
 @dataclass
@@ -147,8 +157,7 @@ def make_rastrigin(dimension):
         name="rastrigin",
         arity=dimension,
         fn=rastrigin,
-        batch_fn=lambda pts: 10.0 * pts.shape[1]
-        + np.sum(pts * pts - 10.0 * np.cos(2.0 * np.pi * pts), axis=1),
+        batch_fn=rastrigin,
         kernel_kind=KIND_RASTRIGIN,
         canonical_domain=SearchBox.cube(dimension, -5.12, 5.12),
         known_minimum_point=np.zeros(dimension),
@@ -163,8 +172,7 @@ def make_styblinski_tang(dimension):
         name="styblinski_tang",
         arity=dimension,
         fn=styblinski_tang,
-        batch_fn=lambda pts: 0.5
-        * np.sum(pts ** 4 - 16.0 * pts * pts + 5.0 * pts, axis=1),
+        batch_fn=styblinski_tang,
         kernel_kind=KIND_STYBLINSKI_TANG,
         canonical_domain=SearchBox.cube(dimension, -5.0, 5.0),
         known_minimum_point=np.full(dimension, STYBLINSKI_TANG_OPT_X),
@@ -179,10 +187,7 @@ def make_rosenbrock(dimension):
         name="rosenbrock",
         arity=dimension,
         fn=rosenbrock,
-        batch_fn=lambda pts: np.sum(
-            100.0 * (pts[:, 1:] - pts[:, :-1] ** 2) ** 2 + (1.0 - pts[:, :-1]) ** 2,
-            axis=1,
-        ),
+        batch_fn=rosenbrock,
         kernel_kind=KIND_ROSENBROCK,
         known_minimum_point=np.ones(dimension),
         known_minimum_value=0.0,
@@ -200,11 +205,12 @@ def make_sphere(dimension, shift=None):
             raise InvalidInputError("sphere shift arity mismatch")
         if not np.all(np.isfinite(shift_arr)):
             raise InvalidInputError("sphere shift must be finite")
+    centred = functools.partial(sphere, shift=shift_arr)
     return ObjectiveFunction(
         name="sphere",
         arity=dimension,
-        fn=lambda x: sphere(x, shift_arr),
-        batch_fn=lambda pts: np.sum((pts - shift_arr[None, :]) ** 2, axis=1),
+        fn=centred,
+        batch_fn=centred,
         kernel_kind=KIND_SPHERE,
         shift=shift_arr,
         known_minimum_point=shift_arr.copy(),

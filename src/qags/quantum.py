@@ -1,5 +1,9 @@
 """Simulated quantum measurement distribution over a qubit grid.
 
+``lattice_blocks`` is the one lattice stream both methods evaluate
+through: the qags driver fills its value vector from it
+(``grid_values``) and the classical baseline reduces over it.
+
 Objective values over the full grid are encoded as Boltzmann weights
 exp(-(f - f_min) / sigma) with sigma the population standard deviation of
 the grid values (temperature).  Under the probability law the measurement
@@ -74,38 +78,46 @@ class QuantumDistribution:
         object.__setattr__(self, "entropy_bits", float(self.entropy_bits))
 
 
-def grid_values(objective, spec):
-    """Objective values over every grid point, in flat-index order.
+def lattice_blocks(objective, box, points_per_dim):
+    """Objective values over the lattice of m = points_per_dim points per
+    axis of ``box``, as a stream of (start, values) over contiguous
+    flat-index blocks of at most 2^16 states.
 
     Uses the lattice kernel when the objective advertises one (no point
-    matrix is materialized); otherwise evaluates in batch on coordinate
-    blocks of at most 2^16 rows, so the full (2^(n*d), d) matrix never
-    exists.  Either way the objective's evaluation counter advances by
-    2^(n*d).
+    coordinates are materialized); otherwise calls evaluate_batch on the
+    block's coordinate rows, so no full (m^d, d) matrix ever exists.
+    Either way the objective's evaluation counter advances by m^d.  The
+    kernel's values are not checked for finiteness here: the consumer
+    already passes over them.
     """
+    if objective.kernel_kind is not None:
+        objective.count_evaluations(points_per_dim**box.dimension)
+        yield from kernels.lattice_value_blocks(
+            objective.kernel_kind, box.lower, box.upper, points_per_dim, objective.shift
+        )
+        return
+    axes = kernels.lattice_axes(box.lower, box.upper, points_per_dim)
+    for start, coords in kernels.coordinate_blocks(axes):
+        yield start, objective.evaluate_batch(coords)
+
+
+def grid_values(objective, spec):
+    """Objective values over every grid point, in flat-index order,
+    filled from ``lattice_blocks``; the evaluation counter advances by
+    2^(n*d).  A non-finite value raises EvaluationError naming the first
+    grid point that gave one."""
     if objective.arity != spec.dimension:
         raise InvalidInputError("objective arity does not match grid dimension")
-    if objective.kernel_kind is not None:
-        values = kernels.lattice_values(
-            objective.kernel_kind,
-            spec.bounds.lower,
-            spec.bounds.upper,
-            spec.points_per_dim,
-            objective.shift,
-        )
-        objective.count_evaluations(spec.total_points)
-        bad = ~np.isfinite(values)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise EvaluationError(
-                f"{objective.name} returned {values[idx]} on the grid",
-                point=decode(spec, idx),
-            )
-        return values
-    axes = [spec.axis_coordinates(i) for i in range(spec.dimension)]
     values = np.empty(spec.total_points)
-    for start, coords in kernels.coordinate_blocks(axes):
-        values[start:start + len(coords)] = objective.evaluate_batch(coords)
+    for start, block in lattice_blocks(objective, spec.bounds, spec.points_per_dim):
+        values[start:start + block.size] = block
+    bad = ~np.isfinite(values)
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise EvaluationError(
+            f"{objective.name} returned {values[idx]} on the grid",
+            point=decode(spec, idx),
+        )
     return values
 
 

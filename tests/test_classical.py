@@ -8,14 +8,15 @@ from qags.classical import (
     AgsConfig,
     _integer_root,
     _lattice_argmin,
-    _lattice_point,
     points_per_dim_for,
     run_ags,
 )
 from qags.contraction import Verdict
+from qags.driver import IterationRecord, RunReport
 from qags.errors import EvaluationError, InvalidInputError
 from qags.grid import SearchBox
 from qags.objectives import ObjectiveFunction, get_objective, make_rosenbrock, make_sphere
+from qags.refine import refine
 
 
 class TestIntegerRoot:
@@ -107,6 +108,98 @@ class TestRunAgs:
             run_ags(make_sphere(3), SearchBox.cube(2, 0.0, 1.0))
 
 
+def reference_run_ags(f, box, cfg):
+    """The classical loop written out from the public layers: the whole
+    lattice from kernels.lattice_values, its np.argmin decoded by
+    np.unravel_index, recentre and shrink, then refinement from the
+    final box."""
+    d = f.arity
+    m = points_per_dim_for(cfg, d)
+    evals_at_start = f.eval_count
+    records = []
+    best_value, best_point = np.inf, None
+    for k in range(1, cfg.max_iterations + 1):
+        values = kernels.lattice_values(f.kernel_kind, box.lower, box.upper, m, f.shift)
+        f.count_evaluations(values.size)
+        j = int(np.argmin(values))
+        axes = kernels.lattice_axes(box.lower, box.upper, m)
+        centre = np.array([axes[i][ji] for i, ji in enumerate(np.unravel_index(j, (m,) * d))])
+        if values[j] < best_value:
+            best_value, best_point = float(values[j]), centre
+        half = cfg.shrink_factor * box.width / 2.0
+        box_next = SearchBox(
+            np.maximum(box.lower, centre - half), np.minimum(box.upper, centre + half)
+        )
+        if float(np.max(box_next.width)) < cfg.delta:
+            verdict = Verdict.WIDTH_FLOOR
+        elif k == cfg.max_iterations:
+            verdict = Verdict.MAX_ITERATIONS
+        else:
+            verdict = Verdict.CONTINUE
+        records.append(
+            IterationRecord(k, box, box_next, 1, None, best_point.copy(), best_value, verdict)
+        )
+        box = box_next
+        if verdict is not Verdict.CONTINUE:
+            break
+    point, value, _ = refine(f, box, box.clip(best_point), cfg.refiner)
+    if best_value < value:
+        point, value = best_point.copy(), best_value
+    return RunReport(
+        method="ags",
+        function_name=f.name,
+        dimension=d,
+        found_point=np.asarray(point, dtype=np.float64),
+        found_value=float(value),
+        abs_error=abs(value - f.known_minimum_value),
+        iterations=records,
+        total_f_evals=f.eval_count - evals_at_start,
+        grid_points_per_iteration=m**d,
+        peak_model_bytes=8 * m**d,
+    )
+
+
+def report_bits(report):
+    """A report compared bit for bit, so the sign of a zero counts."""
+    records = [
+        (
+            rec.k,
+            rec.bounds_before.lower.tobytes(),
+            rec.bounds_before.upper.tobytes(),
+            rec.bounds_after.lower.tobytes(),
+            rec.bounds_after.upper.tobytes(),
+            rec.selected_count,
+            rec.entropy_fraction,
+            rec.best_point_so_far.tobytes(),
+            np.float64(rec.best_value_so_far).tobytes(),
+            rec.verdict,
+        )
+        for rec in report.iterations
+    ]
+    return report.to_dict(), report.found_point.tobytes(), records
+
+
+@pytest.mark.parametrize("name", ["sphere", "rastrigin", "styblinski_tang", "rosenbrock"])
+@pytest.mark.parametrize(
+    "d,cfg",
+    [
+        (2, AgsConfig(points_per_dim=32)),
+        (3, AgsConfig(points_per_dim=13, shrink_factor=0.3)),
+        (4, AgsConfig(points_per_dim=7, delta=0.05)),
+    ],
+    ids=["d2-m32", "d3-m13", "d4-m7-width-floor"],
+)
+def test_run_ags_equals_reference_loop(name, d, cfg):
+    rng = np.random.default_rng([d, len(name)])
+    shift = rng.uniform(-1.0, 1.0, d) if name == "sphere" else None
+    box = SearchBox(rng.uniform(-5.0, -0.5, d), rng.uniform(0.7, 4.3, d))
+    ref = reference_run_ags(get_objective(name, d, shift), box, cfg)
+    f = get_objective(name, d, shift)
+    report = run_ags(f, box, cfg)
+    assert report_bits(report) == report_bits(ref)
+    assert report.total_f_evals == f.eval_count
+
+
 class TestAgsConfig:
     def test_defaults(self):
         cfg = AgsConfig()
@@ -154,11 +247,9 @@ class TestStreamedLattice:
         m = 400  # 160,000 states: three blocks
         box = self._integer_box(m)
         const = self._batch_only(2, lambda pts: np.full(len(pts), 2.5))
-        axes = kernels.lattice_axes(box.lower, box.upper, m)
-        assert _lattice_argmin(const, box, axes) == (0, 2.5)
+        assert _lattice_argmin(const, box, m) == (0, 2.5)
         flat_box = SearchBox(np.array([1.5, -2.0]), np.array([1.5, -2.0]))
-        flat_axes = kernels.lattice_axes(flat_box.lower, flat_box.upper, m)
-        assert _lattice_argmin(make_sphere(2), flat_box, flat_axes) == (0, 1.5**2 + 2.0**2)
+        assert _lattice_argmin(make_sphere(2), flat_box, m) == (0, 1.5**2 + 2.0**2)
 
     def test_equal_minima_in_two_blocks_give_lower_index(self):
         m = 400
@@ -166,9 +257,8 @@ class TestStreamedLattice:
         twin = self._batch_only(
             2, lambda pts: ((pts[:, 0] - 10.0) * (pts[:, 0] - 300.0)) ** 2 + (pts[:, 1] - 7.0) ** 2
         )
-        axes = kernels.lattice_axes(box.lower, box.upper, m)
         # zeros at flat 10*400+7 (first block) and 300*400+7 (second block)
-        assert _lattice_argmin(twin, box, axes) == (4007, 0.0)
+        assert _lattice_argmin(twin, box, m) == (4007, 0.0)
         report = run_ags(twin, box, AgsConfig(points_per_dim=m, budget_points=m * m))
         assert report.iterations[0].best_point_so_far.tolist() == [10.0, 7.0]
 
@@ -178,10 +268,9 @@ class TestStreamedLattice:
         # symmetric boxes put equal values in several blocks
         obj = get_objective(name, d)
         box = SearchBox.cube(d, -4.0, 4.0)
-        axes = kernels.lattice_axes(box.lower, box.upper, m)
         full = kernels.lattice_values(obj.kernel_kind, box.lower, box.upper, m, obj.shift)
         j = int(np.argmin(full))
-        assert _lattice_argmin(obj, box, axes) == (j, float(full[j]))
+        assert _lattice_argmin(obj, box, m) == (j, float(full[j]))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_kernel_non_finite_in_later_block_names_its_point(self):
@@ -191,7 +280,7 @@ class TestStreamedLattice:
         box = SearchBox(np.array([0.0, 0.0]), np.array([2e154, 1.0]))
         axes = kernels.lattice_axes(box.lower, box.upper, m)
         with pytest.raises(EvaluationError) as err:
-            _lattice_argmin(make_sphere(2), box, axes)
+            _lattice_argmin(make_sphere(2), box, m)
         assert err.value.point.tolist() == [axes[0][268], 0.0]
         assert not np.isfinite(axes[0][268] ** 2) and np.isfinite(axes[0][267] ** 2)
         with pytest.raises(EvaluationError) as err:
@@ -210,8 +299,7 @@ class TestStreamedLattice:
         seen = []
         obj = self._batch_only(3, lambda pts: np.sum(pts * pts, axis=1), seen)
         box = SearchBox.cube(3, -1.0, 1.0)
-        axes = kernels.lattice_axes(box.lower, box.upper, 61)
-        _lattice_argmin(obj, box, axes)
+        _lattice_argmin(obj, box, 61)
         assert max(seen) <= 1 << 16
         assert sum(seen) == 61**3
         assert len(seen) > 1
@@ -223,9 +311,8 @@ class TestStreamedLattice:
         if batch:
             obj = self._batch_only(d, obj.batch_fn)
         box = SearchBox.cube(d, -2.0, 3.0)
-        axes = kernels.lattice_axes(box.lower, box.upper, m)
         for expected in (m**d, 2 * m**d):
-            _lattice_argmin(obj, box, axes)
+            _lattice_argmin(obj, box, m)
             assert obj.eval_count == expected
 
     def test_decoded_centre_is_an_evaluated_point(self):
@@ -238,7 +325,8 @@ class TestStreamedLattice:
         axes = kernels.lattice_axes(lo, hi, m)
         coords = np.concatenate([c for _, c in kernels.coordinate_blocks(axes)])
         for flat in range(m * m):
-            assert np.array_equal(_lattice_point(axes, flat), coords[flat])
+            assert np.array_equal(kernels.lattice_points(axes, flat)[0], coords[flat])
+        assert np.array_equal(kernels.lattice_points(axes, np.arange(m * m)), coords)
         report = run_ags(make_sphere(2), SearchBox(lo, hi), AgsConfig(points_per_dim=m))
         first = report.iterations[0].best_point_so_far
         assert any(np.array_equal(first, row) for row in coords)

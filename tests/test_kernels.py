@@ -64,7 +64,8 @@ def test_boltzmann_matches_direct_formulas(case):
     values, scale = _boltzmann_inputs()[case]
     probs, argmin_index, sigma, entropy = kernels.boltzmann(values, scale)
 
-    dev = values - values.mean()
+    shifted = values - values.min()
+    dev = shifted - shifted.mean()
     sigma_ref = float(np.sqrt(np.mean(dev * dev)))
     if sigma_ref < 1e-12:
         sigma_ref = 1.0

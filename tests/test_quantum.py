@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qags.errors import EvaluationError, InvalidInputError
-from qags.grid import GridSpec, SearchBox, decode_many
+from qags import kernels
+from qags.grid import GridSpec, SearchBox, decode, decode_many
 from qags.objectives import (
     REGISTRY,
     ObjectiveFunction,
@@ -216,6 +217,41 @@ class TestGridValues:
         )
         with pytest.raises(EvaluationError):
             grid_values(obj, spec1(n=2))
+
+
+class TestGridValuesKernelBlocks:
+    """Objectives with a lattice kernel are streamed in blocks of at most
+    2^16 states; the filled vector is the whole-lattice kernel's."""
+
+    @pytest.mark.parametrize("d,n", [(2, 9), (3, 6), (10, 2)])
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_equals_lattice_values_bit_for_bit(self, name, d, n):
+        rng = np.random.default_rng([d, n, list(REGISTRY).index(name)])
+        shift = rng.uniform(-2.0, 2.0, d) if name == "sphere" else None
+        s = GridSpec(d, n, SearchBox(rng.uniform(-5.0, -0.5, d), rng.uniform(0.5, 5.0, d)))
+        assert s.total_points > 1 << 16
+        obj = get_objective(name, d, shift)
+        values = grid_values(obj, s)
+        ref = kernels.lattice_values(
+            obj.kernel_kind, s.bounds.lower, s.bounds.upper, s.points_per_dim, obj.shift
+        )
+        assert values.tobytes() == ref.tobytes()
+        assert obj.eval_count == s.total_points
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_in_later_block_names_the_decoded_point(self):
+        # x0^2 overflows from x0 > ~1.34e154, about two thirds along axis 0
+        s = GridSpec(2, 9, SearchBox(np.array([0.0, 0.0]), np.array([2e154, 1.0])))
+        obj = make_sphere(2)
+        ref = kernels.lattice_values(
+            obj.kernel_kind, s.bounds.lower, s.bounds.upper, s.points_per_dim, obj.shift
+        )
+        first_bad = int(np.flatnonzero(~np.isfinite(ref))[0])
+        assert first_bad >= 2 << 16
+        with pytest.raises(EvaluationError) as err:
+            grid_values(obj, s)
+        assert err.value.point.tobytes() == decode(s, first_bad).tobytes()
+        assert err.value.point.tolist() == [s.axis_coordinates(0)[first_bad // 512], 0.0]
 
 
 class TestGridValuesBatchBlocks:
