@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.  Output goes to
 stdout; JSON carries full float precision, CSV and Markdown round to 6
-significant digits.  A key=value config file can supply any flag; flags
-given on the command line win.
+significant digits.  A key=value config file can supply any flag; its
+values are checked as flags are, and flags given on the command line win.
 """
 
 from __future__ import annotations
@@ -115,24 +115,6 @@ def _parse_table(text):
     return text
 
 
-# Converters applied to config-file values, keyed by argparse dest.
-_CONVERTERS = {
-    "function": str,
-    "dim": int,
-    "qubits": int,
-    "bounds": _parse_bounds,
-    "quantile": float,
-    "shots": int,
-    "seed": int,
-    "law": _parse_law,
-    "format": _parse_format,
-    "shift": _parse_floats,
-    "table": _parse_table,
-    "dims": _parse_ints,
-    "no_timing": _parse_bool,
-}
-
-
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -151,16 +133,20 @@ def _load_config(path):
     return data
 
 
-def _apply_config(args):
-    """Fill flags the command line left unset from the config file."""
+def _config_tokens(args):
+    """The config file's pairs as --key=value tokens.  main parses them
+    again ahead of the command line's own flags, so file values get the
+    flags' checks and the command line wins (argparse keeps the last)."""
+    tokens = []
     for key, raw in _load_config(args.config).items():
-        if key == "config":
-            continue
-        if not hasattr(args, key) or key == "handler":
+        if not hasattr(args, key) or key in ("handler", "command"):
             raise _UsageError(f"unknown config key {key!r} for this command")
-        if getattr(args, key) is None:
-            convert = _CONVERTERS.get(key, str)
-            setattr(args, key, convert(raw))
+        if key == "no_timing":
+            if _parse_bool(raw):
+                tokens.append("--no-timing")
+        elif key != "config":
+            tokens.append(f"--{key.replace('_', '-')}={raw}")
+    return tokens
 
 
 def _g6(value):
@@ -447,13 +433,13 @@ def main(argv=None):
         parser = _build_parser()
         try:
             args = parser.parse_args(argv)
+            if getattr(args, "config", None):
+                args = parser.parse_args(argv[:1] + _config_tokens(args) + argv[1:])
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 2
-        if getattr(args, "config", None):
-            _apply_config(args)
         return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

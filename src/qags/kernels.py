@@ -1,18 +1,21 @@
 """The hot lattice and encoding kernels, in NumPy.
 
 ``lattice_values`` evaluates a built-in objective over the whole uniform
-lattice without materializing point coordinates: grid coordinates are
-endpoint exact, and separable lattices are built by chained outer sums,
-which keep the per-element left-to-right order 0 + t_0 + t_1 + ... of
-the per-dimension terms.  ``boltzmann`` encodes a value vector and takes
-its entropy from a closed form instead of a log2 pass over the
-probabilities.
+lattice without materializing point coordinates; grid coordinates are
+endpoint exact.  Each axis contributes a term table indexed
+[j_{i-1}, j_i]: one row for the separable kinds, and for Rosenbrock the
+pair (x_{i-1}, x_i) (zeros on axis 0).  One accumulation rule adds the
+axes one at a time, by outer sums or row broadcasts, which keep the
+per-element left-to-right order 0 + t_0 + t_1 + ... for every kind.
+``boltzmann`` encodes a value vector and takes its entropy from a closed
+form instead of a log2 pass over the probabilities.
 
 ``lattice_value_blocks`` and ``coordinate_blocks`` stream a lattice in
 cache-sized flat-index blocks, each bit-identical to the matching slice
 of the full arrays; both methods evaluate their lattices through these
 streams, and ``lattice_values`` is the reference they are tested
-against.  ``lattice_points`` is the one flat-index decoder.
+against.  ``lattice_points`` is the one flat-index decoder: it decodes
+the leading columns of every coordinate block too.
 """
 
 from __future__ import annotations
@@ -90,25 +93,48 @@ def lattice_axes(lower, upper, points_per_dim):
     return [_axis_coordinates(lower[i], upper[i], m) for i in range(lower.size)]
 
 
-def _leading_values(kind, axes, shift, p):
-    """Values over the lattice of the leading p axes, flat-index order:
-    (0 + t_0) + ... + t_{p-1} for the separable kinds, and for Rosenbrock
-    the pairs that lie inside those axes, summed in order from zero."""
-    m = axes[0].size
+def _term_tables(kind, axes, shift):
+    """Each axis's term as a table indexed [j_{i-1}, j_i]: one row, shape
+    (1, m), for the separable kinds and for Rosenbrock's axis 0 (zeros),
+    and the (m, m) pair table of (x_{i-1}, x_i) for every later Rosenbrock
+    axis, built once per lattice."""
     if kind == KIND_ROSENBROCK:
-        total = np.zeros((m,) * p)
-        for i in range(p - 1):
-            shape = [1] * p
-            shape[i] = m
-            shape[i + 1] = m
-            total += _rosenbrock_pair(axes[i][:, None], axes[i + 1][None, :]).reshape(shape)
-        return total.reshape(-1)
-    # chained outer sums keep the left-to-right order (0 + t_0) + t_1 + ...
-    # of the per-element accumulation, one full-size pass in all
-    total = np.zeros(1)
-    for i in range(p):
-        total = _outer_sum(total, _axis_terms(kind, axes[i], shift[i]))
-    return total
+        pairs = [_pair_table(a, b) for a, b in zip(axes, axes[1:])]
+        return [np.zeros((1, axes[0].size))] + pairs
+    return [_axis_terms(kind, xs, s)[None, :] for xs, s in zip(axes, shift)]
+
+
+def _pair_table(a, b):
+    """The Rosenbrock pair table [j_{i-1}, j_i] of axes a and b, built in
+    row chunks of at most BLOCK_STATES entries so that its temporaries
+    stay in cache."""
+    out = np.empty((a.size, b.size))
+    rows = max(1, BLOCK_STATES // b.size)
+    for r in range(0, a.size, rows):
+        out[r:r + rows] = _rosenbrock_pair(a[r:r + rows, None], b[None, :])
+    return out
+
+
+def _extend(acc, first, table):
+    """Add the next axis to acc, the values at flat indices first,
+    first + 1, ... of the lattice of the axes so far: entry k * m + j of
+    the result is acc[k] + table[(first + k) % m, j]."""
+    rows, m = table.shape
+    if rows == 1:
+        return _outer_sum(acc, table[0])
+    if first % m == 0 and acc.size % m == 0:  # acc covers whole rows
+        return (acc.reshape(-1, m, 1) + table).reshape(-1)
+    picked = table[(first + np.arange(acc.size)) % m]
+    return (acc[:, None] + picked).reshape(-1)
+
+
+def _accumulate(acc, first, tables):
+    """Extend acc over the axes of tables in turn, keeping the
+    per-element left-to-right order acc + t_i + t_{i+1} + ..."""
+    for table in tables:
+        acc = _extend(acc, first, table)
+        first *= table.shape[1]
+    return acc
 
 
 def lattice_values(kind, lower, upper, points_per_dim, shift=None):
@@ -119,7 +145,7 @@ def lattice_values(kind, lower, upper, points_per_dim, shift=None):
     """
     lower, upper, shift = _lattice_args(lower, upper, shift)
     axes = lattice_axes(lower, upper, points_per_dim)
-    return _leading_values(int(kind), axes, shift, lower.size)
+    return _accumulate(np.zeros(1), 0, _term_tables(int(kind), axes, shift))
 
 
 def _block_layout(d, m):
@@ -148,40 +174,17 @@ def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
     """lattice_values as a stream of (start, values) over contiguous
     flat-index blocks of at most BLOCK_STATES states.
 
-    The leading axes' partial sums are computed once; each block
-    continues the same accumulation over the trailing axes, so every
-    block is bit-identical to values[start:start + len(block)].
+    The term tables and the leading axes' partial sums are computed once;
+    each block continues the same accumulation over the trailing axes, so
+    every block is bit-identical to values[start:start + len(block)].
     """
     lower, upper, shift = _lattice_args(lower, upper, shift)
-    kind = int(kind)
-    d = lower.size
     m = int(points_per_dim)
-    axes = lattice_axes(lower, upper, m)
-    p, tail, chunk = _block_layout(d, m)
-    head = _leading_values(kind, axes, shift, p)
-    if kind == KIND_ROSENBROCK:
-        tail_shape = (m,) * (d - p)
-        for k0, k1 in _prefix_ranges(p, m, chunk):
-            block = np.empty((k1 - k0,) + tail_shape)
-            block[...] = head[k0:k1].reshape((-1,) + (1,) * (d - p))
-            if 0 < p < d:
-                # the pair straddling the last leading axis and the first trailing one
-                a = axes[p - 1][np.arange(k0, k1) % m]
-                pair = _rosenbrock_pair(a[:, None], axes[p][None, :])
-                block += pair.reshape(pair.shape + (1,) * (d - p - 1))
-            for i in range(p, d - 1):
-                shape = [1] * (d - p + 1)
-                shape[i - p + 1] = m
-                shape[i - p + 2] = m
-                block += _rosenbrock_pair(axes[i][:, None], axes[i + 1][None, :]).reshape(shape)
-            yield k0 * tail, block.reshape(-1)
-        return
-    terms = [_axis_terms(kind, axes[i], shift[i]) for i in range(p, d)]
+    tables = _term_tables(int(kind), lattice_axes(lower, upper, m), shift)
+    p, tail, chunk = _block_layout(lower.size, m)
+    head = _accumulate(np.zeros(1), 0, tables[:p])
     for k0, k1 in _prefix_ranges(p, m, chunk):
-        block = head[k0:k1]
-        for t in terms:
-            block = _outer_sum(block, t)
-        yield k0 * tail, block
+        yield k0 * tail, _accumulate(head[k0:k1], k0, tables[p:])
 
 
 def coordinate_blocks(axes):
@@ -190,8 +193,8 @@ def coordinate_blocks(axes):
     (start, coords) over the same blocks as lattice_value_blocks.
 
     The trailing axes' coordinate matrix is built once; the leading
-    columns of each block are constant per prefix and filled by
-    broadcasting.
+    columns of each block are its prefixes decoded by lattice_points,
+    broadcast over the trailing states.
     """
     d = len(axes)
     m = axes[0].size
@@ -203,27 +206,24 @@ def coordinate_blocks(axes):
         grid[..., j] = axes[p + j].reshape(shape)
     trailing = grid.reshape(tail, d - p)
     for k0, k1 in _prefix_ranges(p, m, chunk):
-        prefixes = np.arange(k0, k1)
         coords = np.empty((k1 - k0, tail, d))
+        coords[:, :, :p] = lattice_points(axes[:p], np.arange(k0, k1))[:, None, :]
         coords[:, :, p:] = trailing
-        for i in range(p - 1, -1, -1):
-            coords[:, :, i] = axes[i][prefixes % m][:, None]
-            prefixes //= m
         yield k0 * tail, coords.reshape(-1, d)
 
 
 def lattice_points(axes, flats):
     """Decode flat lattice indices to points: (K,) -> (K, d).
 
-    Dimension 0 is the most significant digit in base m = len(axes[0]);
-    each coordinate is gathered from the axis tables, so it equals the
+    Dimension 0 is the most significant digit, and digit i is taken
+    modulo len(axes[i]), so zero axes decode to (K, 0); each coordinate
+    is gathered from the axis tables, so it equals the
     coordinate the lattice was evaluated at bit for bit.
     """
     rem = np.array(flats, dtype=np.int64, ndmin=1)
-    m = axes[0].size
     out = np.empty((rem.size, len(axes)))
     for i in range(len(axes) - 1, -1, -1):
-        rem, j = np.divmod(rem, m)
+        rem, j = np.divmod(rem, axes[i].size)
         out[:, i] = axes[i][j]
     return out
 

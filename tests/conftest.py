@@ -7,8 +7,14 @@ functions implement it.
 """
 
 import collections
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _RESULTS = collections.defaultdict(list)
 _DESCRIPTIONS = {}
@@ -19,6 +25,22 @@ def pytest_configure(config):
         "markers",
         "criterion(number, description): acceptance-criterion membership",
     )
+
+
+@pytest.fixture
+def run_qags():
+    """Run ``python -m qags.cli ARGS`` in a child process, capturing its
+    output.  pytest's ``pythonpath`` setting reaches only this process,
+    so the child gets the checkout's src/ first on PYTHONPATH."""
+    paths = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+    def run(*args, text=True):
+        return subprocess.run(
+            [sys.executable, "-m", "qags.cli", *args], capture_output=True, text=text, env=env
+        )
+
+    return run
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -10,13 +10,11 @@ and local refinement lands in the nearest non-global basin.
 """
 
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import qags
@@ -239,8 +237,12 @@ def test_criterion_6_shift_invariance(data):
     spec, values = draw_values(data)
     law = data.draw(st.sampled_from(EncodingLaw), label="law")
     c = data.draw(st.floats(-1e6, 1e6, allow_nan=False), label="c")
+    # a shift that rounds the values' differences changes the lattice
+    # itself (e.g. [0, 4.47e-11] + 524288 is flat), so no encoding can match
+    shifted_values = values + c
+    assume(np.array_equal(shifted_values - shifted_values.min(), values - values.min()))
     base = distribution_from_values(spec, values, law)
-    shifted = distribution_from_values(spec, values + c, law)
+    shifted = distribution_from_values(spec, shifted_values, law)
     assert np.allclose(base.probabilities, shifted.probabilities, atol=1e-12)
 
 
@@ -409,13 +411,9 @@ CLI_PRESETS = [
 
 @pytest.mark.criterion(7, "CLI presets byte-identical across repeated runs")
 @pytest.mark.parametrize("args", CLI_PRESETS, ids=lambda a: " ".join(a[:4]))
-def test_criterion_7_cli_determinism(args):
-    first = subprocess.run(
-        [sys.executable, "-m", "qags.cli", *args], capture_output=True
-    )
-    second = subprocess.run(
-        [sys.executable, "-m", "qags.cli", *args], capture_output=True
-    )
+def test_criterion_7_cli_determinism(args, run_qags):
+    first = run_qags(*args, text=False)
+    second = run_qags(*args, text=False)
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout

@@ -4,20 +4,10 @@ for end-to-end coverage and through main() for fast paths."""
 import csv
 import io
 import json
-import subprocess
-import sys
 
 import pytest
 
 from qags.cli import main
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "qags.cli", *args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def run_main(capsys, *args):
@@ -148,6 +138,8 @@ class TestConfigFile:
         code, out, _ = run_main(capsys, "optimize", "--config", str(cfg))
         assert code == 0
         assert out.startswith("method,")
+        flags = ("--function", "sphere", "--dim", "2", "--qubits", "4", "--bounds=-5,5")
+        assert run_main(capsys, "optimize", *flags, "--format", "csv") == (code, out, "")
 
     def test_flags_override_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -157,6 +149,8 @@ class TestConfigFile:
         )
         assert code == 0
         assert json.loads(out)["dimension"] == 2
+        flags = ("--function", "sphere", "--dim", "2", "--qubits", "4", "--bounds=-5,5")
+        assert run_main(capsys, "optimize", *flags) == (code, out, "")
 
     def test_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -174,6 +168,23 @@ class TestConfigFile:
         cfg.write_text("function sphere\n")
         code, _, _ = run_main(capsys, "optimize", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["dim = abc", "quantile = x", "dim ="])
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"function = sphere\ndim = 2\nqubits = 4\nbounds = -5,5\n{line}\n")
+        code, out, _ = run_main(capsys, "optimize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+
+    def test_no_timing_from_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dims = 2\nno-timing = yes\n")
+        code, out, _ = run_main(capsys, "compare", "--config", str(cfg))
+        assert code == 0
+        assert all(row[2] == "0" for row in list(csv.reader(io.StringIO(out)))[1:])
+        cfg.write_text("dims = 2\nno-timing = maybe\n")
+        assert run_main(capsys, "compare", "--config", str(cfg))[0] == 2
 
 
 class TestBench:
@@ -270,28 +281,28 @@ class TestTrace:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
-        proc = run_cli(
+    def test_module_invocation(self, run_qags):
+        proc = run_qags(
             "optimize", "--function", "sphere", "--dim", "1",
             "--qubits", "2", "--bounds", "0,1",
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "qags"
 
-    def test_no_command_is_usage_error(self):
-        proc = run_cli()
+    def test_no_command_is_usage_error(self, run_qags):
+        proc = run_qags()
         assert proc.returncode == 2
 
-    def test_unknown_command(self):
-        proc = run_cli("frobnicate")
+    def test_unknown_command(self, run_qags):
+        proc = run_qags("frobnicate")
         assert proc.returncode == 2
 
-    def test_byte_identical_runs(self):
+    def test_byte_identical_runs(self, run_qags):
         args = (
             "optimize", "--function", "rastrigin", "--dim", "2",
             "--qubits", "4", "--bounds=-5.12,5.12",
         )
-        a = run_cli(*args)
-        b = run_cli(*args)
+        a = run_qags(*args)
+        b = run_qags(*args)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout

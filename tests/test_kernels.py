@@ -17,21 +17,32 @@ KINDS = [
 
 
 def _broadcast_reference(kind, lower, upper, m, shift):
-    """The per-element accumulation 0 + t_0 + t_1 + ... done as d
-    broadcast passes over the full lattice."""
+    """The per-element accumulation 0 + t_0 + t_1 + ... done as broadcast
+    passes over the full lattice: one per axis term, or for Rosenbrock
+    one per pair (x_{i-1}, x_i), broadcast over its two axes."""
     d = lower.size
+    axes = [kernels._axis_coordinates(lower[i], upper[i], m) for i in range(d)]
     total = np.zeros((m,) * d)
     for i in range(d):
-        xs = kernels._axis_coordinates(lower[i], upper[i], m)
         shape = [1] * d
         shape[i] = m
-        total += kernels._axis_terms(kind, xs, shift[i]).reshape(shape)
+        if kind != kernels.KIND_ROSENBROCK:
+            term = kernels._axis_terms(kind, axes[i], shift[i])
+        elif i > 0:
+            shape[i - 1] = m
+            term = kernels._rosenbrock_pair(axes[i - 1][:, None], axes[i][None, :])
+        else:
+            continue
+        total += term.reshape(shape)
     return total.reshape(-1)
 
 
-@pytest.mark.parametrize("kind,name", KINDS[:3])
-@pytest.mark.parametrize("d", range(1, 11))
-def test_lattice_values_equal_broadcast_reference(kind, name, d):
+@pytest.mark.parametrize(
+    "d,kind,name",
+    [(d, kind, name) for d in range(1, 11) for kind, name in KINDS
+     if kind != kernels.KIND_ROSENBROCK or d > 1],  # a rosenbrock pair needs two axes
+)
+def test_lattice_values_equal_broadcast_reference(d, kind, name):
     m = max(2, min(33, round(2e4 ** (1.0 / d))))
     rng = np.random.default_rng(31 * d + kind)
     lo = rng.uniform(-10.0, -0.5, d)
