@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 runtime error, 2 usage error.  Output goes to
 stdout; JSON carries full float precision, CSV and Markdown round to 6
-significant digits.  A key=value config file can supply any flag; its
-values are checked as flags are, and flags given on the command line win.
+significant digits.  Each flag's default is the library's (QagsConfig)
+and is stated once, in the parser.  A key=value config file can supply
+any flag; its values are checked as flags are, and flags given on the
+command line win.
 """
 
 from __future__ import annotations
@@ -101,20 +103,6 @@ def _parse_bool(text):
     raise _UsageError(f"expected a boolean, got {text!r}")
 
 
-def _parse_format(text):
-    if text not in ("json", "csv", "md"):
-        raise _UsageError(f"unknown format {text!r}; choose json, csv or md")
-    return text
-
-
-def _parse_table(text):
-    if text not in _BENCH_PRESETS:
-        raise _UsageError(
-            f"unknown table {text!r}; choose one of: " + ", ".join(sorted(_BENCH_PRESETS))
-        )
-    return text
-
-
 def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -183,10 +171,10 @@ def _setup_single(args):
         box = SearchBox.cube(args.dim, lo, hi)
         cfg = QagsConfig(
             qubits_per_dim=args.qubits,
-            quantile=0.75 if args.quantile is None else args.quantile,
-            law=args.law if args.law is not None else EncodingLaw.BOLTZMANN_PROBABILITY,
-            shots=args.shots if args.shots is not None else 0,
-            seed=args.seed if args.seed is not None else 0,
+            quantile=args.quantile,
+            law=args.law,
+            shots=args.shots,
+            seed=args.seed,
         )
         GridSpec(args.dim, cfg.qubits_per_dim, box)  # validates the qubit cap
     except InvalidInputError as exc:
@@ -221,30 +209,25 @@ def _summary_row(report):
     )
 
 
-def _write_csv(header, rows):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _write_md(header, rows):
+def _emit(fmt, payload, header, rows):
+    """Write one result to stdout: payload as indented JSON, or the
+    header and the rows of text cells as CSV or a Markdown table."""
     out = sys.stdout
-    out.write("| " + " | ".join(header) + " |\n")
-    out.write("|" + "|".join(" --- " for _ in header) + "|\n")
-    for row in rows:
-        out.write("| " + " | ".join(row) + " |\n")
+    if fmt == "json":
+        out.write(json.dumps(payload, indent=2) + "\n")
+    elif fmt == "csv":
+        csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    else:
+        out.write("| " + " | ".join(header) + " |\n")
+        out.write("|" + "|".join(" --- " for _ in header) + "|\n")
+        for row in rows:
+            out.write("| " + " | ".join(row) + " |\n")
 
 
 def _cmd_optimize(args):
     objective, box, cfg = _setup_single(args)
     report = run(objective, box, cfg)
-    fmt = args.format or "json"
-    if fmt == "json":
-        sys.stdout.write(report.to_json() + "\n")
-    elif fmt == "csv":
-        _write_csv(_SUMMARY_HEADER, [_summary_row(report)])
-    else:
-        _write_md(_SUMMARY_HEADER, [_summary_row(report)])
+    _emit(args.format, report.to_dict(), _SUMMARY_HEADER, [_summary_row(report)])
     return 0
 
 
@@ -255,19 +238,12 @@ def _cmd_bench(args):
     for dim, qubits in pairs:
         objective = get_objective(name, dim)
         box = SearchBox.cube(dim, lo, hi)
-        cfg = QagsConfig(
-            qubits_per_dim=qubits,
-            seed=args.seed if args.seed is not None else 0,
-        )
+        cfg = QagsConfig(qubits_per_dim=qubits, seed=args.seed)
         reports.append((dim, qubits, objective, run(objective, box, cfg)))
-    fmt = args.format or "csv"
-    if fmt == "json":
-        payload = [
-            {"dim": dim, "qubits_per_dim": qubits, "report": rep.to_dict()}
-            for dim, qubits, _, rep in reports
-        ]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return 0
+    payload = [
+        {"dim": dim, "qubits_per_dim": qubits, "report": rep.to_dict()}
+        for dim, qubits, _, rep in reports
+    ]
     header = ("Dim", "Config", "FoundPoint", "Result", "RealMinimum", "AbsError")
     rows = [
         (
@@ -280,10 +256,7 @@ def _cmd_bench(args):
         )
         for dim, qubits, objective, rep in reports
     ]
-    if fmt == "csv":
-        _write_csv(header, rows)
-    else:
-        _write_md(header, rows)
+    _emit(args.format, payload, header, rows)
     return 0
 
 
@@ -291,18 +264,13 @@ def _cmd_compare(args):
     _require(args, ("dims",))
     if len(args.dims) == 0:
         raise _UsageError("--dims must list at least one dimension")
-    seen = []
     for dim in args.dims:
         if dim not in _COMPARE_QUBITS:
-            raise _UsageError(
-                f"--dims entries must lie in 2..10, got {dim}"
-            )
-        if dim not in seen:
-            seen.append(dim)
-    lo, hi = args.bounds if args.bounds is not None else (-5.0, 5.0)
-    timing = not bool(args.no_timing)
+            raise _UsageError(f"--dims entries must lie in 2..10, got {dim}")
+    lo, hi = args.bounds
+    timing = not args.no_timing
     rows = []
-    for dim in seen:
+    for dim in dict.fromkeys(args.dims):
         qubits = _COMPARE_QUBITS[dim]
         box = SearchBox.cube(dim, lo, hi)
         started = time.perf_counter()
@@ -319,71 +287,51 @@ def _cmd_compare(args):
         a_time = time.perf_counter() - started if timing else 0.0
         rows.append(("qags", dim, q_time, q_report.peak_model_bytes, q_report.found_value))
         rows.append(("ags", dim, a_time, a_report.peak_model_bytes, a_report.found_value))
-    fmt = args.format or "csv"
-    if fmt == "json":
-        payload = [
-            {
-                "method": method,
-                "dim": dim,
-                "time_s": seconds,
-                "model_bytes": bytes_,
-                "solution_value": value,
-            }
-            for method, dim, seconds, bytes_, value in rows
-        ]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        return 0
     header = ("method", "dim", "time_s", "model_bytes", "solution_value")
     text_rows = [
         (method, str(dim), _g6(seconds), str(bytes_), _g6(value))
         for method, dim, seconds, bytes_, value in rows
     ]
-    if fmt == "csv":
-        _write_csv(header, text_rows)
-    else:
-        _write_md(header, text_rows)
+    _emit(args.format, [dict(zip(header, row)) for row in rows], header, text_rows)
     return 0
 
 
 def _cmd_trace(args):
     objective, box, cfg = _setup_single(args)
     report = run(objective, box, cfg)
-    out = sys.stdout
-    for k, traced in enumerate(trace_boxes(report)):
-        out.write(
-            json.dumps(
-                {
-                    "k": k,
-                    "lower": [float(v) for v in traced.lower],
-                    "upper": [float(v) for v in traced.upper],
-                }
-            )
-            + "\n"
-        )
-    out.write(
-        json.dumps(
-            {
-                "found_point": [float(v) for v in report.found_point],
-                "found_value": float(report.found_value),
-            }
-        )
-        + "\n"
+    lines = [
+        {"k": k, "lower": [float(v) for v in b.lower], "upper": [float(v) for v in b.upper]}
+        for k, b in enumerate(trace_boxes(report))
+    ]
+    lines.append(
+        {
+            "found_point": [float(v) for v in report.found_point],
+            "found_value": float(report.found_value),
+        }
     )
+    sys.stdout.write("".join(json.dumps(line) + "\n" for line in lines))
     return 0
 
 
+def _add_output_flags(sub, fmt):
+    """--format, defaulting to this command's own format, and --config."""
+    sub.add_argument("--format", choices=("json", "csv", "md"), default=fmt, metavar="FORMAT")
+    sub.add_argument("--config", default=None, help="key=value file supplying defaults")
+
+
 def _add_single_flags(sub):
+    # Library defaults come from QagsConfig; None marks the flags that
+    # _require checks, which a config file may supply.
     sub.add_argument("--function", default=None, help="objective name from the registry")
     sub.add_argument("--dim", type=int, default=None, help="problem dimension")
     sub.add_argument("--qubits", type=int, default=None, help="qubits per dimension")
     sub.add_argument("--bounds", type=_parse_bounds, default=None, metavar="LO,HI")
-    sub.add_argument("--quantile", type=float, default=None)
-    sub.add_argument("--shots", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--law", type=_parse_law, default=None)
+    sub.add_argument("--quantile", type=float, default=QagsConfig.quantile)
+    sub.add_argument("--shots", type=int, default=QagsConfig.shots)
+    sub.add_argument("--seed", type=int, default=QagsConfig.seed)
+    sub.add_argument("--law", type=_parse_law, default=QagsConfig.law)
     sub.add_argument("--shift", type=_parse_floats, default=None, metavar="X1,X2,...")
-    sub.add_argument("--format", type=_parse_format, default=None)
-    sub.add_argument("--config", default=None, help="key=value file supplying defaults")
+    _add_output_flags(sub, "json")
 
 
 def _build_parser():
@@ -397,25 +345,20 @@ def _build_parser():
     opt.set_defaults(handler=_cmd_optimize)
 
     bench = subs.add_parser("bench", help="run a benchmark table preset")
-    bench.add_argument("--table", type=_parse_table, default=None)
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--format", type=_parse_format, default=None)
-    bench.add_argument("--config", default=None)
+    bench.add_argument("--table", choices=sorted(_BENCH_PRESETS), default=None, metavar="TABLE")
+    bench.add_argument("--seed", type=int, default=QagsConfig.seed)
+    _add_output_flags(bench, "csv")
     bench.set_defaults(handler=_cmd_bench)
 
     comp = subs.add_parser("compare", help="compare against the classical baseline")
     comp.add_argument("--dims", type=_parse_ints, default=None, metavar="D1,D2,...")
-    comp.add_argument("--bounds", type=_parse_bounds, default=None, metavar="LO,HI")
+    comp.add_argument("--bounds", type=_parse_bounds, default=(-5.0, 5.0), metavar="LO,HI")
     comp.add_argument(
         "--no-timing",
-        dest="no_timing",
-        action="store_const",
-        const=True,
-        default=None,
+        action="store_true",
         help="report 0.0 wall time for bitwise-stable output",
     )
-    comp.add_argument("--format", type=_parse_format, default=None)
-    comp.add_argument("--config", default=None)
+    _add_output_flags(comp, "csv")
     comp.set_defaults(handler=_cmd_compare)
 
     trace = subs.add_parser("trace", help="emit the bounding-box trace as JSONL")

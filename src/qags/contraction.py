@@ -103,7 +103,7 @@ def select_region(dist, quantile=0.75):
     mask[dist.f_min_index] = True
     return RegionSelection(
         quantile=quantile,
-        selected_indices=np.flatnonzero(mask).astype(np.int64),
+        selected_indices=np.flatnonzero(mask),
         threshold_probability=threshold,
     )
 

@@ -97,22 +97,26 @@ def _term_tables(kind, axes, shift):
     """Each axis's term as a table indexed [j_{i-1}, j_i]: one row, shape
     (1, m), for the separable kinds and for Rosenbrock's axis 0 (zeros),
     and the (m, m) pair table of (x_{i-1}, x_i) for every later Rosenbrock
-    axis, built once per lattice."""
+    axis, built once per lattice.  At d = 2 that pair table is the
+    lattice itself, so it is not built ahead: each block computes the
+    rows it uses, and a pass holds about one block."""
     if kind == KIND_ROSENBROCK:
-        pairs = [_pair_table(a, b) for a, b in zip(axes, axes[1:])]
+        pairs = [_PairRows(a, b) for a, b in zip(axes, axes[1:])]
+        if len(axes) > 2:
+            pairs = [table[:] for table in pairs]
         return [np.zeros((1, axes[0].size))] + pairs
     return [_axis_terms(kind, xs, s)[None, :] for xs, s in zip(axes, shift)]
 
 
-def _pair_table(a, b):
-    """The Rosenbrock pair table [j_{i-1}, j_i] of axes a and b, built in
-    row chunks of at most BLOCK_STATES entries so that its temporaries
-    stay in cache."""
-    out = np.empty((a.size, b.size))
-    rows = max(1, BLOCK_STATES // b.size)
-    for r in range(0, a.size, rows):
-        out[r:r + rows] = _rosenbrock_pair(a[r:r + rows, None], b[None, :])
-    return out
+class _PairRows:
+    """The Rosenbrock pair table [j_{i-1}, j_i] of axes a and b, of which
+    indexing computes just the rows asked for."""
+
+    def __init__(self, a, b):
+        self.a, self.b, self.shape = a, b, (a.size, b.size)
+
+    def __getitem__(self, rows):
+        return _rosenbrock_pair(self.a[rows, None], self.b[None, :])
 
 
 def _extend(acc, first, table):
@@ -123,7 +127,7 @@ def _extend(acc, first, table):
     if rows == 1:
         return _outer_sum(acc, table[0])
     if first % m == 0 and acc.size % m == 0:  # acc covers whole rows
-        return (acc.reshape(-1, m, 1) + table).reshape(-1)
+        return (acc.reshape(-1, m, 1) + table[:]).reshape(-1)
     picked = table[(first + np.arange(acc.size)) % m]
     return (acc[:, None] + picked).reshape(-1)
 

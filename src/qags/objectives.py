@@ -118,7 +118,8 @@ class ObjectiveFunction:
         return value
 
     def evaluate_batch(self, points):
-        """Evaluate an (N, d) matrix of points; returns an (N,) array."""
+        """Evaluate an (N, d) matrix of points; returns an (N,) array.  A
+        result of any other shape raises InvalidInputError."""
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.arity:
             raise InvalidInputError("expected an (N, d) matrix of points")
@@ -128,6 +129,11 @@ class ObjectiveFunction:
             values = np.asarray(self.batch_fn(pts), dtype=np.float64)
         else:
             values = np.array([self.fn(row) for row in pts], dtype=np.float64)
+        if values.shape != (pts.shape[0],):
+            raise InvalidInputError(
+                f"{self.name} returned shape {values.shape} for {pts.shape[0]} points;"
+                f" expected ({pts.shape[0]},)"
+            )
         self._count += pts.shape[0]
         bad = ~np.isfinite(values)
         if bad.any():

@@ -12,6 +12,7 @@ evaluations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,21 +109,41 @@ def _fd_gradient(ev_batch, x, fx, box, scale, free):
     return g
 
 
-def _two_loop(g, s_list, y_list, rho_list):
-    """Standard two-loop recursion: returns the quasi-Newton step -H*g."""
-    q = -g.copy()
+def _two_loop(g, history):
+    """Standard two-loop recursion over the (s, y, rho) history, oldest
+    first: returns the quasi-Newton step -H*g."""
+    q = -g
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(history):
         a = rho * np.dot(s, q)
         alphas.append(a)
         q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
+    if history:
+        s, y, _ = history[-1]
         q *= np.dot(s, y) / np.dot(y, y)
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    for (s, y, rho), a in zip(history, reversed(alphas)):
         b = rho * np.dot(y, q)
         q += (a - b) * s
     return q
+
+
+def _line_search(ev, box, x, fx, g, d, alpha):
+    """Armijo backtracking along d from step alpha, each trial point
+    projected onto the box.  Returns (xt, ft) of the first accepted
+    point, or None when the projected step vanishes or every halving
+    fails."""
+    for _ in range(_MAX_BACKTRACKS):
+        xt = box.clip(x + alpha * d)
+        step = xt - x
+        if not step.any():
+            return None
+        slope = float(np.dot(g, step))
+        if slope < 0.0:
+            ft = ev(xt)
+            if ft <= fx + _ARMIJO_C1 * slope:
+                return xt, ft
+        alpha *= 0.5
+    return None
 
 
 def _projected_gradient_norm(x, g, box):
@@ -157,10 +178,12 @@ def refine(f, box, start, cfg=None):
     if not free.any():
         return best_x, best_f, ev.used
 
-    s_list, y_list, rho_list = [], [], []
+    history = deque(maxlen=cfg.history_size)
     try:
         g = _fd_gradient(ev.batch, x, fx, box, cfg.gradient_step_scale, free)
-        first_step = True
+        # Backtracking starts at 1 / max|g| (capped at 1) on the first
+        # step and at 1 after it.
+        alpha = min(1.0, 1.0 / max(1e-12, float(np.abs(g).max())))
         flat_steps = 0
         while True:
             if _projected_gradient_norm(x, g, box) < cfg.convergence_tol:
@@ -168,45 +191,19 @@ def refine(f, box, start, cfg=None):
             # Active bounds: moving further into the bound is blocked.
             active = ((x <= box.lower) & (g > 0)) | ((x >= box.upper) & (g < 0))
             blocked = active | ~free
-
-            tried_steepest = False
-            d = _two_loop(g, s_list, y_list, rho_list)
-            d[blocked] = 0.0
-            if not d.any() or np.dot(d, g) >= 0.0:
-                d = -g.copy()
-                d[blocked] = 0.0
-                tried_steepest = True
-                if not d.any():
+            quasi_newton = _two_loop(g, history)
+            quasi_newton[blocked] = 0.0
+            steepest = -g
+            steepest[blocked] = 0.0
+            # The quasi-Newton direction goes first when it descends.
+            descends = quasi_newton.any() and not (np.dot(quasi_newton, g) >= 0.0)
+            for d in [quasi_newton, steepest] if descends else [steepest]:
+                trial = _line_search(ev, box, x, fx, g, d, alpha)
+                if trial is not None:
                     break
-
-            while True:
-                if first_step:
-                    alpha = min(1.0, 1.0 / max(1e-12, float(np.abs(g).max())))
-                else:
-                    alpha = 1.0
-                accepted = False
-                for _ in range(_MAX_BACKTRACKS):
-                    xt = box.clip(x + alpha * d)
-                    step = xt - x
-                    if not step.any():
-                        break
-                    slope = float(np.dot(g, step))
-                    if slope < 0.0:
-                        ft = ev(xt)
-                        if ft <= fx + _ARMIJO_C1 * slope:
-                            accepted = True
-                            break
-                    alpha *= 0.5
-                if accepted or tried_steepest:
-                    break
-                # Quasi-Newton direction failed; retry steepest descent.
-                d = -g.copy()
-                d[blocked] = 0.0
-                tried_steepest = True
-                if not d.any():
-                    break
-            if not accepted:
-                break
+            else:
+                break  # no direction gives an Armijo decrease
+            xt, ft = trial
             # An Armijo step that leaves f unchanged is at the
             # finite-difference noise floor; a few in a row end the run.
             flat_steps = 0 if ft < fx else flat_steps + 1
@@ -218,15 +215,9 @@ def refine(f, box, start, cfg=None):
             y = g_new - g
             sy = float(np.dot(s, y))
             if sy > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y)):
-                s_list.append(s)
-                y_list.append(y)
-                rho_list.append(1.0 / sy)
-                if len(s_list) > cfg.history_size:
-                    s_list.pop(0)
-                    y_list.pop(0)
-                    rho_list.pop(0)
+                history.append((s, y, 1.0 / sy))
             x, fx, g = xt, ft, g_new
-            first_step = False
+            alpha = 1.0
             if fx < best_f:
                 best_x = x.copy()
                 best_f = fx

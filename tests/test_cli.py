@@ -7,7 +7,11 @@ import json
 
 import pytest
 
+from qags.classical import AgsConfig, run_ags
 from qags.cli import main
+from qags.driver import QagsConfig, run
+from qags.grid import SearchBox
+from qags.objectives import get_objective
 
 
 def run_main(capsys, *args):
@@ -248,6 +252,63 @@ class TestCompare:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 3  # header + one dim pair
+
+
+class TestLibraryParity:
+    """What the CLI prints is the library's result in the chosen format."""
+
+    def test_optimize_defaults_are_the_library_defaults(self, capsys):
+        code, out, _ = run_main(
+            capsys,
+            "optimize", "--function", "rastrigin", "--dim", "2",
+            "--qubits", "4", "--bounds=-5.12,5.12",
+        )
+        report = run(
+            get_objective("rastrigin", 2),
+            SearchBox.cube(2, -5.12, 5.12),
+            QagsConfig(qubits_per_dim=4),
+        )
+        assert (code, out) == (0, report.to_json() + "\n")
+
+    def test_bench_json_is_the_direct_runs(self, capsys):
+        code, out, _ = run_main(capsys, "bench", "--table", "t3", "--format", "json")
+        payload = [
+            {
+                "dim": dim,
+                "qubits_per_dim": qubits,
+                "report": run(
+                    get_objective("rosenbrock", dim),
+                    SearchBox.cube(dim, -500.0, 500.0),
+                    QagsConfig(qubits_per_dim=qubits),
+                ).to_dict(),
+            }
+            for dim, qubits in ((2, 5), (3, 4))
+        ]
+        assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
+
+    def test_compare_formats(self, capsys):
+        box = SearchBox.cube(2, -5.0, 5.0)
+        q = run(get_objective("sphere", 2), box, QagsConfig(qubits_per_dim=5))
+        a = run_ags(get_objective("sphere", 2), box, AgsConfig(budget_points=10**7))
+        rows = [
+            ("qags", 2, 0.0, q.peak_model_bytes, q.found_value),
+            ("ags", 2, 0.0, a.peak_model_bytes, a.found_value),
+        ]
+        header = ("method", "dim", "time_s", "model_bytes", "solution_value")
+        cells = [
+            (method, str(dim), "0", str(size), format(value, ".6g"))
+            for method, dim, _, size, value in rows
+        ]
+        expected = {
+            "json": json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n",
+            "csv": "".join(",".join(line) + "\n" for line in [header] + cells),
+            "md": "| method | dim | time_s | model_bytes | solution_value |\n"
+            "| --- | --- | --- | --- | --- |\n"
+            + "".join("| " + " | ".join(row) + " |\n" for row in cells),
+        }
+        for fmt, text in expected.items():
+            args = ("compare", "--dims", "2", "--no-timing", "--format", fmt)
+            assert run_main(capsys, *args)[:2] == (0, text), fmt
 
 
 class TestTrace:

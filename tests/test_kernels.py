@@ -2,6 +2,7 @@
 the streamed lattice blocks against the full arrays."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,19 @@ def test_lattice_value_blocks_span_several_blocks():
     blocks = list(kernels.lattice_value_blocks(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
     assert len(blocks) == 16
     assert all(len(v) == kernels.BLOCK_STATES == 1 << 16 for _, v in blocks)
+
+
+def test_rosenbrock_d2_stream_holds_no_pair_table():
+    # At d = 2 the (m, m) pair table is the whole lattice: 72 MB at m = 3000.
+    lo, hi = np.full(2, -2.0), np.full(2, 2.0)
+    tracemalloc.start()
+    try:
+        for _ in kernels.lattice_value_blocks(kernels.KIND_ROSENBROCK, lo, hi, 3000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)

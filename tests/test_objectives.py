@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from qags.classical import run_ags
 from qags.errors import EvaluationError, InvalidInputError
+from qags.grid import GridSpec, SearchBox
 from qags.objectives import (
     REGISTRY,
     STYBLINSKI_TANG_OPT_F,
@@ -19,6 +21,7 @@ from qags.objectives import (
     sphere,
     styblinski_tang,
 )
+from qags.quantum import grid_values
 
 
 class TestFormulas:
@@ -90,8 +93,6 @@ class TestRegistry:
             get_objective("sphere", 2, shift=(1.0,))
 
     def test_canonical_domains(self):
-        from qags.grid import SearchBox
-
         assert get_objective("rastrigin", 2).canonical_domain == SearchBox.cube(2, -5.12, 5.12)
         assert get_objective("styblinski_tang", 2).canonical_domain == SearchBox.cube(2, -5.0, 5.0)
         assert get_objective("rosenbrock", 2).canonical_domain is None
@@ -149,3 +150,28 @@ class TestEvaluation:
         assert err.value.point is not None
         with pytest.raises(EvaluationError):
             bad.evaluate_batch(np.ones((3, 1)))
+
+    @pytest.mark.parametrize(
+        "batch_fn",
+        [
+            lambda p: np.sum(p * p),
+            lambda p: np.sum(p * p, axis=1)[:-1],
+            lambda p: np.sum(p * p, axis=1)[:, None],
+        ],
+        ids=["scalar", "one-short", "column"],
+    )
+    def test_batch_result_must_have_one_value_per_row(self, batch_fn):
+        obj = ObjectiveFunction(
+            name="odd",
+            arity=2,
+            fn=lambda x: float(np.sum(x * x)),
+            batch_fn=batch_fn,
+            kernel_kind=None,
+        )
+        with pytest.raises(InvalidInputError, match="shape"):
+            obj.evaluate_batch(np.ones((5, 2)))
+        box = SearchBox.cube(2, -1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="shape"):
+            grid_values(obj, GridSpec(2, 3, box))
+        with pytest.raises(InvalidInputError, match="shape"):
+            run_ags(obj, box)
