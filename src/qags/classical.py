@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .contraction import Verdict
+from .contraction import TerminationPolicy
 from .driver import CLASSICAL_BYTES_PER_POINT, search
 from .errors import EvaluationError, InvalidInputError
 from .grid import SearchBox
@@ -40,7 +40,7 @@ class AgsConfig:
             raise InvalidInputError("shrink_factor must lie strictly inside (0, 1)")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise InvalidInputError("delta must be positive")
 
 
@@ -87,7 +87,9 @@ def _lattice_argmin(objective, box, m):
 
 def run_ags(f, initial_bounds, cfg=None):
     """Run the classical baseline and return the same report shape as the
-    quantum driver (entropy_fraction is None, selected_count is 1)."""
+    quantum driver (entropy_fraction is None, selected_count is 1).  An
+    iteration is a pure function of its box, so one that leaves the box
+    unchanged is a fixed point; it never concentrates."""
     if cfg is None:
         cfg = AgsConfig()
     m = points_per_dim_for(cfg, f.arity)
@@ -101,14 +103,10 @@ def run_ags(f, initial_bounds, cfg=None):
             np.maximum(box.lower, centre - half),
             np.minimum(box.upper, centre + half),
         )
-        if float(np.max(box_next.width)) < cfg.delta:
-            verdict = Verdict.WIDTH_FLOOR
-        elif k >= cfg.max_iterations:
-            verdict = Verdict.MAX_ITERATIONS
-        else:
-            verdict = Verdict.CONTINUE
-        return centre, value, box_next, 1, None, verdict
+        return centre, value, box_next, 1, None
 
+    policy = TerminationPolicy(delta=cfg.delta, k_max=cfg.max_iterations)
     return search(
-        "ags", f, initial_bounds, step, cfg.refiner, m**f.arity, CLASSICAL_BYTES_PER_POINT
+        "ags", f, initial_bounds, step, policy, True,
+        cfg.refiner, m**f.arity, CLASSICAL_BYTES_PER_POINT,
     )

@@ -268,11 +268,14 @@ def _cmd_compare(args):
         if dim not in _COMPARE_QUBITS:
             raise _UsageError(f"--dims entries must lie in 2..10, got {dim}")
     lo, hi = args.bounds
+    try:
+        boxes = {dim: SearchBox.cube(dim, lo, hi) for dim in args.dims}
+    except InvalidInputError as exc:
+        raise _UsageError(str(exc))
     timing = not args.no_timing
     rows = []
-    for dim in dict.fromkeys(args.dims):
+    for dim, box in boxes.items():
         qubits = _COMPARE_QUBITS[dim]
-        box = SearchBox.cube(dim, lo, hi)
         started = time.perf_counter()
         q_report = run(
             get_objective("sphere", dim), box, QagsConfig(qubits_per_dim=qubits)
@@ -314,12 +317,14 @@ def _cmd_trace(args):
 
 
 def _add_output_flags(sub, fmt):
-    """--format, defaulting to this command's own format, and --config."""
-    sub.add_argument("--format", choices=("json", "csv", "md"), default=fmt, metavar="FORMAT")
+    """--format, defaulting to this command's own format (trace, with
+    one format, passes None and has none), and --config."""
+    if fmt is not None:
+        sub.add_argument("--format", choices=("json", "csv", "md"), default=fmt, metavar="FORMAT")
     sub.add_argument("--config", default=None, help="key=value file supplying defaults")
 
 
-def _add_single_flags(sub):
+def _add_single_flags(sub, fmt):
     # Library defaults come from QagsConfig; None marks the flags that
     # _require checks, which a config file may supply.
     sub.add_argument("--function", default=None, help="objective name from the registry")
@@ -331,7 +336,7 @@ def _add_single_flags(sub):
     sub.add_argument("--seed", type=int, default=QagsConfig.seed)
     sub.add_argument("--law", type=_parse_law, default=QagsConfig.law)
     sub.add_argument("--shift", type=_parse_floats, default=None, metavar="X1,X2,...")
-    _add_output_flags(sub, "json")
+    _add_output_flags(sub, fmt)
 
 
 def _build_parser():
@@ -341,7 +346,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command")
 
     opt = subs.add_parser("optimize", help="run one optimization")
-    _add_single_flags(opt)
+    _add_single_flags(opt, "json")
     opt.set_defaults(handler=_cmd_optimize)
 
     bench = subs.add_parser("bench", help="run a benchmark table preset")
@@ -362,7 +367,7 @@ def _build_parser():
     comp.set_defaults(handler=_cmd_compare)
 
     trace = subs.add_parser("trace", help="emit the bounding-box trace as JSONL")
-    _add_single_flags(trace)
+    _add_single_flags(trace, None)
     trace.set_defaults(handler=_cmd_trace)
 
     return parser

@@ -18,17 +18,11 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .grid import SearchBox, axis_indices, decode_many, pack_indices
-from .quantum import entropy_fraction
 
 
 class Verdict(enum.Enum):
-    """Termination verdict for one iteration.
-
-    ``should_terminate`` returns the first four.  FIXED_POINT is set by
-    the driver alone, in place of CONTINUE, when an exact-readout
-    iteration leaves the box unchanged: every later iteration would
-    repeat it bit for bit.
-    """
+    """Termination verdict for one iteration; ``should_terminate`` is
+    the one function that chooses it, for both methods."""
 
     CONTINUE = "continue"
     WIDTH_FLOOR = "width_floor"
@@ -127,12 +121,14 @@ def contract_bounds(spec, selection):
     return SearchBox(new_lower, new_upper)
 
 
-def should_terminate(box_prev, box_next, dist, k, policy):
-    """Evaluate the three stopping rules, in fixed order.
+def should_terminate(box_prev, box_next, entropy, k, policy, repeatable=False):
+    """Iteration k's verdict: the first stopping rule that holds.
 
-    Width floor (max width of box_next below delta) is checked first,
-    then the iteration cap (k >= k_max), then distribution concentration
-    (entropy fraction below entropy_floor).
+    In order: width floor (box_next narrower than delta on every axis),
+    iteration cap (k >= k_max), concentration (entropy fraction below
+    entropy_floor; None, for a method with no distribution, never is),
+    fixed point (a ``repeatable`` iteration, a pure function of its box,
+    left box_prev unchanged).  Otherwise CONTINUE.
     """
     if k < 1:
         raise InvalidInputError("iteration index starts at 1")
@@ -140,6 +136,8 @@ def should_terminate(box_prev, box_next, dist, k, policy):
         return Verdict.WIDTH_FLOOR
     if k >= policy.k_max:
         return Verdict.MAX_ITERATIONS
-    if entropy_fraction(dist) < policy.entropy_floor:
+    if entropy is not None and entropy < policy.entropy_floor:
         return Verdict.CONCENTRATED
+    if repeatable and box_next == box_prev:
+        return Verdict.FIXED_POINT
     return Verdict.CONTINUE

@@ -1,7 +1,8 @@
 """End-to-end driver: grid, encode, measure, select, contract, refine.
 
 ``search`` is the iteration loop both methods share: it keeps the
-records, the best point, the stop and the final refinement, and takes
+records, the best point and the final refinement, asks
+``contraction.should_terminate`` for each iteration's verdict, and takes
 the method's contraction rule as a step function.  ``run`` is the qags
 step; ``classical.run_ags`` is the classical one.
 
@@ -12,11 +13,12 @@ region, and contracts the bounds around it.  On termination a bounded
 quasi-Newton refinement polishes the best grid point seen anywhere in
 the run, clamped into the final box.
 
-At exact readout (shots = 0) an iteration is a pure function of its
-box, so one that leaves the box unchanged proves every later iteration
-would repeat it bit for bit; the loop stops there with verdict
-FIXED_POINT instead of re-evaluating the same lattice up to k_max.  The
-width floor, iteration cap and concentration rules keep precedence.
+A method whose iteration is a pure function of its box (qags at exact
+readout, shots = 0, and the classical baseline) is ``repeatable``: one
+iteration that leaves the box unchanged proves every later one would
+repeat it bit for bit, so the loop stops there with verdict FIXED_POINT
+instead of re-evaluating the same lattice up to k_max.  The width
+floor, iteration cap and concentration rules keep precedence.
 Finite-shot runs draw with a new seed each iteration and never stop
 this way.
 """
@@ -140,17 +142,20 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def search(method, f, initial_bounds, step, refiner_cfg, grid_points, bytes_per_point):
+def search(
+    method, f, initial_bounds, step, policy, repeatable, refiner_cfg, grid_points, bytes_per_point
+):
     """The iteration loop both methods share; returns the run's report.
 
     ``step(box, k)`` evaluates one lattice over ``box`` at iteration k
     and returns (best point, its value, next box, selected_count,
-    entropy_fraction, verdict).  The loop keeps the best point seen
-    anywhere (the earliest on ties), stops at the first verdict other
-    than CONTINUE, then refines from the best point clamped into the
-    final box, falling back to the raw best point if clamping pushed
-    the start somewhere worse.  The objective's evaluation counter
-    advances by exactly total_f_evals.
+    entropy_fraction).  The loop keeps the best point seen anywhere (the
+    earliest on ties) and stops at the first verdict of
+    ``should_terminate(box, next box, entropy_fraction, k, policy,
+    repeatable)`` other than CONTINUE.  It then refines from the best
+    point clamped into the final box, falling back to the raw best
+    point if clamping pushed the start somewhere worse.  The
+    objective's evaluation counter advances by exactly total_f_evals.
     """
     if f.arity != initial_bounds.dimension:
         raise InvalidInputError("objective arity does not match bounds")
@@ -163,7 +168,8 @@ def search(method, f, initial_bounds, step, refiner_cfg, grid_points, bytes_per_
     verdict = Verdict.CONTINUE
     while verdict is Verdict.CONTINUE:
         k += 1
-        point, value, box_next, selected, entropy, verdict = step(box, k)
+        point, value, box_next, selected, entropy = step(box, k)
+        verdict = should_terminate(box, box_next, entropy, k, policy, repeatable)
         if value < best_value:
             best_point, best_value = point, value
         records.append(
@@ -222,22 +228,18 @@ def run(f, initial_bounds, cfg):
         if cfg.shots > 0:
             dist = sample(dist, cfg.shots, cfg.seed + (k - 1))
         selection = select_region(dist, cfg.quantile)
-        box_next = contract_bounds(spec, selection)
-        verdict = should_terminate(box, box_next, dist, k, cfg.termination)
-        if verdict is Verdict.CONTINUE and cfg.shots == 0 and box_next == box:
-            verdict = Verdict.FIXED_POINT
         return (
             decode(spec, index),
             value,
-            box_next,
+            contract_bounds(spec, selection),
             int(selection.selected_indices.size),
             float(entropy_fraction(dist)),
-            verdict,
         )
 
     grid_points = 1 << (cfg.qubits_per_dim * f.arity)
     return search(
-        "qags", f, initial_bounds, step, cfg.refiner, grid_points, QUANTUM_BYTES_PER_STATE
+        "qags", f, initial_bounds, step, cfg.termination, cfg.shots == 0,
+        cfg.refiner, grid_points, QUANTUM_BYTES_PER_STATE,
     )
 
 

@@ -111,8 +111,9 @@ class TestRunAgs:
 def reference_run_ags(f, box, cfg):
     """The classical loop written out from the public layers: the whole
     lattice from kernels.lattice_values, its np.argmin decoded by
-    np.unravel_index, recentre and shrink, then refinement from the
-    final box."""
+    np.unravel_index, recentre and shrink, stop at the width floor, the
+    iteration cap or an unchanged box, then refinement from the final
+    box."""
     d = f.arity
     m = points_per_dim_for(cfg, d)
     evals_at_start = f.eval_count
@@ -134,6 +135,8 @@ def reference_run_ags(f, box, cfg):
             verdict = Verdict.WIDTH_FLOOR
         elif k == cfg.max_iterations:
             verdict = Verdict.MAX_ITERATIONS
+        elif box_next == box:
+            verdict = Verdict.FIXED_POINT
         else:
             verdict = Verdict.CONTINUE
         records.append(
@@ -200,6 +203,40 @@ def test_run_ags_equals_reference_loop(name, d, cfg):
     assert report.total_f_evals == f.eval_count
 
 
+class TestFixedPoint:
+    """An ags iteration is a pure function of its box, so one that
+    leaves the box unchanged ends the run with verdict FIXED_POINT."""
+
+    @staticmethod
+    def _case():
+        # floats near 1e16 are 2 apart: the 3-point lattice's centre is
+        # 1e16 + 2, and halving the width gives centre -+ 1, which rounds
+        # back to the bounds 1e16 and 1e16 + 4
+        f = make_sphere(2, shift=[1e16 + 2] * 2)
+        return f, SearchBox.cube(2, 1e16, 1e16 + 4)
+
+    def test_halving_that_rounds_back_stops_at_once(self):
+        f, box = self._case()
+        report = run_ags(f, box, AgsConfig(points_per_dim=3))
+        assert [rec.verdict for rec in report.iterations] == [Verdict.FIXED_POINT]
+        assert report.iterations[0].bounds_after == box
+        # one 3 x 3 lattice and the refiner's 5, not ten lattices (95)
+        assert report.total_f_evals == 14
+        assert report.found_point.tolist() == [1.0000000000000002e16] * 2
+        assert report.found_value == 0.0
+
+    def test_equals_reference_and_the_capped_loop(self):
+        cfg = AgsConfig(points_per_dim=3)
+        f, box = self._case()
+        report = run_ags(f, box, cfg)
+        assert report_bits(report) == report_bits(reference_run_ags(self._case()[0], box, cfg))
+        # the cap comes first: one capped iteration finds the same point
+        capped = run_ags(self._case()[0], box, AgsConfig(points_per_dim=3, max_iterations=1))
+        assert capped.iterations[0].verdict is Verdict.MAX_ITERATIONS
+        assert capped.found_point.tobytes() == report.found_point.tobytes()
+        assert capped.total_f_evals == report.total_f_evals
+
+
 class TestAgsConfig:
     def test_defaults(self):
         cfg = AgsConfig()
@@ -218,6 +255,11 @@ class TestAgsConfig:
             AgsConfig(max_iterations=0)
         with pytest.raises(InvalidInputError):
             AgsConfig(delta=0.0)
+
+    def test_nan_delta_is_rejected(self):
+        # the width floor compares against delta, and no width is below NaN
+        with pytest.raises(InvalidInputError, match="delta must be positive"):
+            AgsConfig(delta=float("nan"))
 
 
 class TestStreamedLattice:

@@ -245,6 +245,11 @@ class TestCompare:
         code, _, _ = run_main(capsys, "compare", "--dims", "11")
         assert code == 2
 
+    def test_reversed_bounds_is_usage_error(self, capsys):
+        code, out, err = run_main(capsys, "compare", "--dims", "2", "--bounds=5,-5", "--no-timing")
+        assert (code, out) == (2, "")
+        assert "lower bound exceeds upper bound" in err
+
     def test_duplicate_dims_collapse(self, capsys):
         code, out, _ = run_main(
             capsys, "compare", "--dims", "2,2,2", "--bounds=-5,5", "--no-timing"
@@ -339,6 +344,19 @@ class TestTrace:
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 3  # two boxes + summary
+
+
+    def test_format_is_usage_error(self, capsys, tmp_path):
+        # trace writes JSON lines only, so it takes no --format
+        flags = ("--function", "sphere", "--dim", "1", "--qubits", "2", "--bounds", "0,1")
+        code, out, err = run_main(capsys, "trace", *flags, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "--format" in err
+        cfg = tmp_path / "trace.cfg"
+        cfg.write_text("function = sphere\ndim = 1\nqubits = 2\nbounds = 0,1\nformat = csv\n")
+        code, out, err = run_main(capsys, "trace", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "format" in err
 
 
 class TestEntryPoint:

@@ -13,7 +13,12 @@ from qags.contraction import (
 )
 from qags.errors import InvalidInputError
 from qags.grid import GridSpec, SearchBox, decode_many
-from qags.quantum import EncodingLaw, QuantumDistribution, distribution_from_values
+from qags.quantum import (
+    EncodingLaw,
+    QuantumDistribution,
+    distribution_from_values,
+    entropy_fraction,
+)
 
 
 def make_dist(probs, f_min_index=None, spec=None, entropy=None):
@@ -242,46 +247,90 @@ class TestShouldTerminate:
 
     def test_continue_by_default(self):
         wide = SearchBox.cube(1, 0.0, 10.0)
-        v = should_terminate(wide, wide, self._dist(2.0), 1, TerminationPolicy())
+        v = should_terminate(wide, wide, entropy_fraction(self._dist(2.0)), 1, TerminationPolicy())
         assert v is Verdict.CONTINUE
 
     def test_width_floor(self):
         prev = SearchBox.cube(1, 0.0, 1.0)
         tiny = SearchBox.cube(1, 0.0, 1e-9)
-        v = should_terminate(prev, tiny, self._dist(2.0), 1, TerminationPolicy())
+        v = should_terminate(prev, tiny, entropy_fraction(self._dist(2.0)), 1, TerminationPolicy())
         assert v is Verdict.WIDTH_FLOOR
 
     def test_max_iterations(self):
         wide = SearchBox.cube(1, 0.0, 10.0)
-        v = should_terminate(wide, wide, self._dist(2.0), 10, TerminationPolicy())
+        v = should_terminate(wide, wide, entropy_fraction(self._dist(2.0)), 10, TerminationPolicy())
         assert v is Verdict.MAX_ITERATIONS
 
     def test_concentrated(self):
         wide = SearchBox.cube(1, 0.0, 10.0)
-        v = should_terminate(wide, wide, self._dist(0.0001), 1, TerminationPolicy())
+        v = should_terminate(wide, wide, entropy_fraction(self._dist(0.0001)), 1, TerminationPolicy())
         assert v is Verdict.CONCENTRATED
 
     def test_precedence_width_over_iterations(self):
         prev = SearchBox.cube(1, 0.0, 1.0)
         tiny = SearchBox.cube(1, 0.0, 1e-9)
-        v = should_terminate(prev, tiny, self._dist(0.0), 99, TerminationPolicy())
+        entropy = entropy_fraction(self._dist(0.0))
+        v = should_terminate(prev, tiny, entropy, 99, TerminationPolicy())
         assert v is Verdict.WIDTH_FLOOR
 
     def test_precedence_iterations_over_entropy(self):
         wide = SearchBox.cube(1, 0.0, 10.0)
-        v = should_terminate(wide, wide, self._dist(0.0), 10, TerminationPolicy())
+        v = should_terminate(wide, wide, entropy_fraction(self._dist(0.0)), 10, TerminationPolicy())
         assert v is Verdict.MAX_ITERATIONS
 
     def test_iteration_counter_validated(self):
         wide = SearchBox.cube(1, 0.0, 10.0)
         with pytest.raises(InvalidInputError):
-            should_terminate(wide, wide, self._dist(1.0), 0, TerminationPolicy())
+            should_terminate(wide, wide, entropy_fraction(self._dist(1.0)), 0, TerminationPolicy())
+
+    def test_fixed_point_only_when_repeatable(self):
+        wide = SearchBox.cube(1, 0.0, 10.0)
+        narrower = SearchBox.cube(1, 0.0, 5.0)
+        policy = TerminationPolicy()
+        assert should_terminate(wide, wide, 0.5, 1, policy, repeatable=True) is Verdict.FIXED_POINT
+        assert should_terminate(wide, wide, 0.5, 1, policy) is Verdict.CONTINUE
+        assert should_terminate(wide, wide, 0.5, 1, policy, repeatable=False) is Verdict.CONTINUE
+        v = should_terminate(wide, narrower, 0.5, 1, policy, repeatable=True)
+        assert v is Verdict.CONTINUE
+
+    def test_fixed_point_reads_box_prev(self):
+        # equal bounds, distinct objects: the rule compares values
+        a = SearchBox.cube(2, -1.0, 1.0)
+        b = SearchBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        other = SearchBox.cube(2, -1.0, 2.0)
+        policy = TerminationPolicy()
+        assert should_terminate(a, b, None, 3, policy, True) is Verdict.FIXED_POINT
+        assert should_terminate(other, b, None, 3, policy, True) is Verdict.CONTINUE
+
+    @pytest.mark.parametrize(
+        "next_width,k,entropy,expected",
+        [
+            # every rule holds: the first in order wins
+            (1e-9, 10, 0.0, Verdict.WIDTH_FLOOR),
+            (10.0, 10, 0.0, Verdict.MAX_ITERATIONS),
+            (10.0, 9, 0.0, Verdict.CONCENTRATED),
+            (10.0, 9, 0.5, Verdict.FIXED_POINT),
+        ],
+    )
+    def test_rule_order_with_fixed_point(self, next_width, k, entropy, expected):
+        box = SearchBox.cube(1, 0.0, next_width)
+        v = should_terminate(box, box, entropy, k, TerminationPolicy(), repeatable=True)
+        assert v is expected
+
+    def test_no_distribution_never_concentrates(self):
+        wide = SearchBox.cube(1, 0.0, 10.0)
+        narrower = SearchBox.cube(1, 0.0, 5.0)
+        policy = TerminationPolicy(entropy_floor=0.99)
+        assert should_terminate(wide, narrower, None, 1, policy) is Verdict.CONTINUE
+        assert should_terminate(wide, narrower, 0.5, 1, policy) is Verdict.CONCENTRATED
+        assert should_terminate(wide, wide, None, 1, policy, True) is Verdict.FIXED_POINT
 
     def test_verdict_strings(self):
         assert Verdict.CONTINUE.value == "continue"
         assert Verdict.WIDTH_FLOOR.value == "width_floor"
         assert Verdict.MAX_ITERATIONS.value == "max_iterations"
         assert Verdict.CONCENTRATED.value == "concentrated"
+        assert Verdict.FIXED_POINT.value == "fixed_point"
 
 
 class TestTerminationPolicy:

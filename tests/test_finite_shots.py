@@ -36,7 +36,7 @@ def reference_run(f, box, cfg):
         shortcuts += probs.size - np.count_nonzero(probs) >= cfg.quantile * probs.size + 2
         selection = select_region(dist, cfg.quantile)
         box_next = contract_bounds(spec, selection)
-        verdict = should_terminate(box, box_next, dist, k, cfg.termination)
+        verdict = should_terminate(box, box_next, entropy_fraction(dist), k, cfg.termination)
         records.append(
             (
                 k,

@@ -40,7 +40,7 @@ def reference_run(f, box, cfg):
             best_point = decode(spec, dist.f_min_index)
         selection = select_region(dist, cfg.quantile)
         box_next = contract_bounds(spec, selection)
-        verdict = should_terminate(box, box_next, dist, k, cfg.termination)
+        verdict = should_terminate(box, box_next, entropy_fraction(dist), k, cfg.termination)
         records.append(
             IterationRecord(
                 k=k,
