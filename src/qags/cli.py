@@ -164,21 +164,16 @@ def _setup_single(args):
             f"unknown function {args.function!r}; available: "
             + ", ".join(sorted(REGISTRY))
         )
-    except InvalidInputError as exc:
-        raise _UsageError(str(exc))
     lo, hi = args.bounds
-    try:
-        box = SearchBox.cube(args.dim, lo, hi)
-        cfg = QagsConfig(
-            qubits_per_dim=args.qubits,
-            quantile=args.quantile,
-            law=args.law,
-            shots=args.shots,
-            seed=args.seed,
-        )
-        GridSpec(args.dim, cfg.qubits_per_dim, box)  # validates the qubit cap
-    except InvalidInputError as exc:
-        raise _UsageError(str(exc))
+    box = SearchBox.cube(args.dim, lo, hi)
+    cfg = QagsConfig(
+        qubits_per_dim=args.qubits,
+        quantile=args.quantile,
+        law=args.law,
+        shots=args.shots,
+        seed=args.seed,
+    )
+    GridSpec(args.dim, cfg.qubits_per_dim, box)  # validates the qubit cap
     return objective, box, cfg
 
 
@@ -268,10 +263,7 @@ def _cmd_compare(args):
         if dim not in _COMPARE_QUBITS:
             raise _UsageError(f"--dims entries must lie in 2..10, got {dim}")
     lo, hi = args.bounds
-    try:
-        boxes = {dim: SearchBox.cube(dim, lo, hi) for dim in args.dims}
-    except InvalidInputError as exc:
-        raise _UsageError(str(exc))
+    boxes = {dim: SearchBox.cube(dim, lo, hi) for dim in args.dims}
     timing = not args.no_timing
     rows = []
     for dim, box in boxes.items():
@@ -389,7 +381,7 @@ def main(argv=None):
             parser.print_usage(sys.stderr)
             return 2
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QagsError as exc:

@@ -2,11 +2,12 @@
 
 The selected region is the set of basis states whose probability reaches
 the quantile-level order statistic of the probability vector (linearly
-interpolated empirical quantile).  Zero-probability states are never
-selected: a measurement cannot land on them, and including them would
-re-inflate the bounds the moment weights underflow.  The contracted box
-is the tight axis-aligned hull of the selected points, clamped to the
-current bounds.
+interpolated empirical quantile, ``kernels.linear_quantile``, which
+equals np.quantile bit for bit without copying the vector).
+Zero-probability states are never selected: a measurement cannot land
+on them, and including them would re-inflate the bounds the moment
+weights underflow.  The contracted box is the tight axis-aligned hull of
+the selected points, clamped to the current bounds.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import InvalidInputError
 from .grid import SearchBox, axis_indices, decode_many, pack_indices
 
@@ -75,7 +77,9 @@ def select_region(dist, quantile=0.75):
     The distribution's maximal entry (f_min_index) always satisfies the
     threshold and is force-included, so the selection is never empty.
     A vector with enough zeros, such as a finite-shot draw on a large
-    grid, skips the quantile's partition: its threshold is 0.0.
+    grid, skips the quantile's partition: its threshold is 0.0.  The
+    threshold is np.quantile's (linear) to the bit, found by
+    ``kernels.linear_quantile``.
     """
     if not 0.0 < quantile < 1.0:
         raise InvalidInputError("quantile must lie strictly inside (0, 1)")
@@ -84,15 +88,15 @@ def select_region(dist, quantile=0.75):
     # seldom underflow
     zeros = 0 if probs.min() > 0.0 else probs.size - np.count_nonzero(probs)
     if zeros >= quantile * probs.size + 2:
-        # np.quantile (linear) interpolates between the order statistics
+        # the linear quantile interpolates between the order statistics
         # of ranks floor((N-1)q) and floor((N-1)q) + 1, counted from 0;
         # with at least qN + 2 zeros both are zeros, so the threshold is
         # exactly 0.0 and only the positivity clause selects
         threshold = 0.0
-        mask = probs > 0.0
     else:
-        threshold = float(np.quantile(probs, quantile))
-        mask = (probs >= threshold) & (probs > 0.0)
+        threshold = float(kernels.linear_quantile(probs, quantile))
+    # a positive threshold already excludes the zero-probability states
+    mask = probs >= threshold if threshold > 0.0 else probs > 0.0
     assert mask[dist.f_min_index], "maximal entry must meet the threshold"
     mask[dist.f_min_index] = True
     return RegionSelection(

@@ -26,6 +26,7 @@ this way.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -52,8 +53,15 @@ from .refine import RefinerConfig, refine
 # Model-based accounting: 8-byte amplitudes plus 8-byte probabilities per
 # basis state for the quantum model, 8-byte stored values per classical
 # grid point.  Pure functions of configuration, identical on any machine.
+# ``run`` refuses a register whose model bytes exceed physical memory:
+# each iteration holds the values and the probabilities at once.
 QUANTUM_BYTES_PER_STATE = 16
 CLASSICAL_BYTES_PER_POINT = 8
+
+
+def physical_memory_bytes():
+    """This machine's physical memory in bytes, from POSIX sysconf."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -213,7 +221,10 @@ def run(f, initial_bounds, cfg):
     Deterministic at shots = 0, where the loop also stops at the first
     iteration that leaves the box unchanged (FIXED_POINT); at shots > 0
     determinism holds for a fixed seed.  The objective's evaluation
-    counter advances by exactly total_f_evals.
+    counter advances by exactly total_f_evals.  A register of
+    2^(n*d) states whose QUANTUM_BYTES_PER_STATE bytes each exceed
+    physical memory raises InvalidInputError before anything is
+    allocated.
     """
 
     def step(box, k):
@@ -237,6 +248,13 @@ def run(f, initial_bounds, cfg):
         )
 
     grid_points = 1 << (cfg.qubits_per_dim * f.arity)
+    needed = grid_points * QUANTUM_BYTES_PER_STATE
+    memory = physical_memory_bytes()
+    if needed > memory:
+        raise InvalidInputError(
+            f"a {grid_points}-state register needs {needed} bytes, more than "
+            f"the {memory} bytes of physical memory"
+        )
     return search(
         "qags", f, initial_bounds, step, cfg.termination, cfg.shots == 0,
         cfg.refiner, grid_points, QUANTUM_BYTES_PER_STATE,

@@ -8,7 +8,13 @@ pair (x_{i-1}, x_i) (zeros on axis 0).  One accumulation rule adds the
 axes one at a time, by outer sums or row broadcasts, which keep the
 per-element left-to-right order 0 + t_0 + t_1 + ... for every kind.
 ``boltzmann`` encodes a value vector and takes its entropy from a closed
-form instead of a log2 pass over the probabilities.
+form instead of a log2 pass over the probabilities.  It works through the
+vector in BLOCK_STATES slices, so the probabilities are the only array of
+the vector's size it allocates, and it combines the slices' sums as
+NumPy's pairwise summation does, so every output equals the dense
+formulas bit for bit.  ``linear_quantile`` equals np.quantile's linear
+threshold bit for bit; it partitions only the entries that a strided
+sample brackets, not a copy of the whole vector.
 
 ``lattice_value_blocks`` and ``coordinate_blocks`` stream a lattice in
 cache-sized flat-index blocks, each bit-identical to the matching slice
@@ -232,6 +238,24 @@ def lattice_points(axes, flats):
     return out
 
 
+def _pairwise_sum(leaf, start, n):
+    """np.add.reduce of a float64 run [start, start + n) of some vector,
+    bit for bit, given leaf(lo, hi), the np.add.reduce of one piece of
+    at most BLOCK_STATES entries.
+
+    NumPy sums a contiguous float64 run pairwise: a run longer than 128
+    entries splits at n2 = n // 2 - (n // 2) % 8 and the two halves'
+    sums are added.  Splitting by the same rule until each piece fits
+    one block therefore adds the same partial sums in the same order,
+    for any n; tests/test_kernels.py pins this NumPy behaviour.
+    """
+    if n <= BLOCK_STATES:
+        return leaf(start, start + n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, start, half) + _pairwise_sum(leaf, start + half, n - half)
+
+
 def boltzmann(values, scale):
     """Boltzmann encoding of a value vector.
 
@@ -242,19 +266,115 @@ def boltzmann(values, scale):
     not from v, so a constant offset added to the values cannot round
     the mean and move the encoding.  With e the scaled exponent and
     Z the weight sum, the entropy is (ln Z + sum(p * e)) / ln 2.
+
+    The vector is worked through in BLOCK_STATES slices with one scratch
+    block, so besides the probabilities nothing of the vector's size is
+    allocated: passes for the argmin, sum(e), sum((e - mean)^2), the
+    weights and Z, then p = w / Z and sum(p * e).  Each sum is combined
+    by _pairwise_sum and sigma keeps np.std's order of operations, so
+    every output equals the dense formulas bit for bit.
     """
     v = np.ascontiguousarray(values, dtype=np.float64)
+    n = v.size
     argmin_index = int(np.argmin(v))
-    e = v - v[argmin_index]
-    sigma = float(np.std(e))
+    v_min = v[argmin_index]
+    scale = float(scale)
+    scratch = np.empty(min(n, BLOCK_STATES))
+    probs = np.empty(n)
+
+    def shifted(lo, hi):
+        e = scratch[: hi - lo]
+        np.subtract(v[lo:hi], v_min, out=e)
+        return e
+
+    def squared_deviations(lo, hi):
+        e = shifted(lo, hi)
+        e -= mean
+        e *= e
+        return e.sum()
+
+    def exponents(lo, hi):
+        e = shifted(lo, hi)
+        e *= scale
+        e /= sigma
+        return e
+
+    def weights(lo, hi):
+        w = np.negative(exponents(lo, hi), out=probs[lo:hi])
+        np.exp(w, out=w)
+        return w.sum()
+
+    def normalize(lo, hi):
+        p = probs[lo:hi]
+        p /= z
+        e = exponents(lo, hi)
+        e *= p
+        return e.sum()
+
+    mean = _pairwise_sum(lambda lo, hi: shifted(lo, hi).sum(), 0, n) / n
+    sigma = math.sqrt(_pairwise_sum(squared_deviations, 0, n) / n)
     if sigma < 1e-12:
         sigma = 1.0
-    e *= float(scale)
-    e /= sigma
-    probs = np.negative(e)
-    np.exp(probs, out=probs)
-    z = probs.sum()
-    probs /= z
-    e *= probs
-    entropy = max((math.log(z) + float(e.sum())) / math.log(2.0), 0.0)
+    z = _pairwise_sum(weights, 0, n)
+    mean_exponent = _pairwise_sum(normalize, 0, n)
+    entropy = max((math.log(z) + float(mean_exponent)) / math.log(2.0), 0.0)
     return probs, argmin_index, sigma, entropy
+
+
+# linear_quantile brackets its ranks with every QUANTILE_STRIDE-th entry;
+# the stride is odd, so the sample walks through every column of a
+# power-of-two lattice (a stride of 256 saw 4 columns of a 1024 x 1024
+# one, and its bracket missed).
+QUANTILE_STRIDE = 251
+
+
+def _rank_bracket(p, i, j):
+    """(below, run): a new array of the entries of p that lie between two
+    sampled values around the ranks i <= j, and how many entries lie
+    below that range.  When the counts show the range misses a rank, the
+    sample misled, and the run is a copy of all of p, with below = 0.
+    """
+    n = p.size
+    sample = np.sort(p[::QUANTILE_STRIDE])
+    at = i * sample.size // n
+    gap = 2 * math.isqrt(sample.size) + 1
+    lo = sample[max(at - gap, 0)]
+    hi = sample[min(at + gap, sample.size - 1)]
+    below, parts = 0, []
+    for start in range(0, n, BLOCK_STATES):
+        block = p[start:start + BLOCK_STATES]
+        under = block < lo
+        below += np.count_nonzero(under)
+        keep = block <= hi
+        keep ^= under
+        parts.append(block[keep])
+    run = np.concatenate(parts)
+    if below <= i and j < below + run.size:
+        return below, run
+    return 0, p.copy()
+
+
+def linear_quantile(p, q):
+    """np.quantile(p, q) (method "linear") bit for bit, for a 1-d
+    float64 vector without NaN or -0.0 and 0 < q < 1.
+
+    The order statistics at ranks floor((n - 1) q) and the next one are
+    found Floyd-Rivest style: a sorted strided sample gives a value range
+    around the ranks, one pass counts the entries below it and extracts
+    those inside, and only that run is partitioned.  NumPy's _lerp then
+    interpolates between the two.
+    """
+    n = p.size
+    virtual = (n - 1) * q
+    i = math.floor(virtual)
+    # a virtual index that rounded up to n - 1 takes the last entry twice,
+    # as np.quantile does
+    j = min(i + 1, n - 1)
+    below, run = _rank_bracket(p, i, j)
+    run.partition((i - below, j - below))
+    a, b = run[i - below], run[j - below]
+    gamma = virtual - i
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma

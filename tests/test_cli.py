@@ -88,6 +88,20 @@ class TestOptimize:
         )
         assert code == 2
 
+    def test_register_over_physical_memory(self, capsys, monkeypatch):
+        import qags.driver
+
+        monkeypatch.setattr(qags.driver, "physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(qags.driver, "grid_values", None)  # never reached
+        code, out, err = run_main(
+            capsys,
+            "optimize", "--function", "sphere", "--dim", "10",
+            "--qubits", "3", "--bounds", "0,1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "physical memory" in err
+
     def test_shift_on_non_sphere(self, capsys):
         code, _, err = run_main(
             capsys,

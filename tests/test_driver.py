@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qags import driver
 from qags.contraction import TerminationPolicy, Verdict
 from qags.driver import IterationRecord, QagsConfig, RunReport, run, trace_boxes
 from qags.errors import InvalidInputError
@@ -134,6 +135,39 @@ class TestRun:
         )
         report = run(anonymous, SearchBox.cube(1, -1.0, 1.0), QagsConfig(qubits_per_dim=3))
         assert report.abs_error is None
+
+
+class TestMemoryGuard:
+    """run refuses a register whose 16 B per state exceed physical memory.
+    The memory reading is patched, and the lattice evaluation with it, so
+    these tests allocate nothing even if the guard failed."""
+
+    @pytest.fixture
+    def no_lattice(self, monkeypatch):
+        def unreachable(*_):
+            raise AssertionError("the guard must stop run before the lattice")
+
+        monkeypatch.setattr(driver, "grid_values", unreachable)
+
+    def test_physical_memory_is_read(self):
+        assert driver.physical_memory_bytes() > 0
+
+    def test_d10_q3_needs_17_gb(self, monkeypatch, no_lattice):
+        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: 8 << 30)
+        obj = make_sphere(10)
+        with pytest.raises(InvalidInputError, match="1073741824-state register"):
+            run(obj, SearchBox.cube(10, -5.0, 5.0), QagsConfig(qubits_per_dim=3))
+        assert obj.eval_count == 0
+
+    def test_limit_is_sixteen_bytes_per_state(self, monkeypatch):
+        # 2^10 states: 16,384 bytes fit in exactly that much memory
+        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: 1024 * 16)
+        _, report = sphere_run(qubits=5)
+        assert report.peak_model_bytes == 1024 * 16
+        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: 1024 * 16 - 1)
+        monkeypatch.setattr(driver, "grid_values", None)
+        with pytest.raises(InvalidInputError, match="16384 bytes"):
+            sphere_run(qubits=5)
 
 
 class TestQagsConfig:

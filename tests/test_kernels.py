@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qags import kernels
 
@@ -68,6 +70,12 @@ def _boltzmann_inputs():
         "constant": (np.full(64, 7.0), 1.0),
         "single state": (np.array([3.5]), 1.0),
         "ties": (np.repeat(rng.normal(0.0, 1.0, 8), 16), 1.0),
+        # several BLOCK_STATES slices: aligned, and a length whose
+        # pairwise split leaves pieces off the block grid
+        "2^17 states": (rng.normal(50.0, 20.0, 1 << 17), 1.0),
+        "2^20 states": (rng.normal(0.0, 1e3, 1 << 20), 2.0),
+        "3 * 2^16 + 5 states": (rng.normal(5.0, 2.0, 3 * (1 << 16) + 5), 1.0),
+        "multi-block underflow": (rng.normal(0.0, 1.0, 3 * (1 << 16) + 5), 400.0),
     }
 
 
@@ -91,6 +99,97 @@ def test_boltzmann_matches_direct_formulas(case):
     assert entropy == pytest.approx(entropy_ref, rel=1e-12, abs=0.0)
     if "underflow" in case:
         assert pos.size < probs.size
+
+
+@pytest.mark.parametrize("block", [None, 1000, 129])
+@pytest.mark.parametrize("n", [1, 127, 1 << 16, (1 << 16) + 1, 1 << 17, 3 * (1 << 16) + 5,
+                               1 << 20, 1_000_003])
+def test_add_reduce_is_the_pairwise_tree_of_block_sums(monkeypatch, n, block):
+    # boltzmann's sums rest on this NumPy behaviour: np.add.reduce of a
+    # contiguous float64 vector equals the sums of its pieces of at most
+    # BLOCK_STATES, combined by the pairwise split rule.  If a NumPy
+    # release changes how it sums, this fails and so do boltzmann's
+    # bit-for-bit tests; its sums must then be rebuilt on the new rule.
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_STATES", block)
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 8, n)
+    pieces = []
+
+    def leaf(lo, hi):
+        pieces.append(hi - lo)
+        return np.add.reduce(x[lo:hi])
+
+    got = kernels._pairwise_sum(leaf, 0, n)
+    assert got.tobytes() == np.add.reduce(x).tobytes()
+    assert sum(pieces) == n
+    assert max(pieces) <= kernels.BLOCK_STATES
+
+
+# --- quantile threshold -------------------------------------------------------
+
+
+def _quantile_input(kind, n, rng):
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "ties":
+        return rng.integers(0, 4, n) * 0.25
+    if kind == "zero-heavy":
+        x = rng.random(n)
+        x[rng.random(n) < rng.uniform(0.3, 0.95)] = 0.0
+        return x
+    if kind == "underflowed weights":  # subnormals and zeros among them
+        return np.exp(-rng.uniform(0.0, 800.0, n))
+    if kind == "constant":
+        return np.full(n, rng.random())
+    if kind == "sorted":
+        return np.sort(rng.random(n))
+    if kind == "reversed":
+        return np.sort(rng.random(n))[::-1].copy()
+    # lattice-structured: Boltzmann weights of a sphere on a 1024-column
+    # lattice, flattened row by row
+    j = np.arange(n)
+    return np.exp(-(((j % 1024) - 511.5) ** 2 + ((j // 1024) - 60.0) ** 2) * 1e-4)
+
+
+QUANTILE_KINDS = ["uniform", "ties", "zero-heavy", "underflowed weights", "constant",
+                  "sorted", "reversed", "lattice"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 1 << 18),
+    kind=st.sampled_from(QUANTILE_KINDS),
+    q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_quantile_is_np_quantile(n, kind, q, seed):
+    p = _quantile_input(kind, n, np.random.default_rng(seed))
+    got = kernels.linear_quantile(p, q)
+    assert np.float64(got).tobytes() == np.quantile(p, q).tobytes()
+
+
+@pytest.mark.parametrize("q", [0.25, 0.75, 0.9])
+@pytest.mark.parametrize("kind,name", KINDS)
+def test_linear_quantile_on_lattice_probabilities(kind, name, q):
+    for d, m in [(2, 1024), (5, 16), (10, 4), (3, 37)]:
+        lo, hi, shift = _lattice_case(d, m, d + m + kind)
+        values = kernels.lattice_values(kind, lo, hi, m, shift)
+        probs = kernels.boltzmann(values, 1.0)[0]
+        got = kernels.linear_quantile(probs, q)
+        assert np.float64(got).tobytes() == np.quantile(probs, q).tobytes(), (d, m)
+
+
+def test_linear_quantile_partitions_everything_when_the_sample_misleads():
+    # every sampled entry is larger than every other one, so the bracket
+    # lies above both ranks and the counts show it
+    rng = np.random.default_rng(3)
+    p = rng.random(1 << 18) * 0.5
+    p[:: kernels.QUANTILE_STRIDE] = 1.0 + rng.random(p[:: kernels.QUANTILE_STRIDE].size)
+    i = int((p.size - 1) * 0.75)
+    below, run = kernels._rank_bracket(p, i, i + 1)
+    assert below == 0 and run.size == p.size
+    assert np.float64(kernels.linear_quantile(p, 0.75)).tobytes() == np.quantile(p, 0.75).tobytes()
 
 
 # --- streamed lattice blocks --------------------------------------------------
