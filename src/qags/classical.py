@@ -74,10 +74,9 @@ def _lattice_argmin(objective, box, m):
         j = int(np.argmin(values))  # a NaN is its own argmin
         if not (np.isfinite(values[j]) and np.isfinite(values.max())):
             bad = start + int(np.flatnonzero(~np.isfinite(values))[0])
-            axes = kernels.lattice_axes(box.lower, box.upper, m)
             raise EvaluationError(
                 "objective returned a non-finite value on the grid",
-                point=kernels.lattice_points(axes, bad)[0],
+                point=kernels.lattice_points(box.lower, box.upper, m, bad)[0],
             )
         # strict: ties across blocks keep the lower index
         if values[j] < best_value:
@@ -96,8 +95,7 @@ def run_ags(f, initial_bounds, cfg=None):
 
     def step(box, k):
         index, value = _lattice_argmin(f, box, m)
-        axes = kernels.lattice_axes(box.lower, box.upper, m)
-        centre = kernels.lattice_points(axes, index)[0]
+        centre = kernels.lattice_points(box.lower, box.upper, m, index)[0]
         half = cfg.shrink_factor * box.width / 2.0
         box_next = SearchBox(
             np.maximum(box.lower, centre - half),

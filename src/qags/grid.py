@@ -4,11 +4,11 @@ A grid with ``n`` qubits per dimension places ``2**n`` evenly spaced points
 along each axis of a box.  Basis-state index ``j`` along dimension ``i``
 maps to
 
-    x_ij = lower_i + j * (upper_i - lower_i) / (2**n - 1)
+    x_ij = lower_i + j * ((upper_i - lower_i) / (2**n - 1))
 
-so ``j = 0`` is exactly the lower bound and ``j = 2**n - 1`` exactly the
-upper bound.  A flat index packs the per-dimension indices big-endian:
-dimension 0 occupies the most significant ``n`` bits.
+and ``j = 2**n - 1`` to exactly the upper bound: ``kernels._coordinates``,
+the one rule of every lattice.  A flat index packs the per-dimension
+indices big-endian: dimension 0 occupies the most significant ``n`` bits.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _axis_coordinates, lattice_axes, lattice_points
+from .kernels import lattice_points
 from .errors import InvalidInputError, OffGridError
 
 DEFAULT_QUBIT_CAP = 30
@@ -134,7 +134,8 @@ class GridSpec:
     def axis_coordinates(self, i):
         """All 2**n grid coordinates along dimension i, endpoint exact: the
         same table the lattice kernels evaluate on."""
-        return _axis_coordinates(self.bounds.lower[i], self.bounds.upper[i], self.points_per_dim)
+        m, box = self.points_per_dim, self.bounds
+        return lattice_points(box.lower[i:i + 1], box.upper[i:i + 1], m, np.arange(m))[:, 0]
 
 
 def coordinate(spec, i, j):
@@ -144,9 +145,7 @@ def coordinate(spec, i, j):
         raise IndexError(f"dimension index {i} out of range")
     if not 0 <= j < m:
         raise IndexError(f"grid index {j} out of range for {m} points")
-    if j == m - 1:
-        return float(spec.bounds.upper[i])
-    return float(spec.bounds.lower[i] + j * spec.step[i])
+    return float(lattice_points(spec.bounds.lower[i:i + 1], spec.bounds.upper[i:i + 1], m, j)[0, 0])
 
 
 def decode(spec, flat_index):
@@ -175,14 +174,11 @@ def pack_indices(spec, per_dim_indices):
 def decode_many(spec, flat_indices):
     """Vectorized decode: (K,) flat indices -> (K, d) coordinates.
 
-    Each column is gathered from the endpoint-exact axis table, so every
-    coordinate equals ``coordinate(spec, i, j)`` bit for bit.
+    Each coordinate comes from the one coordinate rule at its digit, so
+    it equals ``coordinate(spec, i, j)`` bit for bit; an index outside
+    the grid raises IndexError.
     """
-    flats = np.asarray(flat_indices, dtype=np.int64)
-    if flats.size and (flats.min() < 0 or flats.max() >= spec.total_points):
-        raise IndexError("flat index out of range")
-    axes = lattice_axes(spec.bounds.lower, spec.bounds.upper, spec.points_per_dim)
-    return lattice_points(axes, flats)
+    return lattice_points(spec.bounds.lower, spec.bounds.upper, spec.points_per_dim, flat_indices)
 
 
 def encode(spec, point):

@@ -1,8 +1,8 @@
 """The hot lattice and encoding kernels, in NumPy.
 
 ``lattice_values`` evaluates a built-in objective over the whole uniform
-lattice without materializing point coordinates; grid coordinates are
-endpoint exact.  Each axis contributes a term table indexed
+lattice without materializing point coordinates; ``_coordinates`` is the
+one coordinate rule.  Each axis contributes a term table indexed
 [j_{i-1}, j_i]: one row for the separable kinds, and for Rosenbrock the
 pair (x_{i-1}, x_i) (zeros on axis 0).  One accumulation rule adds the
 axes one at a time, by outer sums or row broadcasts, which keep the
@@ -20,8 +20,9 @@ sample brackets, not a copy of the whole vector.
 cache-sized flat-index blocks, each bit-identical to the matching slice
 of the full arrays; both methods evaluate their lattices through these
 streams, and ``lattice_values`` is the reference they are tested
-against.  ``lattice_points`` is the one flat-index decoder: it decodes
-the leading columns of every coordinate block too.
+against.  ``lattice_points`` is the one flat-index decoder: it evaluates
+the rule at the decoded digits, so no decoder builds an axis table, and
+it decodes the leading columns of every coordinate block too.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ KIND_ROSENBROCK = 3
 BLOCK_STATES = 1 << 16
 
 
-def _axis_coordinates(lower, upper, m):
-    """The m lattice coordinates of one axis, endpoint exact."""
-    step = (upper - lower) / (m - 1)
-    xs = lower + np.arange(m) * step
-    xs[-1] = upper
-    return xs
+def _coordinates(lower, upper, m, j):
+    """The coordinate rule of every lattice, at the integer array j:
+    lower + j * ((upper - lower) / (m - 1)), and exactly upper at
+    j = m - 1.  In place, so an m-entry table peaks at 17 B/entry."""
+    x = j * ((upper - lower) / (m - 1))
+    x += lower  # IEEE addition commutes, so this is lower + j * step
+    np.copyto(x, upper, where=j == m - 1)
+    return x
 
 
 def _axis_terms(kind, xs, shift_i):
@@ -93,10 +96,10 @@ def _lattice_args(lower, upper, shift):
 
 def lattice_axes(lower, upper, points_per_dim):
     """Per-axis coordinate tables of the lattice the kernels evaluate:
-    m points from lower to upper, the last one exactly upper."""
+    the coordinate rule at j = 0, ..., m - 1 on each axis."""
     lower, upper, _ = _lattice_args(lower, upper, None)
     m = int(points_per_dim)
-    return [_axis_coordinates(lower[i], upper[i], m) for i in range(lower.size)]
+    return [_coordinates(lower[i], upper[i], m, np.arange(m)) for i in range(lower.size)]
 
 
 def _term_tables(kind, axes, shift):
@@ -197,45 +200,48 @@ def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
         yield k0 * tail, _accumulate(head[k0:k1], k0, tables[p:])
 
 
-def coordinate_blocks(axes):
-    """The (N, d) lattice coordinate matrix over the axis tables ``axes``
-    (all of one length m; dimension 0 most significant) as a stream of
-    (start, coords) over the same blocks as lattice_value_blocks.
+def coordinate_blocks(lower, upper, m):
+    """The (N, d) coordinate matrix of the lattice of m points per axis
+    of the box [lower, upper] (dimension 0 most significant) as a stream
+    of (start, coords) over the same blocks as lattice_value_blocks.
 
-    The trailing axes' coordinate matrix is built once; the leading
-    columns of each block are its prefixes decoded by lattice_points,
-    broadcast over the trailing states.
+    Only the trailing axes' tables are built, into their coordinate
+    matrix, once; the leading columns of each block are its prefixes
+    decoded by lattice_points, broadcast over the trailing states.
     """
-    d = len(axes)
-    m = axes[0].size
+    lower, upper, _ = _lattice_args(lower, upper, None)
+    d = lower.size
     p, tail, chunk = _block_layout(d, m)
     grid = np.empty((m,) * (d - p) + (d - p,))
-    for j in range(d - p):
+    for j, xs in enumerate(lattice_axes(lower[p:], upper[p:], m)):
         shape = [1] * (d - p)
         shape[j] = m
-        grid[..., j] = axes[p + j].reshape(shape)
+        grid[..., j] = xs.reshape(shape)
     trailing = grid.reshape(tail, d - p)
     for k0, k1 in _prefix_ranges(p, m, chunk):
         coords = np.empty((k1 - k0, tail, d))
-        coords[:, :, :p] = lattice_points(axes[:p], np.arange(k0, k1))[:, None, :]
+        coords[:, :, :p] = lattice_points(lower[:p], upper[:p], m, np.arange(k0, k1))[:, None, :]
         coords[:, :, p:] = trailing
         yield k0 * tail, coords.reshape(-1, d)
 
 
-def lattice_points(axes, flats):
-    """Decode flat lattice indices to points: (K,) -> (K, d).
+def lattice_points(lower, upper, m, flats):
+    """Decode flat indices of the lattice of m points per axis of the
+    box [lower, upper] to points: (K,) -> (K, d).
 
-    Dimension 0 is the most significant digit, and digit i is taken
-    modulo len(axes[i]), so zero axes decode to (K, 0); each coordinate
-    is gathered from the axis tables, so it equals the
-    coordinate the lattice was evaluated at bit for bit.
+    Dimension 0 is the most significant base-m digit, and a zero-axis
+    box decodes to (K, 0).  Each coordinate is the rule at its digit, so
+    it equals the lattice_axes entry bit for bit and no table is built;
+    an index outside [0, m**d) raises IndexError.
     """
+    lower, upper, _ = _lattice_args(lower, upper, None)
     rem = np.array(flats, dtype=np.int64, ndmin=1)
-    out = np.empty((rem.size, len(axes)))
-    for i in range(len(axes) - 1, -1, -1):
-        rem, j = np.divmod(rem, axes[i].size)
-        out[:, i] = axes[i][j]
-    return out
+    digits = np.empty((rem.size, lower.size), dtype=np.int64)
+    for i in range(lower.size - 1, -1, -1):
+        rem, digits[:, i] = np.divmod(rem, m)
+    if rem.any():
+        raise IndexError("flat index out of range")
+    return _coordinates(lower, upper, m, digits)
 
 
 def _pairwise_sum(leaf, start, n):

@@ -101,8 +101,7 @@ def lattice_blocks(objective, box, points_per_dim):
             objective.kernel_kind, box.lower, box.upper, points_per_dim, objective.shift
         )
         return
-    axes = kernels.lattice_axes(box.lower, box.upper, points_per_dim)
-    for start, coords in kernels.coordinate_blocks(axes):
+    for start, coords in kernels.coordinate_blocks(box.lower, box.upper, points_per_dim):
         yield start, objective.evaluate_batch(coords)
 
 

@@ -163,9 +163,10 @@ def refine(f, box, start, cfg=None):
     """
     if cfg is None:
         cfg = RefinerConfig()
-    x = box.clip(np.asarray(start, dtype=np.float64))
-    if x.shape != (box.dimension,):
+    start = np.asarray(start, dtype=np.float64)
+    if start.shape != (box.dimension,):
         raise InvalidInputError("start arity does not match box")
+    x = box.clip(start)
     ev = _BudgetedObjective(f, cfg.max_evals)
     free = box.width > 0.0
 

@@ -1,5 +1,7 @@
 """Classical adaptive grid-search baseline."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from qags.classical import (
 from qags.contraction import Verdict
 from qags.driver import IterationRecord, RunReport
 from qags.errors import EvaluationError, InvalidInputError
-from qags.grid import SearchBox
+from qags.grid import GridSpec, SearchBox, coordinate, decode_many
 from qags.objectives import ObjectiveFunction, get_objective, make_rosenbrock, make_sphere
 from qags.refine import refine
 
@@ -364,11 +366,35 @@ class TestStreamedLattice:
         lo, hi = np.array([-4.7, -0.7]), np.array([3.3, 0.4])
         j = np.arange(m - 1)
         assert np.any(lo[0] + j * (hi[0] - lo[0]) / (m - 1) != lo[0] + j * ((hi[0] - lo[0]) / (m - 1)))
-        axes = kernels.lattice_axes(lo, hi, m)
-        coords = np.concatenate([c for _, c in kernels.coordinate_blocks(axes)])
+        coords = np.concatenate([c for _, c in kernels.coordinate_blocks(lo, hi, m)])
         for flat in range(m * m):
-            assert np.array_equal(kernels.lattice_points(axes, flat)[0], coords[flat])
-        assert np.array_equal(kernels.lattice_points(axes, np.arange(m * m)), coords)
+            assert np.array_equal(kernels.lattice_points(lo, hi, m, flat)[0], coords[flat])
+        assert np.array_equal(kernels.lattice_points(lo, hi, m, np.arange(m * m)), coords)
         report = run_ags(make_sphere(2), SearchBox(lo, hi), AgsConfig(points_per_dim=m))
         first = report.iterations[0].best_point_so_far
         assert any(np.array_equal(first, row) for row in coords)
+        # every decoder gives the axis-table entries bit for bit
+        boxes = [
+            ([-4.7, -0.0, 2.5], [3.3, 0.4, 2.5]),  # a -0.0 lower, a zero-width axis
+            ([-1.3, 0.1, -0.0], [-0.0, 7.9, -0.0]),  # a -0.0 upper, -0.0 zero-width
+        ]
+        for (lo, hi), m in itertools.product(boxes, [2, 3, 11, 215, 1024, 1 << 17]):
+            lo, hi = np.array(lo), np.array(hi)
+            axes = kernels.lattice_axes(lo, hi, m)
+            # each column walks its whole axis, so every entry is decoded
+            j = np.arange(m)
+            digits = np.stack([j, j[::-1], np.roll(j, m // 3)], axis=1)
+            flats = digits @ np.array([m * m, m, 1])
+            ref = np.stack([axes[i][digits[:, i]] for i in range(3)], axis=1).tobytes()
+            assert kernels.lattice_points(lo, hi, m, flats).tobytes() == ref, m
+            if m**3 <= 1 << 16:
+                coords = np.concatenate([c for _, c in kernels.coordinate_blocks(lo, hi, m)])
+                assert coords[flats].tobytes() == ref, m
+            if m & (m - 1) == 0:
+                n = m.bit_length() - 1
+                spec = GridSpec(3, n, SearchBox(lo, hi), qubit_cap=3 * n)
+                assert decode_many(spec, flats).tobytes() == ref, m
+                for i in range(3):
+                    for ji in [*range(0, m, max(1, m >> 10)), m - 1]:
+                        got = np.float64(coordinate(spec, i, ji))
+                        assert got.tobytes() == axes[i][ji].tobytes(), (m, i, ji)

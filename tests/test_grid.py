@@ -1,5 +1,7 @@
 """Grid geometry and the flat-index codec."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,21 @@ class TestCodec:
         assert pts.shape == (64, 3)
         for flat in (0, 1, 17, 63):
             assert np.array_equal(pts[flat], decode(spec, flat))
+
+    def test_decoding_a_point_builds_no_axis_table(self):
+        # a table of all 2^24 coordinates of the axis would take 128 MB
+        spec = GridSpec(1, 24, SearchBox.cube(1, -5.0, 7.0))
+        last = spec.total_points - 1
+        tracemalloc.start()
+        try:
+            point = decode(spec, 12345)
+            corners = decode_many(spec, [0, last])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        assert point[0] == -5.0 + 12345 * (12.0 / last)
+        assert corners.tolist() == [[-5.0], [7.0]]
 
     @pytest.mark.parametrize("d,n", [(1, 1), (1, 6), (2, 3), (3, 2), (4, 2)])
     def test_decode_many_equals_scalar_coordinate(self, d, n):

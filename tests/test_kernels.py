@@ -24,7 +24,7 @@ def _broadcast_reference(kind, lower, upper, m, shift):
     passes over the full lattice: one per axis term, or for Rosenbrock
     one per pair (x_{i-1}, x_i), broadcast over its two axes."""
     d = lower.size
-    axes = [kernels._axis_coordinates(lower[i], upper[i], m) for i in range(d)]
+    axes = kernels.lattice_axes(lower, upper, m)
     total = np.zeros((m,) * d)
     for i in range(d):
         shape = [1] * d
@@ -273,7 +273,7 @@ def test_coordinate_blocks_equal_meshgrid_lattice(monkeypatch, m, block):
     for d in _block_dims(block, m):
         lo, hi, shift = _lattice_case(d, m, 7 * d + m)
         axes = kernels.lattice_axes(lo, hi, m)
-        got, starts = _joined(kernels.coordinate_blocks(axes), block)
+        got, starts = _joined(kernels.coordinate_blocks(lo, hi, m), block)
         ref = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
         assert np.array_equal(got, ref), (d, m)
         # the same ranges as the value blocks
@@ -290,8 +290,7 @@ def test_coordinate_blocks_equal_decode_many(monkeypatch, d, n, block):
         monkeypatch.setattr(kernels, "BLOCK_STATES", block)
     lo, hi, _ = _lattice_case(d, 1 << n, d + n)
     spec = GridSpec(d, n, SearchBox(lo, hi))
-    axes = [spec.axis_coordinates(i) for i in range(d)]
-    got, _ = _joined(kernels.coordinate_blocks(axes), block)
+    got, _ = _joined(kernels.coordinate_blocks(lo, hi, 1 << n), block)
     assert np.array_equal(got, decode_many(spec, np.arange(spec.total_points)))
 
 
@@ -303,6 +302,16 @@ def test_one_axis_table():
     for i, xs in enumerate(kernels.lattice_axes(lo, hi, 16)):
         assert np.array_equal(xs, spec.axis_coordinates(i))
         assert xs[0] == lo[i] and xs[-1] == hi[i]
+
+
+def test_lattice_points_reject_indices_outside_the_lattice():
+    # base-m digits of an index past the lattice would wrap (or, with no
+    # modulo on the leading digit, extrapolate past upper)
+    lo, hi, _ = _lattice_case(2, 5, 3)
+    assert np.array_equal(kernels.lattice_points(lo, hi, 5, [24])[0], hi)
+    for flat in (25, 26, 5 * 24, -1):
+        with pytest.raises(IndexError):
+            kernels.lattice_points(lo, hi, 5, [0, flat])
 
 
 @pytest.mark.parametrize("k,m", [(3, 5), (600, 2), (5000, 8), (5000, 9), (40, 64)])

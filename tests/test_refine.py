@@ -124,6 +124,12 @@ class TestContract:
         with pytest.raises(InvalidInputError):
             refine(make_sphere(2), SearchBox.cube(3, 0.0, 1.0), np.zeros(3))
 
+    @pytest.mark.parametrize("start", [np.zeros(3), np.zeros(1), 0.5])
+    def test_start_arity_is_checked_before_clipping(self, start):
+        # clipping would broadcast a scalar or length-1 start to every axis
+        with pytest.raises(InvalidInputError, match="start arity"):
+            refine(make_sphere(2), SearchBox.cube(2, 0.0, 1.0), start)
+
 
 class TestRefinerConfig:
     def test_defaults(self):
