@@ -6,8 +6,11 @@ interpolated empirical quantile, ``kernels.linear_quantile``, which
 equals np.quantile bit for bit without copying the vector).
 Zero-probability states are never selected: a measurement cannot land
 on them, and including them would re-inflate the bounds the moment
-weights underflow.  The contracted box is the tight axis-aligned hull of
-the selected points, clamped to the current bounds.
+weights underflow.  ``select_support`` makes the same selection from a
+finite-shot draw's support and frequencies, without the dense vector.
+The contracted box is the tight axis-aligned hull of the selected
+points, clamped to the current bounds: each axis's lowest and highest
+selected digit is read off a small presence table per group of axes.
 """
 
 from __future__ import annotations
@@ -106,19 +109,76 @@ def select_region(dist, quantile=0.75):
     )
 
 
+def select_support(support, frequencies, size, quantile=0.75):
+    """select_region of a vector of ``size`` entries that is zero but at
+    the ascending flat indices ``support``, where it holds the positive
+    ``frequencies`` (a finite-shot draw), without building that vector.
+
+    The threshold is np.quantile's of the whole vector to the bit
+    (``kernels.padded_quantile`` of the sorted frequencies behind the
+    zeros), and the selection is the support states that reach it: all
+    of them when both ranks the quantile interpolates between fall on
+    zeros, which at least quantile * size + 2 zeros guarantee.
+    """
+    if not 0.0 < quantile < 1.0:
+        raise InvalidInputError("quantile must lie strictly inside (0, 1)")
+    threshold = float(
+        kernels.padded_quantile(np.sort(frequencies), size - support.size, quantile)
+    )
+    mask = frequencies >= threshold
+    top = int(np.argmax(frequencies))
+    assert mask[top], "maximal entry must meet the threshold"
+    mask[top] = True
+    return RegionSelection(
+        quantile=quantile,
+        selected_indices=support[mask],
+        threshold_probability=threshold,
+    )
+
+
+# contract_bounds reads the digits of a group of whole axes of at most
+# this many bits off one presence table.  A table pass costs about two
+# digit passes (on sphere d=5 q=4, 12-bit groups took 1.5 ms against
+# 1.9 ms for 10-bit ones and 2.3 ms for digit passes, 2-vCPU VM), so an
+# axis left alone in its group takes a digit pass instead.
+HULL_TABLE_BITS = 12
+
+
+def _digit_ranges(spec, flat_indices):
+    """Per axis, the lowest and highest grid index among flat_indices."""
+    n, d = spec.qubits_per_dim, spec.dimension
+    per_table = max(1, HULL_TABLE_BITS // n)
+    lows, highs = [], []
+    for first in range(0, d, per_table):
+        last = min(first + per_table, d)
+        if last - first == 1:
+            digits = [axis_indices(spec, flat_indices, first)]
+        else:
+            present = np.zeros(1 << n * (last - first), dtype=bool)
+            present[(flat_indices >> n * (d - last)) & (present.size - 1)] = True
+            codes = np.flatnonzero(present)
+            digits = [(codes >> n * (last - 1 - i)) & (spec.points_per_dim - 1)
+                      for i in range(first, last)]
+        for js in digits:
+            lows.append(int(js.min()))
+            highs.append(int(js.max()))
+    return lows, highs
+
+
 def contract_bounds(spec, selection):
     """Tight axis-aligned hull of the selected points, clamped to the
     current bounds (a defensive no-op since decoded points lie inside).
 
     Grid coordinates never decrease as the per-axis index grows, so the
     hull's corners are the points at each axis's lowest and highest
-    selected index; only those two are decoded.
+    selected index; only those two are decoded.  Those indices are read
+    off small presence tables: one scatter pass per group of whole axes
+    of at most HULL_TABLE_BITS bits marks the digits of the group that
+    some selected state has, and each axis's extremes come from the
+    marked entries.  An axis alone in its group has its digits' min and
+    max taken directly.
     """
-    lows, highs = [], []
-    for i in range(spec.dimension):
-        js = axis_indices(spec, selection.selected_indices, i)
-        lows.append(js.min())
-        highs.append(js.max())
+    lows, highs = _digit_ranges(spec, selection.selected_indices)
     corners = decode_many(spec, [pack_indices(spec, lows), pack_indices(spec, highs)])
     new_lower = np.maximum(spec.bounds.lower, corners[0])
     new_upper = np.minimum(spec.bounds.upper, corners[1])

@@ -9,7 +9,11 @@ step; ``classical.run_ags`` is the classical one.
 Each qags iteration rebuilds the qubit grid on the contracted bounds (same
 qubit count, so resolution rises as the volume shrinks), encodes the
 objective into a measurement distribution, selects the high-probability
-region, and contracts the bounds around it.  On termination a bounded
+region, and contracts the bounds around it.  At shots > 0 the region
+comes from the draw's support and frequencies (``quantum.draw``,
+``contraction.select_support``): the same selection, threshold and
+entropy as ``select_region`` on ``sample``'s empirical vector, bit for
+bit, without that vector.  On termination a bounded
 quasi-Newton refinement polishes the best grid point seen anywhere in
 the run, clamped into the final box.
 
@@ -37,6 +41,7 @@ from .contraction import (
     Verdict,
     contract_bounds,
     select_region,
+    select_support,
     should_terminate,
 )
 from .errors import InvalidInputError
@@ -44,9 +49,12 @@ from .grid import GridSpec, SearchBox, decode
 from .quantum import (
     EncodingLaw,
     distribution_from_values,
+    draw,
+    entropy_bits_of,
     entropy_fraction,
+    frequencies,
     grid_values,
-    sample,
+    sample,  # noqa: F401  (re-exported: draw is its finite-shot step)
 )
 from .refine import RefinerConfig, refine
 
@@ -237,14 +245,21 @@ def run(f, initial_bounds, cfg):
         # hold at most one lattice's arrays at a time
         del values
         if cfg.shots > 0:
-            dist = sample(dist, cfg.shots, cfg.seed + (k - 1))
-        selection = select_region(dist, cfg.quantile)
+            # read the draw off its support: the same selection and
+            # entropy as sample's empirical vector, without building it
+            support, counts = draw(dist, cfg.shots, cfg.seed + (k - 1))
+            freq = frequencies(counts)
+            selection = select_support(support, freq, spec.total_points, cfg.quantile)
+            entropy = entropy_bits_of(freq) / (spec.qubits_per_dim * spec.dimension)
+        else:
+            selection = select_region(dist, cfg.quantile)
+            entropy = entropy_fraction(dist)
         return (
             decode(spec, index),
             value,
             contract_bounds(spec, selection),
             int(selection.selected_indices.size),
-            float(entropy_fraction(dist)),
+            float(entropy),
         )
 
     grid_points = 1 << (cfg.qubits_per_dim * f.arity)

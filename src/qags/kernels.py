@@ -14,15 +14,19 @@ the vector's size it allocates, and it combines the slices' sums as
 NumPy's pairwise summation does, so every output equals the dense
 formulas bit for bit.  ``linear_quantile`` equals np.quantile's linear
 threshold bit for bit; it partitions only the entries that a strided
-sample brackets, not a copy of the whole vector.
+sample brackets, not a copy of the whole vector.  ``padded_quantile``
+gives the same threshold for a vector of zeros and a few positive
+entries, such as a finite-shot draw, from the positive entries alone.
 
 ``lattice_value_blocks`` and ``coordinate_blocks`` stream a lattice in
 cache-sized flat-index blocks, each bit-identical to the matching slice
 of the full arrays; both methods evaluate their lattices through these
 streams, and ``lattice_values`` is the reference they are tested
-against.  ``lattice_points`` is the one flat-index decoder: it evaluates
-the rule at the decoded digits, so no decoder builds an axis table, and
-it decodes the leading columns of every coordinate block too.
+against.  An axis with more points than a block is split across blocks,
+so a pass over any lattice holds about one block beyond the leading
+axes' partial sums.  ``lattice_points`` is the one flat-index decoder:
+it evaluates the rule at the decoded digits, so no decoder builds an
+axis table, and it decodes the columns of every coordinate block too.
 """
 
 from __future__ import annotations
@@ -102,19 +106,28 @@ def lattice_axes(lower, upper, points_per_dim):
     return [_coordinates(lower[i], upper[i], m, np.arange(m)) for i in range(lower.size)]
 
 
+def _term_table(kind, prev, xs, s):
+    """The term of axis xs as a table indexed [j_{i-1}, j_i]: one row,
+    shape (1, xs.size), for the separable kinds and for Rosenbrock's
+    axis 0 (prev is None; zeros), and the pair table of (x_{i-1}, x_i)
+    for every later Rosenbrock axis, whose rows are computed when
+    indexed."""
+    if kind != KIND_ROSENBROCK:
+        return _axis_terms(kind, xs, s)[None, :]
+    if prev is None:
+        return np.zeros((1, xs.size))
+    return _PairRows(prev, xs)
+
+
 def _term_tables(kind, axes, shift):
-    """Each axis's term as a table indexed [j_{i-1}, j_i]: one row, shape
-    (1, m), for the separable kinds and for Rosenbrock's axis 0 (zeros),
-    and the (m, m) pair table of (x_{i-1}, x_i) for every later Rosenbrock
-    axis, built once per lattice.  At d = 2 that pair table is the
-    lattice itself, so it is not built ahead: each block computes the
-    rows it uses, and a pass holds about one block."""
-    if kind == KIND_ROSENBROCK:
-        pairs = [_PairRows(a, b) for a, b in zip(axes, axes[1:])]
-        if len(axes) > 2:
-            pairs = [table[:] for table in pairs]
-        return [np.zeros((1, axes[0].size))] + pairs
-    return [_axis_terms(kind, xs, s)[None, :] for xs, s in zip(axes, shift)]
+    """The term table of each axis, built once per lattice.  At d = 2
+    the Rosenbrock pair table is the lattice itself, so it is built only
+    for d > 2: at d = 2 each block computes the rows it uses, and a pass
+    holds about one block."""
+    tables = [_term_table(kind, prev, xs, s) for prev, xs, s in zip([None] + axes, axes, shift)]
+    if len(axes) > 2:
+        tables = [table[:] for table in tables]
+    return tables
 
 
 class _PairRows:
@@ -130,14 +143,16 @@ class _PairRows:
 
 def _extend(acc, first, table):
     """Add the next axis to acc, the values at flat indices first,
-    first + 1, ... of the lattice of the axes so far: entry k * m + j of
-    the result is acc[k] + table[(first + k) % m, j]."""
-    rows, m = table.shape
+    first + 1, ... of the lattice of the axes so far: entry k * c + j of
+    the result is acc[k] + table[(first + k) % r, j] for a table of r
+    rows (one per point of the previous axis, or just one) and c
+    columns."""
+    rows = table.shape[0]
     if rows == 1:
         return _outer_sum(acc, table[0])
-    if first % m == 0 and acc.size % m == 0:  # acc covers whole rows
-        return (acc.reshape(-1, m, 1) + table[:]).reshape(-1)
-    picked = table[(first + np.arange(acc.size)) % m]
+    if first % rows == 0 and acc.size % rows == 0:  # acc covers whole rows
+        return (acc.reshape(-1, rows, 1) + table[:]).reshape(-1)
+    picked = table[(first + np.arange(acc.size)) % rows]
     return (acc[:, None] + picked).reshape(-1)
 
 
@@ -162,25 +177,36 @@ def lattice_values(kind, lower, upper, points_per_dim, shift=None):
 
 
 def _block_layout(d, m):
-    """How a lattice of m**d states splits into blocks.
+    """How a lattice of m**d states splits into blocks of at most
+    BLOCK_STATES states: (p, tail), tail = m**(d - p) being the states of
+    the trailing d - p axes' sub-lattice and p the leading axes whose
+    index prefixes the blocks step through.
 
-    Returns (p, tail, chunk): every block spans all tail = m**(d - p)
-    states of the trailing d - p axes (as many axes as fit in
-    BLOCK_STATES) for chunk consecutive index prefixes of the leading p
-    axes, so no block holds more than BLOCK_STATES states.
+    The trailing axes are as many as fit in BLOCK_STATES, and a block
+    spans all their states for consecutive prefixes.  When one axis
+    alone has more points than that, only the last axis trails
+    (p = d - 1, tail = m) and a block is a run of its points under one
+    prefix.
     """
     p, tail = d, 1
     while p > 0 and tail * m <= BLOCK_STATES:
         p -= 1
         tail *= m
-    return p, tail, max(1, BLOCK_STATES // tail)
+    if p == d:
+        p, tail = d - 1, m
+    return p, tail
 
 
-def _prefix_ranges(p, m, chunk):
-    """Consecutive [k0, k1) ranges of chunk leading-axis index prefixes."""
+def _block_ranges(p, tail, m):
+    """The blocks of _block_layout in flat-index order, as (k0, k1, r0,
+    r1): prefixes [k0, k1) of the leading p axes, each followed by the
+    trailing states [r0, r1); the block starts at k0 * tail + r0."""
     prefixes = m**p
+    chunk = max(1, BLOCK_STATES // tail)
     for k0 in range(0, prefixes, chunk):
-        yield k0, min(k0 + chunk, prefixes)
+        k1 = min(k0 + chunk, prefixes)
+        for r0 in range(0, tail, BLOCK_STATES):
+            yield k0, k1, r0, min(r0 + BLOCK_STATES, tail)
 
 
 def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
@@ -189,15 +215,39 @@ def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
 
     The term tables and the leading axes' partial sums are computed once;
     each block continues the same accumulation over the trailing axes, so
-    every block is bit-identical to values[start:start + len(block)].
+    every block is bit-identical to values[start:start + len(block)].  A
+    trailing axis longer than a block has no table: each block computes
+    the terms of its own run of points, so a pass holds about one block
+    beyond the leading axes' sums.
     """
     lower, upper, shift = _lattice_args(lower, upper, shift)
-    m = int(points_per_dim)
-    tables = _term_tables(int(kind), lattice_axes(lower, upper, m), shift)
-    p, tail, chunk = _block_layout(lower.size, m)
+    m, kind, d = int(points_per_dim), int(kind), lower.size
+    p, tail = _block_layout(d, m)
+    split = tail > BLOCK_STATES  # the last axis then gets its points per block
+    axes = lattice_axes(lower[:d - split], upper[:d - split], m)
+    tables = _term_tables(kind, axes, shift)
     head = _accumulate(np.zeros(1), 0, tables[:p])
-    for k0, k1 in _prefix_ranges(p, m, chunk):
-        yield k0 * tail, _accumulate(head[k0:k1], k0, tables[p:])
+    trailing = tables[p:]
+    for k0, k1, r0, r1 in _block_ranges(p, tail, m):
+        if split:
+            xs = _coordinates(lower[p], upper[p], m, np.arange(r0, r1))
+            trailing = [_term_table(kind, axes[-1] if p else None, xs, shift[p])]
+        yield k0 * tail + r0, _accumulate(head[k0:k1], k0, trailing)
+
+
+def _trailing_coordinates(lower, upper, m, r0, r1):
+    """The coordinate rows of states [r0, r1) of the lattice of m points
+    per axis of the box [lower, upper]: a run of points of a one-axis
+    lattice, or every state of a lattice of more axes."""
+    d = lower.size
+    if d == 1:
+        return _coordinates(lower[0], upper[0], m, np.arange(r0, r1))[:, None]
+    grid = np.empty((m,) * d + (d,))
+    for j, xs in enumerate(lattice_axes(lower, upper, m)):
+        shape = [1] * d
+        shape[j] = m
+        grid[..., j] = xs.reshape(shape)
+    return grid.reshape(-1, d)
 
 
 def coordinate_blocks(lower, upper, m):
@@ -205,24 +255,23 @@ def coordinate_blocks(lower, upper, m):
     of the box [lower, upper] (dimension 0 most significant) as a stream
     of (start, coords) over the same blocks as lattice_value_blocks.
 
-    Only the trailing axes' tables are built, into their coordinate
-    matrix, once; the leading columns of each block are its prefixes
-    decoded by lattice_points, broadcast over the trailing states.
+    Each block's leading columns are its prefixes decoded by
+    lattice_points, broadcast over its trailing states' coordinates;
+    those are built once when every block spans them all, and per block
+    when the last axis is split.
     """
     lower, upper, _ = _lattice_args(lower, upper, None)
     d = lower.size
-    p, tail, chunk = _block_layout(d, m)
-    grid = np.empty((m,) * (d - p) + (d - p,))
-    for j, xs in enumerate(lattice_axes(lower[p:], upper[p:], m)):
-        shape = [1] * (d - p)
-        shape[j] = m
-        grid[..., j] = xs.reshape(shape)
-    trailing = grid.reshape(tail, d - p)
-    for k0, k1 in _prefix_ranges(p, m, chunk):
-        coords = np.empty((k1 - k0, tail, d))
+    p, tail = _block_layout(d, m)
+    window = None
+    for k0, k1, r0, r1 in _block_ranges(p, tail, m):
+        if window != (r0, r1):
+            window = (r0, r1)
+            trailing = _trailing_coordinates(lower[p:], upper[p:], m, r0, r1)
+        coords = np.empty((k1 - k0, r1 - r0, d))
         coords[:, :, :p] = lattice_points(lower[:p], upper[:p], m, np.arange(k0, k1))[:, None, :]
         coords[:, :, p:] = trailing
-        yield k0 * tail, coords.reshape(-1, d)
+        yield k0 * tail + r0, coords.reshape(-1, d)
 
 
 def lattice_points(lower, upper, m, flats):
@@ -301,7 +350,8 @@ def boltzmann(values, scale):
 
     def exponents(lo, hi):
         e = shifted(lo, hi)
-        e *= scale
+        if scale != 1.0:  # x * 1.0 == x for every double
+            e *= scale
         e /= sigma
         return e
 
@@ -360,6 +410,25 @@ def _rank_bracket(p, i, j):
     return 0, p.copy()
 
 
+def _quantile_ranks(n, q):
+    """(virtual, i, j): np.quantile's virtual index (n - 1) q into n
+    sorted entries and the ranks i = floor(virtual) <= j it interpolates
+    between; a virtual index that rounded up to n - 1 takes the last
+    entry twice, as np.quantile does."""
+    virtual = (n - 1) * q
+    i = math.floor(virtual)
+    return virtual, i, min(i + 1, n - 1)
+
+
+def _lerp(a, b, gamma):
+    """NumPy's _lerp: a + (b - a) gamma, taken from b's side when
+    gamma >= 0.5."""
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
+
+
 def linear_quantile(p, q):
     """np.quantile(p, q) (method "linear") bit for bit, for a 1-d
     float64 vector without NaN or -0.0 and 0 < q < 1.
@@ -370,17 +439,18 @@ def linear_quantile(p, q):
     those inside, and only that run is partitioned.  NumPy's _lerp then
     interpolates between the two.
     """
-    n = p.size
-    virtual = (n - 1) * q
-    i = math.floor(virtual)
-    # a virtual index that rounded up to n - 1 takes the last entry twice,
-    # as np.quantile does
-    j = min(i + 1, n - 1)
+    virtual, i, j = _quantile_ranks(p.size, q)
     below, run = _rank_bracket(p, i, j)
     run.partition((i - below, j - below))
-    a, b = run[i - below], run[j - below]
-    gamma = virtual - i
-    diff = b - a
-    if gamma >= 0.5:
-        return b - diff * (1 - gamma)
-    return a + diff * gamma
+    return _lerp(run[i - below], run[j - below], virtual - i)
+
+
+def padded_quantile(positive, zeros, q):
+    """linear_quantile of a vector of ``zeros`` zeros and the ascending
+    positive entries ``positive``, bit for bit, without building that
+    vector: a rank below ``zeros`` is a zero, and the rest index
+    ``positive``."""
+    virtual, i, j = _quantile_ranks(zeros + positive.size, q)
+    a = positive[i - zeros] if i >= zeros else 0.0
+    b = positive[j - zeros] if j >= zeros else 0.0
+    return _lerp(a, b, virtual - i)

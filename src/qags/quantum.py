@@ -3,11 +3,12 @@
 ``lattice_blocks`` is the one lattice stream both methods evaluate
 through: the qags driver fills its value vector from it
 (``grid_values``, which checks each block for finiteness as it lands)
-and the classical baseline reduces over it.  An exact-readout iteration
-holds 8 B per state of values and 8 B per state of probabilities at
-once; the encoding and the selection threshold add only block-sized
-buffers, so on a 2^20-state lattice the iteration's ``tracemalloc`` peak
-is 16.5-17.1 B per state.
+and the classical baseline reduces over it.  An iteration holds 8 B per
+state of values and 8 B per state of probabilities at once; the
+encoding, the selection and the hull add only buffers of a block or of
+the selection, so on a 2^20-state lattice the iteration's
+``tracemalloc`` peak is 16.5 B per state at exact readout (four shapes,
+d = 1 to 10) and 16.8 B at 4,096 shots.
 
 Objective values over the full grid are encoded as Boltzmann weights
 exp(-(f - f_min) / sigma) with sigma the population standard deviation of
@@ -16,7 +17,11 @@ distribution is proportional to that weight; under the amplitude law the
 weight is loaded into the state amplitudes, so probabilities square it.
 Measurement is either exact readout of the distribution or a finite-shot
 draw: inverse-CDF sampling of the shots, whose per-state counts are
-multinomially distributed.
+multinomially distributed.  ``draw`` gives the drawn states and their
+counts, and ``sample`` spreads their ``frequencies`` into a distribution
+over the grid.  The driver reads a draw off its support instead
+(``contraction.select_support``), so at most ``shots`` states of it
+exist.
 """
 
 from __future__ import annotations
@@ -47,6 +52,17 @@ class EncodingLaw(enum.Enum):
         return 2.0 if self is EncodingLaw.BOLTZMANN_AMPLITUDE else 1.0
 
 
+def _check_probabilities(probs):
+    """Raise InvalidInputError unless every entry of probs is finite and
+    non-negative and they sum to 1 within 1e-12."""
+    # NaN, -inf and negative entries fail the minimum test; +inf, and
+    # finite entries whose sum overflows, fail the sum test
+    if not float(probs.min()) >= 0.0:
+        raise InvalidInputError("probabilities must be finite and non-negative")
+    if not abs(float(probs.sum()) - 1.0) <= 1e-12:
+        raise InvalidInputError("probabilities must be finite and sum to 1")
+
+
 @dataclass(frozen=True)
 class QuantumDistribution:
     """Measurement probabilities over the basis states of a grid.
@@ -70,12 +86,7 @@ class QuantumDistribution:
             raise InvalidInputError("probability vector length must be 2^(n*d)")
         if not 0 <= self.f_min_index < probs.size:
             raise InvalidInputError("f_min_index out of range")
-        # NaN, -inf and negative entries fail the minimum test; +inf, and
-        # finite entries whose sum overflows, fail the sum test
-        if not float(probs.min()) >= 0.0:
-            raise InvalidInputError("probabilities must be finite and non-negative")
-        if not abs(float(probs.sum()) - 1.0) <= 1e-12:
-            raise InvalidInputError("probabilities must be finite and sum to 1")
+        _check_probabilities(probs)
         probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "f_min_index", int(self.f_min_index))
@@ -172,21 +183,17 @@ def _cdf_indices(cdf, u):
     return idx
 
 
-def sample(dist, shots, seed):
-    """Finite-shot measurement: ``shots`` inverse-CDF draws.
+def draw(dist, shots, seed):
+    """``shots`` >= 1 inverse-CDF draws from dist, as (support, counts):
+    the distinct drawn states in ascending order and how many draws
+    landed on each.
 
     Sorted uniforms scaled to the cdf's total are looked up in the cdf,
-    so the per-state counts follow the multinomial law in
-    O(N + shots log N), without one binomial per basis state.  Returns a
-    new distribution of empirical frequencies (renormalized so they sum
-    to 1 exactly up to round-off); its f_min_index is the empirical
-    argmax, lowest index on ties.  shots = 0 means exact readout: the
-    input distribution is returned unchanged.
+    so the counts follow the multinomial law in O(N + shots log N),
+    without one binomial per basis state.
     """
-    if shots < 0:
-        raise InvalidInputError("shots must be non-negative")
-    if shots == 0:
-        return dist
+    if shots < 1:
+        raise InvalidInputError("a draw needs at least one shot")
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(dist.probabilities)
     u = rng.random(shots)
@@ -196,10 +203,34 @@ def sample(dist, shots, seed):
     del cdf
     # idx is sorted: each run of equal indices is one drawn state
     starts = np.flatnonzero(np.diff(idx, prepend=-1))
-    support = idx[starts]
-    counts = np.diff(starts, append=shots)
-    freq = counts / float(shots)
+    return idx[starts], np.diff(starts, append=shots)
+
+
+def frequencies(counts):
+    """Empirical frequencies of a draw's counts, renormalized so they sum
+    to 1 exactly up to round-off, and checked as a distribution's
+    probabilities are: they are the nonzero entries of the empirical
+    probability vector."""
+    freq = counts / float(counts.sum())
     freq /= freq.sum()
+    _check_probabilities(freq)
+    return freq
+
+
+def sample(dist, shots, seed):
+    """Finite-shot measurement: ``draw`` spread over the grid.
+
+    Returns a new distribution of the empirical ``frequencies`` at the
+    drawn states and zero elsewhere; its f_min_index is the empirical
+    argmax, lowest index on ties.  shots = 0 means exact readout: the
+    input distribution is returned unchanged.
+    """
+    if shots < 0:
+        raise InvalidInputError("shots must be non-negative")
+    if shots == 0:
+        return dist
+    support, counts = draw(dist, shots, seed)
+    freq = frequencies(counts)
     emp = np.zeros(dist.probabilities.size)
     emp[support] = freq
     return QuantumDistribution(

@@ -1,6 +1,7 @@
 """Classical adaptive grid-search baseline."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,22 @@ class TestStreamedLattice:
         assert _lattice_argmin(twin, box, m) == (4007, 0.0)
         report = run_ags(twin, box, AgsConfig(points_per_dim=m, budget_points=m * m))
         assert report.iterations[0].best_point_so_far.tolist() == [10.0, 7.0]
+
+    def test_one_axis_wider_than_a_block_streams_in_blocks(self):
+        # d = 1, m = 2^20: the axis is split across 16 blocks, and no
+        # table or value vector of its 8 MB exists
+        m = 1 << 20
+        obj = make_sphere(1)
+        box = SearchBox.cube(1, -3.0, 5.0)
+        tracemalloc.start()
+        try:
+            index, value = _lattice_argmin(obj, box, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        full = kernels.lattice_values(obj.kernel_kind, box.lower, box.upper, m, obj.shift)
+        assert (index, value) == (int(np.argmin(full)), float(full.min()))
+        assert peak < 100 * kernels.BLOCK_STATES
 
     @pytest.mark.parametrize("name", ["sphere", "rastrigin", "styblinski_tang", "rosenbrock"])
     @pytest.mark.parametrize("d,m", [(2, 400), (3, 61), (5, 11)])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qags import contraction
 from qags.contraction import (
     RegionSelection,
     TerminationPolicy,
@@ -12,7 +13,7 @@ from qags.contraction import (
     should_terminate,
 )
 from qags.errors import InvalidInputError
-from qags.grid import GridSpec, SearchBox, decode_many
+from qags.grid import GridSpec, SearchBox, decode_many, pack_indices
 from qags.quantum import (
     EncodingLaw,
     QuantumDistribution,
@@ -239,6 +240,45 @@ class TestHullOfSelection:
         box = contract_bounds(spec, sel)
         assert np.array_equal(box.lower, np.maximum(spec.bounds.lower, points.min(axis=0)))
         assert np.array_equal(box.upper, np.minimum(spec.bounds.upper, points.max(axis=0)))
+
+
+def _digit_extremes(spec, flat):
+    """Per axis, the least and greatest digit of the flat indices."""
+    n, d = spec.qubits_per_dim, spec.dimension
+    digits = [(flat >> (n * (d - 1 - i))) & ((1 << n) - 1) for i in range(d)]
+    return [int(js.min()) for js in digits], [int(js.max()) for js in digits]
+
+
+HULL_SHAPES = [(d, n) for d in range(1, 21) for n in range(1, 21) if d * n <= 20] + [
+    (2, 12),
+    (1, 24),
+]
+
+
+@pytest.mark.parametrize("d,n", HULL_SHAPES, ids=lambda v: str(v))
+def test_hull_equals_digit_extremes(d, n):
+    # every grouping of axes into presence tables: groups with a
+    # remainder (n = 3, 4, 5), axes alone in their group (n >= 7), and
+    # registers wider than a table (2, 12) and (1, 24)
+    rng = np.random.default_rng(d * 100 + n)
+    lower = rng.uniform(-50.0, 50.0, d)
+    spec = GridSpec(d, n, SearchBox(lower, lower + rng.uniform(0.1, 9.7, d)))
+    total = spec.total_points
+    selections = [
+        np.unique(rng.integers(0, total, size))
+        for size in (2, 7, min(total, 4096))
+    ]
+    selections += [np.array([0]), np.array([total - 1]), np.array([int(rng.integers(total))])]
+    if total <= 1 << 20:  # the whole register
+        selections.append(np.arange(total))
+    for flat in selections:
+        sel = RegionSelection(0.75, flat.astype(np.int64), 0.0)
+        lows, highs = _digit_extremes(spec, sel.selected_indices)
+        assert contraction._digit_ranges(spec, sel.selected_indices) == (lows, highs)
+        corners = decode_many(spec, [pack_indices(spec, lows), pack_indices(spec, highs)])
+        box = contract_bounds(spec, sel)
+        assert box.lower.tobytes() == np.maximum(spec.bounds.lower, corners[0]).tobytes()
+        assert box.upper.tobytes() == np.minimum(spec.bounds.upper, corners[1]).tobytes()
 
 
 class TestShouldTerminate:

@@ -1,6 +1,7 @@
 """Full adaptive-search driver."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,3 +209,18 @@ class TestReportSerialization:
         assert boxes[0] == report.iterations[0].bounds_before
         for rec, traced in zip(report.iterations, boxes[1:]):
             assert traced == rec.bounds_after
+
+
+def test_one_wide_axis_peaks_at_the_modelled_bytes_per_state():
+    # qags at d = 1, q = 20: one axis of 2^20 points, wider than a
+    # lattice block.  An iteration holds the values and the probabilities
+    # (QUANTUM_BYTES_PER_STATE), plus block-sized buffers.
+    states = 1 << 20
+    cfg = QagsConfig(qubits_per_dim=20, termination=TerminationPolicy(k_max=1))
+    tracemalloc.start()
+    try:
+        run(make_sphere(1), SearchBox.cube(1, -5.0, 5.0), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert driver.QUANTUM_BYTES_PER_STATE * states < peak < 17 * states

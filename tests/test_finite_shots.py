@@ -1,20 +1,41 @@
 """Finite-shot runs against a reference loop built from the public layers.
 
 Each iteration k measures with ``sample(dist, shots, seed + k - 1)``; the
-driver must report exactly what the layers give when chained by hand.
-The cases cover both selection branches: a 2^8-state grid where the
-draw leaves few zero states (``np.quantile`` threshold), and grids with
-N >= 4 * shots where most states are never drawn (zero-run shortcut).
+driver, which reads the draw off its support instead, must report
+exactly what the layers give when chained by hand on the dense
+empirical vector.  The cases cover both selection branches: a 2^8-state
+grid where the draw leaves few zero states (``np.quantile`` threshold),
+and grids with N >= 4 * shots where most states are never drawn
+(zero-run shortcut).
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from qags.contraction import Verdict, contract_bounds, select_region, should_terminate
+from qags.contraction import (
+    Verdict,
+    contract_bounds,
+    select_region,
+    select_support,
+    should_terminate,
+)
 from qags.driver import QagsConfig, run
+from qags.errors import InvalidInputError
 from qags.grid import GridSpec, SearchBox, decode
 from qags.objectives import get_objective
-from qags.quantum import EncodingLaw, distribution_from_values, entropy_fraction, grid_values, sample
+from qags.quantum import (
+    EncodingLaw,
+    QuantumDistribution,
+    build_distribution,
+    distribution_from_values,
+    draw,
+    entropy_fraction,
+    frequencies,
+    grid_values,
+    sample,
+)
 from qags.refine import refine
 
 
@@ -104,3 +125,86 @@ def test_run_equals_reference_loop(name, dim, half, qubits, shots, shortcut, law
         assert shortcuts == len(ref_records)
     else:
         assert shortcuts == 0
+
+
+# --- the draw and its sparse readout ------------------------------------------
+
+
+def _support_dist(spec, states, rng):
+    """A distribution with positive, unequal mass on exactly the given
+    states and zero elsewhere."""
+    probs = np.zeros(spec.total_points)
+    probs[states] = rng.uniform(1.0, 3.0, states.size)
+    probs /= probs.sum()
+    return QuantumDistribution(spec, probs, int(np.argmax(probs)), 1.0, 0.0)
+
+
+def _dense_reference(emp, quantile):
+    """select_region's rule on the dense empirical vector, by np.quantile."""
+    probs = emp.probabilities
+    threshold = float(np.quantile(probs, quantile))
+    mask = (probs >= threshold) & (probs > 0.0)
+    mask[emp.f_min_index] = True
+    return threshold, np.flatnonzero(mask)
+
+
+# (zero count - quantile * N) of the drawn vector on a 2^8-state grid at
+# quantile 0.75: ranks 191 and 192 straddle the zero run at -0, both
+# fall on zeros from +1, and the zero-run shortcut applies from +2.
+@pytest.mark.parametrize("offset", [0, 1, 2, 3])
+def test_sparse_readout_equals_dense_quantile(offset):
+    spec = GridSpec(2, 4, SearchBox.cube(2, -1.0, 1.0))
+    quantile = 0.75
+    zeros = int(quantile * spec.total_points) + offset
+    rng = np.random.default_rng(offset)
+    states = np.sort(rng.choice(spec.total_points, spec.total_points - zeros, replace=False))
+    dist = _support_dist(spec, states, rng)
+    shots = 200 * states.size  # every state is drawn
+
+    support, counts = draw(dist, shots, seed=offset)
+    assert np.array_equal(support, states)
+    emp = sample(dist, shots, seed=offset)
+    assert spec.total_points - np.count_nonzero(emp.probabilities) == zeros
+    freq = frequencies(counts)
+    assert np.array_equal(emp.probabilities[support], freq)
+
+    threshold, selected = _dense_reference(emp, quantile)
+    sparse = select_support(support, freq, spec.total_points, quantile)
+    dense = select_region(emp, quantile)
+    for sel in (sparse, dense):
+        assert np.float64(sel.threshold_probability).tobytes() == np.float64(threshold).tobytes()
+        assert np.array_equal(sel.selected_indices, selected)
+    if offset == 0:
+        # interpolated between a zero and the least frequency
+        assert 0.0 < threshold < freq.min()
+    else:
+        assert threshold == 0.0 and np.array_equal(selected, support)
+
+
+def test_sample_is_draw_spread_over_the_grid():
+    # pinned at the commit before sample was split into draw and spread,
+    # so the split cannot move a draw
+    spec = GridSpec(3, 4, SearchBox.cube(3, -5.12, 5.12))
+    dist = build_distribution(
+        get_objective("rastrigin", 3), spec, EncodingLaw.BOLTZMANN_AMPLITUDE
+    )
+    emp = sample(dist, 4096, seed=5)
+    digest = hashlib.sha256(emp.probabilities.tobytes()).hexdigest()
+    assert digest == "cb8599c69b8211caad31eabc0c163b06fcf191671fc411924a3ab0aaf22084e3"
+    assert emp.f_min_index == 1686
+    assert emp.entropy_bits == 9.27852969037394
+    support, counts = draw(dist, 4096, seed=5)
+    assert support.size == np.count_nonzero(emp.probabilities) == 1184
+    assert counts.sum() == 4096
+    assert np.array_equal(np.flatnonzero(emp.probabilities), support)
+    assert np.array_equal(emp.probabilities[support], frequencies(counts))
+
+
+def test_draw_needs_a_shot_and_frequencies_are_checked():
+    spec = GridSpec(1, 2, SearchBox.cube(1, 0.0, 1.0))
+    dist = QuantumDistribution(spec, np.full(4, 0.25), 0, 1.0, 2.0)
+    with pytest.raises(InvalidInputError):
+        draw(dist, 0, seed=0)
+    assert sample(dist, 0, seed=0) is dist
+    with pytest.raises(InvalidInputError):
+        frequencies(np.array([3, -1]))

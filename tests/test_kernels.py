@@ -1,6 +1,7 @@
 """The NumPy lattice and encoding kernels against direct formulas, and
 the streamed lattice blocks against the full arrays."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -265,6 +266,62 @@ def test_rosenbrock_d2_stream_holds_no_pair_table():
     assert peak < 8_000_000
 
 
+def _row_reference(kind, lo, hi, m, shift, k):
+    """Row k of a d = 2 lattice, as _broadcast_reference adds it:
+    0 + t_0[k] + t_1, or 0 + pair(x_0[k], x_1) for Rosenbrock."""
+    axes = kernels.lattice_axes(lo, hi, m)
+    row = np.zeros(m)
+    if kind == kernels.KIND_ROSENBROCK:
+        row += kernels._rosenbrock_pair(axes[0][k], axes[1])
+    else:
+        row += kernels._axis_terms(kind, axes[0][k:k + 1], shift[0])
+        row += kernels._axis_terms(kind, axes[1], shift[1])
+    return row
+
+
+@pytest.mark.parametrize("m", [(1 << 16) + 1, 1 << 17])
+@pytest.mark.parametrize("kind,name", KINDS)
+def test_axis_wider_than_a_block_is_split_across_blocks(kind, name, m):
+    # one axis holds more points than a block: the stream splits the last
+    # axis into runs of at most BLOCK_STATES points under each prefix
+    lo, hi, shift = _lattice_case(2, m, m + kind)
+    if kind != kernels.KIND_ROSENBROCK:
+        ref = kernels.lattice_values(kind, lo[:1], hi[:1], m, shift[:1])
+        got, starts = _joined(kernels.lattice_value_blocks(kind, lo[:1], hi[:1], m, shift[:1]), None)
+        assert got.tobytes() == ref.tobytes()
+        assert starts == list(range(0, m, kernels.BLOCK_STATES))
+        coords, _ = _joined(kernels.coordinate_blocks(lo[:1], hi[:1], m), None)
+        assert coords[:, 0].tobytes() == kernels.lattice_axes(lo[:1], hi[:1], m)[0].tobytes()
+    # d = 2 has m^2 states: check the blocks of the first two rows
+    per_row = -(-m // kernels.BLOCK_STATES)
+    blocks = itertools.islice(kernels.lattice_value_blocks(kind, lo, hi, m, shift), 2 * per_row)
+    got, starts = _joined(blocks, None)
+    ref = np.concatenate([_row_reference(kind, lo, hi, m, shift, k) for k in (0, 1)])
+    assert got.tobytes() == ref.tobytes()
+    assert starts == [k * m + j for k in (0, 1) for j in range(0, m, kernels.BLOCK_STATES)]
+    coords, _ = _joined(itertools.islice(kernels.coordinate_blocks(lo, hi, m), 2 * per_row), None)
+    axes = kernels.lattice_axes(lo, hi, m)
+    assert coords.tobytes() == np.stack(
+        [np.repeat(axes[0][:2], m), np.tile(axes[1], 2)], axis=1
+    ).tobytes()
+
+
+def test_axis_wider_than_a_block_streams_in_block_sized_memory():
+    # 2^22 points on one axis, whose table alone would take 32 MB: each
+    # block's temporaries take 41-56 B per state, and nothing else stays
+    m = 1 << 22
+    tracemalloc.start()
+    try:
+        for _ in kernels.lattice_value_blocks(kernels.KIND_SPHERE, [-1.0], [2.0], m):
+            pass
+        for _ in kernels.coordinate_blocks(np.array([-1.0]), np.array([2.0]), m):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * kernels.BLOCK_STATES
+
+
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("m", BLOCK_MS)
 def test_coordinate_blocks_equal_meshgrid_lattice(monkeypatch, m, block):
@@ -312,6 +369,18 @@ def test_lattice_points_reject_indices_outside_the_lattice():
     for flat in (25, 26, 5 * 24, -1):
         with pytest.raises(IndexError):
             kernels.lattice_points(lo, hi, 5, [0, flat])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 256, 1001])
+@pytest.mark.parametrize("q", [0.01, 0.25, 0.5, 0.75, 0.9, 0.999])
+def test_padded_quantile_equals_np_quantile_of_the_padded_vector(n, q):
+    rng = np.random.default_rng(n)
+    for positives in sorted({0, 1, 2, n // 3, n - 2, n - 1, n} & set(range(1, n + 1))):
+        values = np.sort(rng.uniform(0.0, 1.0, positives) + 1e-3)
+        padded = np.zeros(n)
+        padded[rng.choice(n, positives, replace=False)] = values
+        got = kernels.padded_quantile(values, n - positives, q)
+        assert np.float64(got).tobytes() == np.quantile(padded, q).tobytes(), (positives, q)
 
 
 @pytest.mark.parametrize("k,m", [(3, 5), (600, 2), (5000, 8), (5000, 9), (40, 64)])
