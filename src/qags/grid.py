@@ -34,7 +34,8 @@ def _as_vector(values, name):
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Axis-aligned box: per-dimension lower/upper bounds (lower <= upper)."""
+    """Axis-aligned box: per-dimension lower/upper bounds (lower <= upper),
+    finite, and with a finite width upper - lower."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -46,6 +47,11 @@ class SearchBox:
             raise InvalidInputError("lower and upper must have equal length")
         if np.any(lower > upper):
             raise InvalidInputError("lower bound exceeds upper bound")
+        with np.errstate(over="ignore"):
+            width = upper - lower
+        if not np.all(np.isfinite(width)):
+            # every lattice step would be inf, and its points inf or NaN
+            raise InvalidInputError("box width upper - lower must be finite")
         lower.setflags(write=False)
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)

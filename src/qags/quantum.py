@@ -94,10 +94,16 @@ class QuantumDistribution:
         object.__setattr__(self, "entropy_bits", float(self.entropy_bits))
 
 
-def lattice_blocks(objective, box, points_per_dim):
+def lattice_blocks(objective, box, points_per_dim, last_axis_major=False):
     """Objective values over the lattice of m = points_per_dim points per
-    axis of ``box``, as a stream of (start, values) over contiguous
+    axis of ``box``, as a stream of (start, block) over contiguous
     flat-index blocks of at most 2^16 states.
+
+    A block is a (c, R) array whose entry [j, r] is the value at flat
+    index start + r * c + j (see kernels.lattice_value_blocks).  It is a
+    flat run, c = 1, unless ``last_axis_major`` is asked for and the
+    kernel lays the block out with its last axis major; evaluate_batch
+    blocks are always flat runs.
 
     Uses the lattice kernel when the objective advertises one (no point
     coordinates are materialized); otherwise calls evaluate_batch on the
@@ -109,24 +115,26 @@ def lattice_blocks(objective, box, points_per_dim):
     if objective.kernel_kind is not None:
         objective.count_evaluations(points_per_dim**box.dimension)
         yield from kernels.lattice_value_blocks(
-            objective.kernel_kind, box.lower, box.upper, points_per_dim, objective.shift
+            objective.kernel_kind, box.lower, box.upper, points_per_dim, objective.shift,
+            last_axis_major,
         )
         return
     for start, coords in kernels.coordinate_blocks(box.lower, box.upper, points_per_dim):
-        yield start, objective.evaluate_batch(coords)
+        yield start, objective.evaluate_batch(coords)[None, :]
 
 
 def grid_values(objective, spec):
     """Objective values over every grid point, in flat-index order,
-    filled from ``lattice_blocks``; on success the evaluation counter
-    advances by 2^(n*d).  Each block is checked for finiteness as it
-    lands, while it is still in cache: a non-finite value raises
-    EvaluationError naming the first grid point that gave one, and the
-    blocks after it are not evaluated."""
+    filled from the flat runs of ``lattice_blocks``; on success the
+    evaluation counter advances by 2^(n*d).  Each block is checked for
+    finiteness as it lands, while it is still in cache: a non-finite
+    value raises EvaluationError naming the first grid point that gave
+    one, and the blocks after it are not evaluated."""
     if objective.arity != spec.dimension:
         raise InvalidInputError("objective arity does not match grid dimension")
     values = np.empty(spec.total_points)
     for start, block in lattice_blocks(objective, spec.bounds, spec.points_per_dim):
+        block = block.T.ravel()  # flat order: a flat run is not copied
         values[start:start + block.size] = block
         if not np.isfinite(block).all():
             idx = start + int(np.argmin(np.isfinite(block)))

@@ -1,12 +1,13 @@
 """Classical adaptive grid-search baseline."""
 
+import hashlib
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qags import kernels
+from qags import classical, kernels
 from qags.classical import (
     AgsConfig,
     _integer_root,
@@ -19,6 +20,7 @@ from qags.driver import IterationRecord, RunReport
 from qags.errors import EvaluationError, InvalidInputError
 from qags.grid import GridSpec, SearchBox, coordinate, decode_many
 from qags.objectives import ObjectiveFunction, get_objective, make_rosenbrock, make_sphere
+from qags.quantum import lattice_blocks
 from qags.refine import refine
 
 
@@ -415,3 +417,140 @@ class TestStreamedLattice:
                     for ji in [*range(0, m, max(1, m >> 10)), m - 1]:
                         got = np.float64(coordinate(spec, i, ji))
                         assert got.tobytes() == axes[i][ji].tobytes(), (m, i, ji)
+
+
+class TestLastAxisMajor:
+    """_lattice_argmin reduces blocks laid out with the last axis major,
+    (c, R) with entry [j, r] at flat index start + r * c + j, and must
+    still give the first flat argmin of the whole lattice."""
+
+    KIND_NAMES = ["sphere", "rastrigin", "styblinski_tang", "rosenbrock"]
+
+    @staticmethod
+    def _boxes(name, d):
+        """(label, objective, box) for the three tie cases."""
+        lo, hi = np.linspace(-2.3, -0.7, d), np.linspace(1.1, 3.9, d)
+        flat_lo, flat_hi = lo.copy(), hi.copy()
+        flat_hi[-1] = flat_lo[-1] = 0.4  # every j of the last axis ties
+        far_lo, far_hi = np.full(d, -1.0), np.full(d, 1.0)
+        if name == "sphere":
+            # a large shift on axis 0: acc[r] ~ 1e18, whose ulp (128)
+            # swallows every last-axis term t[j] <= 1
+            far = get_objective(name, d, shift=np.r_[1e9, np.zeros(d - 1)])
+        else:
+            far_lo[0], far_hi[0] = 1e9, 2e9  # the same through axis 0
+            far = get_objective(name, d)
+        return [
+            ("zero-width last axis", get_objective(name, d), SearchBox(flat_lo, flat_hi)),
+            ("symmetric", get_objective(name, d), SearchBox.cube(d, -3.0, 3.0)),
+            ("rounding ties", far, SearchBox(far_lo, far_hi)),
+        ]
+
+    @pytest.mark.parametrize("block", [None, 5, 3, 7, 50])
+    @pytest.mark.parametrize("name", KIND_NAMES)
+    def test_argmin_is_the_first_flat_argmin(self, monkeypatch, name, block):
+        # BLOCK_STATES 5 lays out only m = 2 major; 3 only flat runs; 7
+        # splits a last axis of m = 8 across blocks; 50 streams m = 5 and
+        # 7 in several major blocks.  The default holds each lattice whole
+        if block is not None:
+            monkeypatch.setattr(kernels, "BLOCK_STATES", block)
+        for d, m in [(2, 2), (2, 8), (3, 3), (3, 7), (4, 5)]:
+            for label, obj, box in self._boxes(name, d):
+                full = kernels.lattice_values(obj.kernel_kind, box.lower, box.upper, m, obj.shift)
+                j = int(np.argmin(full))
+                assert _lattice_argmin(obj, box, m) == (j, float(full[j])), (label, d, m)
+                if label != "symmetric":
+                    # each row of the last axis ties, so its first j wins
+                    assert j % m == 0 and np.count_nonzero(full == full[j]) > 1, (label, d, m)
+
+    def test_rounding_ties_across_rows_keep_the_first_flat_index(self, monkeypatch):
+        # sums of doubles near 1e18 (ulp 128) round equal in patterns that
+        # are no product of row and column minima, so the first flat index
+        # of the minimum can lie in a later row (larger j) than the first
+        # row that reaches it.  Blocks laid out as the ags stream gives them
+        rng = np.random.default_rng(1)
+        later_row = 0
+        for _ in range(400):
+            acc = 4.9e17 + 64.0 * rng.integers(0, 6, 6)
+            t = 5.1e17 + 64.0 * rng.integers(0, 6, 4)
+            block = t[:, None] + acc  # entry [j, r] is flat r * 4 + j
+            flat = block.T.ravel()
+            first = int(np.argmin(flat))
+            monkeypatch.setattr(
+                classical, "lattice_blocks", lambda *args, **kw: iter([(24, block)])
+            )
+            assert _lattice_argmin(None, None, None) == (24 + first, float(flat[first]))
+            tied_rows = np.flatnonzero(block.min(axis=1) == flat[first])
+            later_row += first % 4 != tied_rows[0]
+        assert later_row > 0
+
+    def test_blocks_are_last_axis_major(self):
+        # the ags stream lays out whole runs of a short last axis major,
+        # and a long last axis (m * m > BLOCK_STATES) stays a flat run
+        box = SearchBox.cube(2, -1.0, 2.0)
+        for m, c in [(10, 10), (256, 256), (257, 1)]:
+            for _, block in lattice_blocks(make_sphere(2), box, m, last_axis_major=True):
+                assert block.shape[0] == c and block.flags.c_contiguous
+            for _, block in lattice_blocks(make_sphere(2), box, m):
+                assert block.shape[0] == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_error_point_is_the_first_non_finite_state_in_flat_order(self):
+        # m = 200 keeps the last axis major in one 40,000-state block.
+        # On [0, 2e154] x [0, 1] the squares overflow from row 134 of axis
+        # 0 on; on [0, 2e154]^2 also from point 134 of the last axis, so
+        # the first bad state in flat order, (0, 134), lies in a later row
+        # of the block than (134, 0) does.  Points pinned from the
+        # flat-order kernels.lattice_values.
+        x = 1.3467336683417086e154
+        for upper, point in [((2e154, 1.0), [x, 0.0]), ((2e154, 2e154), [0.0, x])]:
+            box = SearchBox(np.zeros(2), np.array(upper))
+            with pytest.raises(EvaluationError) as err:
+                run_ags(make_sphere(2), box, AgsConfig(points_per_dim=200, budget_points=200**2))
+            assert err.value.point.tolist() == point
+
+    # SHA-256 of run_ags(...).to_json() as the reduction over flat
+    # blocks gave them
+    REPORT_DIGESTS = {
+        ("sphere", 2): "82221a69d124ec43dd05d397ba37f4bf3ac89f1a438349ef7bcc76057495fa7e",
+        ("sphere", 5): "6363b358608d763355729f287d32270eb378d5bc54107d5695d62a173b2ac45e",
+        ("sphere", 7): "7af5c13f209071206b093d941c13207fe07c8b77993c9becf9e19f50023e6670",
+        ("sphere", 8): "441a38b7a25f85a47964d6eac58027284185e9fc829d98d5643fe568fee063a7",
+        ("sphere", 10): "42da0713a3535f59b644ca99dd0d804527231f106b45a6a91e807af20a247ed8",
+        ("rastrigin", 3): "0cdf53d3e52a7daa4430387917bffa383c5c3ff6fa8207c7f9930f298d9ef20f",
+        ("rastrigin", 4): "17b278437fba4cffb943f2ff16d4ee54b730fb73266831377f4dc637efc9be84",
+        ("rastrigin", 5): "aab355ca76602e3fdf5ffe702bc99ef573461f1c2936ebec391eb55330d977a8",
+        ("styblinski_tang", 3): "ae15f00a0d72fb61290d330fda30113afdabee11b3c3b4934d40d18792074cd1",
+        ("styblinski_tang", 4): "0f0ebf762091134f58bfbf98e886ed89cfe4b3a80c4ba1b22ee141493bd349ee",
+        ("styblinski_tang", 5): "f3b92089a9dc4c2772e8f62fe56d3f57fe175c39b63399b3bd563494e35f9e70",
+        ("rosenbrock", 3): "50a20e3c88e26b390314ad63f1ba6a835a96b8879206834c71b6c41f3a279dd6",
+        ("rosenbrock", 4): "29d7a6b72495ad392016d782cefb5667fd744cfee65381143b4e5e849cbdf7cb",
+        ("rosenbrock", 5): "72d9123474d45de213ced5d3076821afcc1b16644542c4e585d1109ee9d7ccd3",
+    }
+
+    @pytest.mark.parametrize("name,d", sorted(REPORT_DIGESTS))
+    def test_reports_keep_their_digests(self, name, d):
+        # a 10^5-point budget: m = 32, 17, 10, 5, 4 or 3 per axis.  The
+        # sphere runs use compare's box, the rest an asymmetric one
+        if name == "sphere":
+            box = SearchBox.cube(d, -5.0, 5.0)
+        else:
+            i = np.arange(d)
+            box = SearchBox(-4.1 + 0.3 * i, 5.3 - 0.45 * i)
+        report = run_ags(get_objective(name, d), box, AgsConfig(budget_points=10**5))
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == self.REPORT_DIGESTS[name, d]
+
+    @pytest.mark.parametrize("name,d,m", [("sphere", 7, 10), ("rosenbrock", 4, 31)])
+    def test_reduction_holds_about_one_block(self, name, d, m):
+        # one block at a time, freed before the next is built (the pair
+        # table is tiled into each block), against the 80 MB and 7.4 MB
+        # of these lattices' value vectors
+        box = SearchBox.cube(d, -3.0, 4.0)
+        tracemalloc.start()
+        try:
+            _lattice_argmin(get_objective(name, d), box, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * kernels.BLOCK_STATES

@@ -118,6 +118,15 @@ class TestOptimize:
         )
         assert code == 2
 
+    def test_overflowing_box_width_is_usage_error(self, capsys):
+        code, out, err = run_main(
+            capsys,
+            "optimize", "--function", "sphere", "--dim", "2",
+            "--qubits", "3", "--bounds=-1e308,1e308",
+        )
+        assert (code, out) == (2, "")
+        assert "width" in err
+
     def test_law_flag(self, capsys):
         code, out, _ = run_main(
             capsys,
@@ -263,6 +272,13 @@ class TestCompare:
         code, out, err = run_main(capsys, "compare", "--dims", "2", "--bounds=5,-5", "--no-timing")
         assert (code, out) == (2, "")
         assert "lower bound exceeds upper bound" in err
+
+    def test_overflowing_box_width_is_usage_error(self, capsys):
+        code, out, err = run_main(
+            capsys, "compare", "--dims", "2", "--bounds=-1e308,1e308", "--no-timing"
+        )
+        assert (code, out) == (2, "")
+        assert "width" in err
 
     def test_duplicate_dims_collapse(self, capsys):
         code, out, _ = run_main(

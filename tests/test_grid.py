@@ -50,6 +50,16 @@ class TestSearchBox:
         with pytest.raises(InvalidInputError):
             SearchBox(np.array([0.0]), np.array([np.nan]))
 
+    def test_rejects_overflowing_width(self):
+        # finite bounds whose difference overflows: every lattice step on
+        # such an axis would be inf, its points inf or NaN
+        with pytest.raises(InvalidInputError, match="width"):
+            SearchBox(np.array([-1e308]), np.array([1e308]))
+        with pytest.raises(InvalidInputError, match="width"):
+            SearchBox(np.array([0.0, -1.7e308]), np.array([1.0, 1.7e308]))
+        widest = SearchBox(np.array([-8e307, 0.0]), np.array([8e307, np.finfo(float).max]))
+        assert np.all(np.isfinite(widest.width))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             SearchBox(np.array([0.0, 1.0]), np.array([1.0]))

@@ -214,6 +214,16 @@ def _block_dims(block, m):
     return [d for d in range(1, 11) if m**d <= cap]
 
 
+def _flat(blocks, m=None):
+    """Value blocks in flat order.  Entry [j, r] of a C-ordered (c, R)
+    block is flat index start + r * c + j; c is 1 for a flat run and m
+    for a block with its last axis major (m given)."""
+    for start, block in blocks:
+        assert block.ndim == 2 and block.flags.c_contiguous
+        assert block.shape[0] in (1, m)
+        yield start, block.T.ravel()
+
+
 def _joined(blocks, block):
     """Concatenate (start, array) blocks, checking they tile the lattice
     in order and none exceeds the block size."""
@@ -228,10 +238,7 @@ def _joined(blocks, block):
     return np.concatenate(parts), starts
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-@pytest.mark.parametrize("m", BLOCK_MS)
-@pytest.mark.parametrize("kind,name", KINDS)
-def test_lattice_value_blocks_join_to_lattice_values(monkeypatch, kind, name, m, block):
+def _check_blocks_join(monkeypatch, kind, m, block, major):
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_STATES", block)
     for d in _block_dims(block, m):
@@ -241,16 +248,34 @@ def test_lattice_value_blocks_join_to_lattice_values(monkeypatch, kind, name, m,
         if d > 2:
             hi[1] = lo[1]  # degenerate axis
         ref = kernels.lattice_values(kind, lo, hi, m, shift)
-        got, _ = _joined(kernels.lattice_value_blocks(kind, lo, hi, m, shift), block)
-        assert np.array_equal(got, ref), (d, m)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        blocks = list(kernels.lattice_value_blocks(kind, lo, hi, m, shift, major))
+        got, _ = _joined(_flat(blocks, m), block)
+        assert got.tobytes() == ref.tobytes(), (d, m)
+        # the last axis goes major where a block holds whole runs of it
+        # under another trailing axis, and only when asked for
+        whole_runs = d > 1 and m * m <= kernels.BLOCK_STATES
+        assert {v.shape[0] for _, v in blocks} == {m if major and whole_runs else 1}, (d, m)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("m", BLOCK_MS)
+@pytest.mark.parametrize("kind,name", KINDS)
+def test_lattice_value_blocks_join_to_lattice_values(monkeypatch, kind, name, m, block):
+    _check_blocks_join(monkeypatch, kind, m, block, major=False)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("m", BLOCK_MS)
+@pytest.mark.parametrize("kind,name", KINDS)
+def test_last_axis_major_blocks_join_to_lattice_values(monkeypatch, kind, name, m, block):
+    _check_blocks_join(monkeypatch, kind, m, block, major=True)
 
 
 def test_lattice_value_blocks_span_several_blocks():
     lo, hi, shift = _lattice_case(4, 32, 5)
     blocks = list(kernels.lattice_value_blocks(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
     assert len(blocks) == 16
-    assert all(len(v) == kernels.BLOCK_STATES == 1 << 16 for _, v in blocks)
+    assert all(v.shape == (1, kernels.BLOCK_STATES) == (1, 1 << 16) for _, v in blocks)
 
 
 def test_rosenbrock_d2_stream_holds_no_pair_table():
@@ -287,15 +312,16 @@ def test_axis_wider_than_a_block_is_split_across_blocks(kind, name, m):
     lo, hi, shift = _lattice_case(2, m, m + kind)
     if kind != kernels.KIND_ROSENBROCK:
         ref = kernels.lattice_values(kind, lo[:1], hi[:1], m, shift[:1])
-        got, starts = _joined(kernels.lattice_value_blocks(kind, lo[:1], hi[:1], m, shift[:1]), None)
+        blocks = kernels.lattice_value_blocks(kind, lo[:1], hi[:1], m, shift[:1])
+        got, starts = _joined(_flat(blocks), None)
         assert got.tobytes() == ref.tobytes()
         assert starts == list(range(0, m, kernels.BLOCK_STATES))
         coords, _ = _joined(kernels.coordinate_blocks(lo[:1], hi[:1], m), None)
         assert coords[:, 0].tobytes() == kernels.lattice_axes(lo[:1], hi[:1], m)[0].tobytes()
     # d = 2 has m^2 states: check the blocks of the first two rows
     per_row = -(-m // kernels.BLOCK_STATES)
-    blocks = itertools.islice(kernels.lattice_value_blocks(kind, lo, hi, m, shift), 2 * per_row)
-    got, starts = _joined(blocks, None)
+    blocks = kernels.lattice_value_blocks(kind, lo, hi, m, shift, last_axis_major=True)
+    got, starts = _joined(_flat(itertools.islice(blocks, 2 * per_row)), None)
     ref = np.concatenate([_row_reference(kind, lo, hi, m, shift, k) for k in (0, 1)])
     assert got.tobytes() == ref.tobytes()
     assert starts == [k * m + j for k in (0, 1) for j in range(0, m, kernels.BLOCK_STATES)]
