@@ -74,6 +74,43 @@ class TerminationPolicy:
             raise InvalidInputError("entropy_floor must lie in [0, 1)")
 
 
+def _threshold(probs, quantile):
+    """select_region's threshold: np.quantile's (linear) to the bit,
+    found by kernels.linear_quantile, or 0.0 without a partition when
+    the vector has enough zeros."""
+    if not 0.0 < quantile < 1.0:
+        raise InvalidInputError("quantile must lie strictly inside (0, 1)")
+    # min() costs a third of a zero count, and exact-readout weights
+    # seldom underflow
+    zeros = 0 if probs.min() > 0.0 else probs.size - np.count_nonzero(probs)
+    if zeros >= quantile * probs.size + 2:
+        # the linear quantile interpolates between the order statistics
+        # of ranks floor((N-1)q) and floor((N-1)q) + 1, counted from 0;
+        # with at least qN + 2 zeros both are zeros, so the threshold is
+        # exactly 0.0 and only the positivity clause selects
+        return 0.0
+    return float(kernels.linear_quantile(probs, quantile))
+
+
+def _region_blocks(dist, threshold):
+    """The selected flat indices of dist, ascending, as one array per
+    BLOCK_STATES slice of its probabilities: the states that reach a
+    positive threshold (a positive threshold already excludes the
+    zero-probability states), or every positive state when it is 0.0,
+    and always f_min_index."""
+    probs, top = dist.probabilities, dist.f_min_index
+    for start in range(0, probs.size, kernels.BLOCK_STATES):
+        block = probs[start:start + kernels.BLOCK_STATES]
+        mask = block >= threshold if threshold > 0.0 else block > 0.0
+        if start <= top < start + block.size:
+            assert mask[top - start], "maximal entry must meet the threshold"
+            mask[top - start] = True
+        flat = np.flatnonzero(mask)
+        if start:
+            flat += start
+        yield flat
+
+
 def select_region(dist, quantile=0.75):
     """Select all basis states with P >= quantile-level threshold.
 
@@ -84,29 +121,31 @@ def select_region(dist, quantile=0.75):
     threshold is np.quantile's (linear) to the bit, found by
     ``kernels.linear_quantile``.
     """
-    if not 0.0 < quantile < 1.0:
-        raise InvalidInputError("quantile must lie strictly inside (0, 1)")
-    probs = dist.probabilities
-    # min() costs a third of a zero count, and exact-readout weights
-    # seldom underflow
-    zeros = 0 if probs.min() > 0.0 else probs.size - np.count_nonzero(probs)
-    if zeros >= quantile * probs.size + 2:
-        # the linear quantile interpolates between the order statistics
-        # of ranks floor((N-1)q) and floor((N-1)q) + 1, counted from 0;
-        # with at least qN + 2 zeros both are zeros, so the threshold is
-        # exactly 0.0 and only the positivity clause selects
-        threshold = 0.0
-    else:
-        threshold = float(kernels.linear_quantile(probs, quantile))
-    # a positive threshold already excludes the zero-probability states
-    mask = probs >= threshold if threshold > 0.0 else probs > 0.0
-    assert mask[dist.f_min_index], "maximal entry must meet the threshold"
-    mask[dist.f_min_index] = True
+    threshold = _threshold(dist.probabilities, quantile)
     return RegionSelection(
         quantile=quantile,
-        selected_indices=np.flatnonzero(mask),
+        selected_indices=np.concatenate(list(_region_blocks(dist, threshold))),
         threshold_probability=threshold,
     )
+
+
+def contract_region(dist, quantile=0.75):
+    """contract_bounds(dist.spec, select_region(dist, quantile)) and the
+    selection's size, as (box, selected_count), streamed: each
+    BLOCK_STATES slice's selected indices are counted and marked in the
+    hull's presence tables, then dropped, so neither a mask nor an index
+    array of the lattice's size is made."""
+    threshold = _threshold(dist.probabilities, quantile)
+    count = 0
+
+    def counted():
+        nonlocal count
+        for flat in _region_blocks(dist, threshold):
+            count += flat.size
+            yield flat
+
+    box = _hull(dist.spec, counted())
+    return box, count
 
 
 def select_support(support, frequencies, size, quantile=0.75):
@@ -144,25 +183,48 @@ def select_support(support, frequencies, size, quantile=0.75):
 HULL_TABLE_BITS = 12
 
 
-def _digit_ranges(spec, flat_indices):
-    """Per axis, the lowest and highest grid index among flat_indices."""
-    n, d = spec.qubits_per_dim, spec.dimension
+def _digit_ranges(spec, index_blocks):
+    """Per axis, the lowest and highest grid index among the flat
+    indices of the stream index_blocks (arrays, some maybe empty).
+
+    Each group of whole axes of at most HULL_TABLE_BITS bits has a
+    presence table, into which every block scatters the digits of the
+    group it holds; an axis alone in its group keeps a running min and
+    max of its digits instead.
+    """
+    n, d, m = spec.qubits_per_dim, spec.dimension, spec.points_per_dim
     per_table = max(1, HULL_TABLE_BITS // n)
-    lows, highs = [], []
-    for first in range(0, d, per_table):
-        last = min(first + per_table, d)
-        if last - first == 1:
-            digits = [axis_indices(spec, flat_indices, first)]
-        else:
-            present = np.zeros(1 << n * (last - first), dtype=bool)
-            present[(flat_indices >> n * (d - last)) & (present.size - 1)] = True
+    groups = [(first, min(first + per_table, d)) for first in range(0, d, per_table)]
+    tables = [np.zeros(1 << n * (last - first), dtype=bool) if last - first > 1 else None
+              for first, last in groups]
+    lows, highs = [m] * d, [-1] * d
+    for flat in index_blocks:
+        if not flat.size:
+            continue
+        for (first, last), present in zip(groups, tables):
+            if present is None:
+                js = axis_indices(spec, flat, first)
+                lows[first] = min(lows[first], int(js.min()))
+                highs[first] = max(highs[first], int(js.max()))
+            else:
+                present[(flat >> n * (d - last)) & (present.size - 1)] = True
+    for (first, last), present in zip(groups, tables):
+        if present is not None:
             codes = np.flatnonzero(present)
-            digits = [(codes >> n * (last - 1 - i)) & (spec.points_per_dim - 1)
-                      for i in range(first, last)]
-        for js in digits:
-            lows.append(int(js.min()))
-            highs.append(int(js.max()))
+            for i in range(first, last):
+                js = (codes >> n * (last - 1 - i)) & (m - 1)
+                lows[i], highs[i] = int(js.min()), int(js.max())
     return lows, highs
+
+
+def _hull(spec, index_blocks):
+    """The box of contract_bounds for the flat indices of a stream of
+    index blocks."""
+    lows, highs = _digit_ranges(spec, index_blocks)
+    corners = decode_many(spec, [pack_indices(spec, lows), pack_indices(spec, highs)])
+    new_lower = np.maximum(spec.bounds.lower, corners[0])
+    new_upper = np.minimum(spec.bounds.upper, corners[1])
+    return SearchBox(new_lower, new_upper)
 
 
 def contract_bounds(spec, selection):
@@ -178,11 +240,7 @@ def contract_bounds(spec, selection):
     marked entries.  An axis alone in its group has its digits' min and
     max taken directly.
     """
-    lows, highs = _digit_ranges(spec, selection.selected_indices)
-    corners = decode_many(spec, [pack_indices(spec, lows), pack_indices(spec, highs)])
-    new_lower = np.maximum(spec.bounds.lower, corners[0])
-    new_upper = np.minimum(spec.bounds.upper, corners[1])
-    return SearchBox(new_lower, new_upper)
+    return _hull(spec, [selection.selected_indices])
 
 
 def should_terminate(box_prev, box_next, entropy, k, policy, repeatable=False):

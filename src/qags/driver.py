@@ -9,8 +9,14 @@ step; ``classical.run_ags`` is the classical one.
 Each qags iteration rebuilds the qubit grid on the contracted bounds (same
 qubit count, so resolution rises as the volume shrinks), encodes the
 objective into a measurement distribution, selects the high-probability
-region, and contracts the bounds around it.  At shots > 0 the region
-comes from the draw's support and frequencies (``quantum.draw``,
+region, and contracts the bounds around it, all inside one lattice
+vector that the run's first iteration makes and every later one reuses:
+``grid_values`` fills it, ``quantum.encode_in_place`` turns the values
+into the probabilities, and at exact readout
+``contraction.contract_region`` streams ``select_region`` and
+``contract_bounds`` over its blocks.  At shots > 0 the region comes from
+the draw's support and frequencies (``quantum.draw_in_place``, which
+writes the cdf over the probabilities, and
 ``contraction.select_support``): the same selection, threshold and
 entropy as ``select_region`` on ``sample``'s empirical vector, bit for
 bit, without that vector.  On termination a bounded
@@ -30,6 +36,7 @@ this way.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -40,7 +47,8 @@ from .contraction import (
     TerminationPolicy,
     Verdict,
     contract_bounds,
-    select_region,
+    contract_region,
+    select_region,  # noqa: F401  (re-exported: contract_region streams it)
     select_support,
     should_terminate,
 )
@@ -48,8 +56,9 @@ from .errors import InvalidInputError
 from .grid import GridSpec, SearchBox, decode
 from .quantum import (
     EncodingLaw,
-    distribution_from_values,
-    draw,
+    distribution_from_values,  # noqa: F401  (re-exported: encode_in_place is its step)
+    draw_in_place,
+    encode_in_place,
     entropy_bits_of,
     entropy_fraction,
     frequencies,
@@ -61,8 +70,10 @@ from .refine import RefinerConfig, refine
 # Model-based accounting: 8-byte amplitudes plus 8-byte probabilities per
 # basis state for the quantum model, 8-byte stored values per classical
 # grid point.  Pure functions of configuration, identical on any machine.
-# ``run`` refuses a register whose model bytes exceed physical memory:
-# each iteration holds the values and the probabilities at once.
+# ``run`` refuses a register whose model bytes exceed physical memory.
+# The model overstates a qags run, which holds one 8 B/state vector
+# (values, then probabilities in place) and measures 9.2-11.0 B/state
+# under tracemalloc on 2^20 states, so the guard errs on the safe side.
 QUANTUM_BYTES_PER_STATE = 16
 CLASSICAL_BYTES_PER_POINT = 8
 
@@ -92,6 +103,8 @@ class QagsConfig:
             raise InvalidInputError("quantile must lie strictly inside (0, 1)")
         if self.shots < 0:
             raise InvalidInputError("shots must be non-negative")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidInputError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -234,33 +247,28 @@ def run(f, initial_bounds, cfg):
     physical memory raises InvalidInputError before anything is
     allocated.
     """
+    vector = None  # the run's one lattice vector, made by the first iteration
 
     def step(box, k):
+        nonlocal vector
         spec = GridSpec(f.arity, cfg.qubits_per_dim, box)
-        values = grid_values(f, spec)
-        dist = distribution_from_values(spec, values, cfg.law)
-        # exact readout: the first-index grid argmin
-        index = dist.f_min_index
-        value = float(values[index])
-        # hold at most one lattice's arrays at a time
-        del values
+        vector = grid_values(f, spec, out=vector)
+        # the values become the probabilities; exact readout's point is
+        # the first-index grid argmin
+        dist, value = encode_in_place(spec, vector, cfg.law)
+        point = decode(spec, dist.f_min_index)
         if cfg.shots > 0:
             # read the draw off its support: the same selection and
             # entropy as sample's empirical vector, without building it
-            support, counts = draw(dist, cfg.shots, cfg.seed + (k - 1))
+            support, counts = draw_in_place(vector, cfg.shots, cfg.seed + (k - 1))
             freq = frequencies(counts)
             selection = select_support(support, freq, spec.total_points, cfg.quantile)
             entropy = entropy_bits_of(freq) / (spec.qubits_per_dim * spec.dimension)
+            box_next, selected = contract_bounds(spec, selection), selection.selected_indices.size
         else:
-            selection = select_region(dist, cfg.quantile)
+            box_next, selected = contract_region(dist, cfg.quantile)
             entropy = entropy_fraction(dist)
-        return (
-            decode(spec, index),
-            value,
-            contract_bounds(spec, selection),
-            int(selection.selected_indices.size),
-            float(entropy),
-        )
+        return point, value, box_next, int(selected), float(entropy)
 
     grid_points = 1 << (cfg.qubits_per_dim * f.arity)
     needed = grid_points * QUANTUM_BYTES_PER_STATE

@@ -7,14 +7,16 @@ one coordinate rule.  Each axis contributes a term table indexed
 pair (x_{i-1}, x_i) (zeros on axis 0).  One accumulation rule adds the
 axes one at a time, by outer sums or row broadcasts, which keep the
 per-element left-to-right order 0 + t_0 + t_1 + ... for every kind.
-``boltzmann`` encodes a value vector and takes its entropy from a closed
-form instead of a log2 pass over the probabilities.  It works through the
-vector in BLOCK_STATES slices, so the probabilities are the only array of
-the vector's size it allocates, and it combines the slices' sums as
-NumPy's pairwise summation does, so every output equals the dense
-formulas bit for bit.  ``linear_quantile`` equals np.quantile's linear
-threshold bit for bit; it partitions only the entries that a strided
-sample brackets, not a copy of the whole vector.  ``padded_quantile``
+``boltzmann`` encodes a value vector in place, overwriting the values
+with the probabilities, and takes its entropy from a closed form instead
+of a log2 pass over them.  It works through the vector in BLOCK_STATES
+slices, so it allocates nothing of the vector's size, and it combines
+the slices' sums as NumPy's pairwise summation does, so every output
+equals the dense formulas bit for bit.  ``cumsum_in_place`` writes
+np.cumsum's bits over a vector a block at a time.  ``linear_quantile``
+equals np.quantile's linear threshold bit for bit; it partitions only
+the entries that a strided sample brackets, not a copy of the whole
+vector.  ``padded_quantile``
 gives the same threshold for a vector of zeros and a few positive
 entries, such as a finite-shot draw, from the positive entries alone.
 
@@ -360,30 +362,34 @@ def _pairwise_sum(leaf, start, n):
 
 
 def boltzmann(values, scale):
-    """Boltzmann encoding of a value vector.
+    """Boltzmann encoding of a value vector, in place: the float64
+    vector ``values`` is overwritten by the probabilities.
 
-    Returns (probabilities, argmin_index, sigma, entropy_bits) where
-    sigma is the population standard deviation of the values (1.0 when
-    the spread is below 1e-12) and probabilities are proportional to
+    Returns (argmin_index, v_min, sigma, entropy_bits) where v_min is
+    the least value, at the first index that holds it, sigma is the
+    population standard deviation of the values (1.0 when the spread is
+    below 1e-12) and the probabilities are proportional to
     exp(-scale * (v - v_min) / sigma).  Sigma is taken from v - v_min,
     not from v, so a constant offset added to the values cannot round
     the mean and move the encoding.  With e the scaled exponent and
     Z the weight sum, the entropy is (ln Z + sum(p * e)) / ln 2.
 
     The vector is worked through in BLOCK_STATES slices with one scratch
-    block, so besides the probabilities nothing of the vector's size is
-    allocated: passes for the argmin, sum(e), sum((e - mean)^2), the
-    weights and Z, then p = w / Z and sum(p * e).  Each sum is combined
-    by _pairwise_sum and sigma keeps np.std's order of operations, so
-    every output equals the dense formulas bit for bit.
+    block, so nothing of the vector's size is allocated: passes for the
+    argmin, sum(e), sum((e - mean)^2) and Z, each on the values, then a
+    pass that overwrites each slice of values with its weights w = exp(-e)
+    and p = w / Z while it adds sum(p * e).  That last pass takes each
+    weight's exp a second time, which is what keeps the values readable
+    until Z is known.  Each sum is combined by _pairwise_sum and sigma
+    keeps np.std's order of operations, so every output equals the dense
+    formulas bit for bit.
     """
-    v = np.ascontiguousarray(values, dtype=np.float64)
+    v = values
     n = v.size
     argmin_index = int(np.argmin(v))
-    v_min = v[argmin_index]
+    v_min = float(v[argmin_index])
     scale = float(scale)
     scratch = np.empty(min(n, BLOCK_STATES))
-    probs = np.empty(n)
 
     def shifted(lo, hi):
         e = scratch[: hi - lo]
@@ -404,14 +410,16 @@ def boltzmann(values, scale):
         return e
 
     def weights(lo, hi):
-        w = np.negative(exponents(lo, hi), out=probs[lo:hi])
+        w = exponents(lo, hi)
+        np.negative(w, out=w)
         np.exp(w, out=w)
         return w.sum()
 
     def normalize(lo, hi):
-        p = probs[lo:hi]
-        p /= z
         e = exponents(lo, hi)
+        p = np.negative(e, out=v[lo:hi])  # the values of this slice are read
+        np.exp(p, out=p)
+        p /= z
         e *= p
         return e.sum()
 
@@ -422,7 +430,23 @@ def boltzmann(values, scale):
     z = _pairwise_sum(weights, 0, n)
     mean_exponent = _pairwise_sum(normalize, 0, n)
     entropy = max((math.log(z) + float(mean_exponent)) / math.log(2.0), 0.0)
-    return probs, argmin_index, sigma, entropy
+    return argmin_index, v_min, sigma, entropy
+
+
+def cumsum_in_place(x):
+    """Overwrite the float64 vector x with np.cumsum(x), bit for bit.
+
+    np.cumsum adds sequentially, so each BLOCK_STATES slice continues
+    from the last sum of the slice before it: its first entry takes that
+    carry, and the slice is then summed into itself.  Nothing of the
+    vector's size is allocated.
+    """
+    for start in range(0, x.size, BLOCK_STATES):
+        block = x[start:start + BLOCK_STATES]
+        if start:  # np.cumsum copies the first entry, so -0.0 stays
+            block[0] += x[start - 1]
+        np.cumsum(block, out=block)
+    return x
 
 
 # linear_quantile brackets its ranks with every QUANTILE_STRIDE-th entry;

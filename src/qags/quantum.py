@@ -3,12 +3,16 @@
 ``lattice_blocks`` is the one lattice stream both methods evaluate
 through: the qags driver fills its value vector from it
 (``grid_values``, which checks each block for finiteness as it lands)
-and the classical baseline reduces over it.  An iteration holds 8 B per
-state of values and 8 B per state of probabilities at once; the
-encoding, the selection and the hull add only buffers of a block or of
-the selection, so on a 2^20-state lattice the iteration's
-``tracemalloc`` peak is 16.5 B per state at exact readout (four shapes,
-d = 1 to 10) and 16.8 B at 4,096 shots.
+and the classical baseline reduces over it.  A qags run holds one
+vector of 8 B per state: the values are encoded into probabilities in
+place (``encode_in_place``), and a finite-shot draw writes its cdf over
+them (``draw_in_place``).  The encoding, the selection and the hull add
+only buffers of a block or of the selection, so a 10-iteration run on
+a 2^20-state lattice peaks under ``tracemalloc`` at 9.2 B per state
+(d = 2, q = 10, exact readout or 4,096 shots) to 11.0 B (d = 10, q = 2,
+where the quantile's bracket is widest), against the register model's
+16 B.  ``distribution_from_values``, ``draw`` and ``sample`` encode or
+draw from a copy, and never change what they are given.
 
 Objective values over the full grid are encoded as Boltzmann weights
 exp(-(f - f_min) / sigma) with sigma the population standard deviation of
@@ -123,16 +127,18 @@ def lattice_blocks(objective, box, points_per_dim, last_axis_major=False):
         yield start, objective.evaluate_batch(coords)[None, :]
 
 
-def grid_values(objective, spec):
+def grid_values(objective, spec, out=None):
     """Objective values over every grid point, in flat-index order,
-    filled from the flat runs of ``lattice_blocks``; on success the
-    evaluation counter advances by 2^(n*d).  Each block is checked for
-    finiteness as it lands, while it is still in cache: a non-finite
-    value raises EvaluationError naming the first grid point that gave
-    one, and the blocks after it are not evaluated."""
+    filled from the flat runs of ``lattice_blocks`` into ``out`` (a
+    float64 vector of 2^(n*d) entries, new when None), which is
+    returned; on success the evaluation counter advances by 2^(n*d).
+    Each block is checked for finiteness as it lands, while it is still
+    in cache: a non-finite value raises EvaluationError naming the first
+    grid point that gave one, and the blocks after it are not
+    evaluated."""
     if objective.arity != spec.dimension:
         raise InvalidInputError("objective arity does not match grid dimension")
-    values = np.empty(spec.total_points)
+    values = np.empty(spec.total_points) if out is None else out
     for start, block in lattice_blocks(objective, spec.bounds, spec.points_per_dim):
         block = block.T.ravel()  # flat order: a flat run is not copied
         values[start:start + block.size] = block
@@ -145,19 +151,31 @@ def grid_values(objective, spec):
     return values
 
 
-def distribution_from_values(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
-    """Boltzmann-encode a precomputed value vector (flat-index order)."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape != (spec.total_points,):
-        raise InvalidInputError("value vector length must be 2^(n*d)")
-    probs, argmin_index, sigma, entropy = kernels.boltzmann(v, law.exponent_scale)
-    return QuantumDistribution(
+def encode_in_place(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
+    """Boltzmann-encode the float64 value vector ``values`` (flat-index
+    order) in place: it is overwritten by the probabilities.
+
+    Returns (distribution, f_min): the distribution's probabilities are
+    a read-only view of ``values``, valid until ``values`` is written
+    again, and f_min is the least value, the one at f_min_index.
+    """
+    if values.dtype != np.float64 or values.shape != (spec.total_points,):
+        raise InvalidInputError("value vector must hold 2^(n*d) float64 entries")
+    argmin_index, f_min, sigma, entropy = kernels.boltzmann(values, law.exponent_scale)
+    dist = QuantumDistribution(
         spec=spec,
-        probabilities=probs,
+        probabilities=values[:],  # a view, so values itself stays writable
         f_min_index=argmin_index,
         sigma=sigma,
         entropy_bits=entropy,
     )
+    return dist, f_min
+
+
+def distribution_from_values(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
+    """Boltzmann-encode a precomputed value vector (flat-index order);
+    the caller's vector is not changed: a copy is encoded in place."""
+    return encode_in_place(spec, np.array(values, dtype=np.float64), law)[0]
 
 
 def build_distribution(objective, spec, law=EncodingLaw.BOLTZMANN_PROBABILITY):
@@ -191,10 +209,11 @@ def _cdf_indices(cdf, u):
     return idx
 
 
-def draw(dist, shots, seed):
-    """``shots`` >= 1 inverse-CDF draws from dist, as (support, counts):
-    the distinct drawn states in ascending order and how many draws
-    landed on each.
+def draw_in_place(probabilities, shots, seed):
+    """``shots`` >= 1 inverse-CDF draws from the float64 vector
+    ``probabilities``, as (support, counts): the distinct drawn states
+    in ascending order and how many draws landed on each.  The vector
+    is overwritten by its running sum, the cdf.
 
     Sorted uniforms scaled to the cdf's total are looked up in the cdf,
     so the counts follow the multinomial law in O(N + shots log N),
@@ -203,15 +222,19 @@ def draw(dist, shots, seed):
     if shots < 1:
         raise InvalidInputError("a draw needs at least one shot")
     rng = np.random.Generator(np.random.PCG64(seed))
-    cdf = np.cumsum(dist.probabilities)
+    cdf = kernels.cumsum_in_place(probabilities)
     u = rng.random(shots)
     u.sort()
     u *= cdf[-1]
     idx = _cdf_indices(cdf, u)
-    del cdf
     # idx is sorted: each run of equal indices is one drawn state
     starts = np.flatnonzero(np.diff(idx, prepend=-1))
     return idx[starts], np.diff(starts, append=shots)
+
+
+def draw(dist, shots, seed):
+    """draw_in_place on a copy of dist's probabilities."""
+    return draw_in_place(dist.probabilities.copy(), shots, seed)
 
 
 def frequencies(counts):

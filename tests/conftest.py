@@ -29,15 +29,16 @@ def pytest_configure(config):
 
 @pytest.fixture
 def run_qags():
-    """Run ``python -m qags.cli ARGS`` in a child process, capturing its
-    output.  pytest's ``pythonpath`` setting reaches only this process,
-    so the child gets the checkout's src/ first on PYTHONPATH."""
+    """Run ``python -m qags.cli ARGS`` (or another ``module``) in a child
+    process, capturing its output.  pytest's ``pythonpath`` setting
+    reaches only this process, so the child gets the checkout's src/
+    first on PYTHONPATH."""
     paths = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
-    def run(*args, text=True):
+    def run(*args, text=True, module="qags.cli"):
         return subprocess.run(
-            [sys.executable, "-m", "qags.cli", *args], capture_output=True, text=text, env=env
+            [sys.executable, "-m", module, *args], capture_output=True, text=text, env=env
         )
 
     return run

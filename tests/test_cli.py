@@ -141,6 +141,16 @@ class TestOptimize:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_negative_seed_is_usage_error(self, capsys, seed):
+        code, out, err = run_main(
+            capsys,
+            "optimize", "--function", "sphere", "--dim", "2", "--qubits", "3",
+            "--shots", "10", "--seed", seed, "--bounds=-5,5",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer\n"
+
     def test_shots_path(self, capsys):
         code, out, _ = run_main(
             capsys,
@@ -397,6 +407,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "qags"
+
+    def test_package_invocation_is_the_cli(self, run_qags):
+        # python -m qags runs the same main as python -m qags.cli
+        args = ("optimize", "--function", "sphere", "--dim", "2", "--qubits", "3",
+                "--bounds=-5,5", "--shots", "64", "--seed", "4")
+        package = run_qags(*args, module="qags", text=False)
+        cli = run_qags(*args, text=False)
+        assert package.returncode == 0, package.stderr.decode()
+        assert (package.stdout, package.stderr) == (cli.stdout, cli.stderr)
+        assert run_qags(module="qags").returncode == 2
 
     def test_no_command_is_usage_error(self, run_qags):
         proc = run_qags()

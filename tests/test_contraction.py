@@ -9,6 +9,7 @@ from qags.contraction import (
     TerminationPolicy,
     Verdict,
     contract_bounds,
+    contract_region,
     select_region,
     should_terminate,
 )
@@ -274,11 +275,85 @@ def test_hull_equals_digit_extremes(d, n):
     for flat in selections:
         sel = RegionSelection(0.75, flat.astype(np.int64), 0.0)
         lows, highs = _digit_extremes(spec, sel.selected_indices)
-        assert contraction._digit_ranges(spec, sel.selected_indices) == (lows, highs)
+        assert contraction._digit_ranges(spec, [sel.selected_indices]) == (lows, highs)
+        # a stream of blocks, some of them empty, gives the same extremes
+        blocks = np.array_split(sel.selected_indices, 5) + [sel.selected_indices[:0]]
+        assert contraction._digit_ranges(spec, blocks) == (lows, highs)
         corners = decode_many(spec, [pack_indices(spec, lows), pack_indices(spec, highs)])
         box = contract_bounds(spec, sel)
         assert box.lower.tobytes() == np.maximum(spec.bounds.lower, corners[0]).tobytes()
         assert box.upper.tobytes() == np.minimum(spec.bounds.upper, corners[1]).tobytes()
+
+
+def _region_probabilities(kind, total, block, rng):
+    """(probabilities, f_min_index) of one contract_region case."""
+    if kind == "random":
+        p = rng.random(total)
+    elif kind == "ties":  # many states equal the threshold
+        p = rng.integers(1, 4, total).astype(np.float64)
+    elif kind == "zeros":  # enough zeros that the threshold is 0.0
+        p = np.zeros(total)
+        p[rng.choice(total, max(1, total // 8), replace=False)] = rng.random(max(1, total // 8))
+    elif kind == "encoded lattice":
+        p = distribution_from_values(
+            GridSpec(1, total.bit_length() - 1, SearchBox.cube(1, -1.0, 1.0)),
+            rng.normal(0.0, 1.0, total) ** 2,
+            EncodingLaw.BOLTZMANN_AMPLITUDE,
+        ).probabilities.copy()
+    else:  # a maximum at a block's edge, the one state forced in
+        p = rng.random(total) * 1e-3
+    top = int(np.argmax(p))
+    if kind == "block edge":
+        top = min(block, total) - 1
+        p[top] = 1.0
+    return p / p.sum(), top
+
+
+REGION_KINDS = ["random", "ties", "zeros", "encoded lattice", "block edge"]
+
+
+class TestContractRegion:
+    """contract_region streams select_region and contract_bounds over
+    BLOCK_STATES slices: the same box, bit for bit, and the same count."""
+
+    @pytest.mark.parametrize("block", [None, 7, 1000])
+    @pytest.mark.parametrize("kind", REGION_KINDS)
+    @pytest.mark.parametrize("d,n", [(1, 12), (3, 4), (10, 1), (6, 2), (2, 7)])
+    @pytest.mark.parametrize("quantile", [0.25, 0.75, 0.99])
+    def test_equals_select_region_then_contract_bounds(self, monkeypatch, block, kind, d, n,
+                                                       quantile):
+        rng = np.random.default_rng([d, n, REGION_KINDS.index(kind)])
+        lower = rng.uniform(-20.0, 20.0, d)
+        spec = GridSpec(d, n, SearchBox(lower, lower + rng.uniform(0.5, 9.0, d)))
+        probs, top = _region_probabilities(kind, spec.total_points, block or 1 << 16, rng)
+        if block is not None:
+            monkeypatch.setattr(contraction.kernels, "BLOCK_STATES", block)
+        dist = make_dist(probs, f_min_index=top, spec=spec, entropy=1.0)
+        sel = select_region(dist, quantile)
+        # the dense selection rule, on the whole vector at once
+        threshold = np.quantile(probs, quantile)
+        assert sel.threshold_probability == threshold
+        dense = probs >= threshold if threshold > 0.0 else probs > 0.0
+        assert sel.selected_indices.tobytes() == np.flatnonzero(dense).tobytes()
+        assert top in sel.selected_indices
+        ref = contract_bounds(spec, sel)
+        box, count = contract_region(dist, quantile)
+        assert count == sel.selected_indices.size
+        assert box.lower.tobytes() == ref.lower.tobytes()
+        assert box.upper.tobytes() == ref.upper.tobytes()
+
+    def test_threshold_zero_keeps_only_positive_states(self, monkeypatch):
+        monkeypatch.setattr(contraction.kernels, "BLOCK_STATES", 4)
+        spec = GridSpec(1, 5, SearchBox.cube(1, 0.0, 31.0))
+        probs = np.zeros(32)
+        probs[[5, 6, 21]] = [0.25, 0.5, 0.25]
+        box, count = contract_region(make_dist(probs, spec=spec), 0.75)
+        assert count == 3
+        assert (box.lower.tolist(), box.upper.tolist()) == ([5.0], [21.0])
+
+    def test_quantile_range_checked(self):
+        with pytest.raises(InvalidInputError):
+            contract_region(make_dist([0.5, 0.5]), quantile=1.0)
 
 
 class TestShouldTerminate:

@@ -187,6 +187,15 @@ class TestQagsConfig:
         with pytest.raises(InvalidInputError):
             QagsConfig(qubits_per_dim=2, shots=-5)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, "3", None])
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            QagsConfig(qubits_per_dim=2, shots=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, np.int64(7), 2**70])
+    def test_accepts_non_negative_int_seeds(self, seed):
+        assert QagsConfig(qubits_per_dim=2, shots=10, seed=seed).seed == seed
+
 
 class TestReportSerialization:
     def test_round_trips_through_json(self):
@@ -213,8 +222,10 @@ class TestReportSerialization:
 
 def test_one_wide_axis_peaks_at_the_modelled_bytes_per_state():
     # qags at d = 1, q = 20: one axis of 2^20 points, wider than a
-    # lattice block.  An iteration holds the values and the probabilities
-    # (QUANTUM_BYTES_PER_STATE), plus block-sized buffers.
+    # lattice block.  A run holds one 8 B/state vector, in which the
+    # values become the probabilities, plus block-sized buffers: it
+    # measures 10.6 B/state (the lattice fill's buffers), against the
+    # 16 B of the register model (QUANTUM_BYTES_PER_STATE).
     states = 1 << 20
     cfg = QagsConfig(qubits_per_dim=20, termination=TerminationPolicy(k_max=1))
     tracemalloc.start()
@@ -223,4 +234,33 @@ def test_one_wide_axis_peaks_at_the_modelled_bytes_per_state():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert driver.QUANTUM_BYTES_PER_STATE * states < peak < 17 * states
+    assert 8 * states < peak < 11 * states
+
+
+@pytest.mark.parametrize("shots", [0, 4096])
+def test_a_run_reuses_one_lattice_vector(monkeypatch, shots):
+    # sphere d = 2, q = 10: ten iterations on 2^20 states.  The first
+    # iteration makes the vector; every later one fills, encodes,
+    # selects and draws inside it, so the run peaks under 12 B/state
+    # where two vectors would take 16
+    states = 1 << 20
+    outs = []
+
+    def spy(f, spec, out=None):
+        outs.append(out)
+        return grid_values(f, spec, out=out)
+
+    grid_values = driver.grid_values
+    monkeypatch.setattr(driver, "grid_values", spy)
+    cfg = QagsConfig(qubits_per_dim=10, shots=shots, seed=2)
+    tracemalloc.start()
+    try:
+        report = run(make_sphere(2), SearchBox.cube(2, -5.0, 5.0), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.iterations) == 10
+    assert outs[0] is None
+    assert all(out is not None and out is outs[1] for out in outs[1:])
+    assert outs[1].shape == (states,)
+    assert peak < 12 * states

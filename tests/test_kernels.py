@@ -83,7 +83,8 @@ def _boltzmann_inputs():
 @pytest.mark.parametrize("case", list(_boltzmann_inputs()))
 def test_boltzmann_matches_direct_formulas(case):
     values, scale = _boltzmann_inputs()[case]
-    probs, argmin_index, sigma, entropy = kernels.boltzmann(values, scale)
+    probs = values.copy()  # boltzmann overwrites its input with the probabilities
+    argmin_index, v_min, sigma, entropy = kernels.boltzmann(probs, scale)
 
     shifted = values - values.min()
     dev = shifted - shifted.mean()
@@ -92,6 +93,7 @@ def test_boltzmann_matches_direct_formulas(case):
         sigma_ref = 1.0
     weights = np.exp(-(values - values.min()) * scale / sigma_ref)
     assert argmin_index == int(np.argmin(values))
+    assert v_min == values[argmin_index]
     assert sigma == sigma_ref
     assert np.array_equal(probs, weights / weights.sum())
 
@@ -125,6 +127,23 @@ def test_add_reduce_is_the_pairwise_tree_of_block_sums(monkeypatch, n, block):
     assert got.tobytes() == np.add.reduce(x).tobytes()
     assert sum(pieces) == n
     assert max(pieces) <= kernels.BLOCK_STATES
+
+
+@pytest.mark.parametrize("block", [None, 3, 129])
+@pytest.mark.parametrize("n", [1, (1 << 16) - 1, (1 << 16) + 1, 3 * (1 << 16) + 5, 1 << 20])
+def test_cumsum_in_place_is_np_cumsum(monkeypatch, n, block):
+    # a finite-shot draw writes its cdf over the probabilities, block by
+    # block with a carry; np.cumsum adds sequentially, so the bits agree
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_STATES", block)
+    rng = np.random.default_rng(n)
+    x = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+    x[rng.random(n) < 0.25] = 0.0
+    x[0] = -0.0  # np.cumsum copies the first entry, sign and all
+    ref = np.cumsum(x)
+    got = kernels.cumsum_in_place(x)
+    assert got is x
+    assert got.tobytes() == ref.tobytes()
 
 
 # --- quantile threshold -------------------------------------------------------
@@ -176,7 +195,8 @@ def test_linear_quantile_on_lattice_probabilities(kind, name, q):
     for d, m in [(2, 1024), (5, 16), (10, 4), (3, 37)]:
         lo, hi, shift = _lattice_case(d, m, d + m + kind)
         values = kernels.lattice_values(kind, lo, hi, m, shift)
-        probs = kernels.boltzmann(values, 1.0)[0]
+        probs = values.copy()
+        kernels.boltzmann(probs, 1.0)
         got = kernels.linear_quantile(probs, q)
         assert np.float64(got).tobytes() == np.quantile(probs, q).tobytes(), (d, m)
 

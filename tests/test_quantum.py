@@ -19,6 +19,9 @@ from qags.quantum import (
     _cdf_indices,
     build_distribution,
     distribution_from_values,
+    draw,
+    draw_in_place,
+    encode_in_place,
     entropy_fraction,
     grid_values,
     sample,
@@ -110,6 +113,56 @@ class TestDistributionFromValues:
             distribution_from_values(
                 spec1(n=2), np.zeros(3), EncodingLaw.BOLTZMANN_PROBABILITY
             )
+
+
+class TestInPlaceRoutines:
+    """The driver's routines work inside one vector; the public ones
+    copy their input once and run the same routines on the copy."""
+
+    def _values(self, n=12):
+        return np.random.default_rng(n).normal(3.0, 2.0, 1 << n)
+
+    @pytest.mark.parametrize("law", list(EncodingLaw))
+    def test_encode_in_place_writes_the_probabilities_over_the_values(self, law):
+        values = self._values()
+        ref = distribution_from_values(spec1(n=12), values, law)
+        dist, f_min = encode_in_place(spec1(n=12), values, law)
+        assert values.tobytes() == ref.probabilities.tobytes()
+        assert np.shares_memory(dist.probabilities, values)
+        assert not dist.probabilities.flags.writeable and values.flags.writeable
+        assert f_min == self._values()[dist.f_min_index] == self._values().min()
+        assert (dist.f_min_index, dist.sigma, dist.entropy_bits) == (
+            ref.f_min_index, ref.sigma, ref.entropy_bits
+        )
+
+    def test_encode_in_place_needs_a_float64_vector_of_the_grid(self):
+        with pytest.raises(InvalidInputError):
+            encode_in_place(spec1(n=2), np.zeros(3))
+        with pytest.raises(InvalidInputError):
+            encode_in_place(spec1(n=2), np.zeros(4, dtype=np.float32))
+
+    def test_draw_in_place_writes_the_cdf(self):
+        dist = distribution_from_values(spec1(n=12), self._values())
+        probs = dist.probabilities.copy()
+        support, counts = draw_in_place(probs, 500, 9)
+        ref_support, ref_counts = draw(dist, 500, 9)
+        assert support.tobytes() == ref_support.tobytes()
+        assert counts.tobytes() == ref_counts.tobytes()
+        assert probs.tobytes() == np.cumsum(dist.probabilities).tobytes()
+
+    @pytest.mark.parametrize("law", list(EncodingLaw))
+    def test_public_routines_leave_their_inputs_unchanged(self, law):
+        values = self._values()
+        kept = values.copy()
+        dist = distribution_from_values(spec1(n=12), values, law)
+        assert values.tobytes() == kept.tobytes()
+        probs = dist.probabilities.copy()
+        draw(dist, 300, 1)
+        sample(dist, 300, 2)
+        assert dist.probabilities.tobytes() == probs.tobytes()
+        listed = list(kept[:8])
+        distribution_from_values(spec1(n=3), listed, law)
+        assert listed == list(kept[:8])
 
 
 class TestQuantumDistributionValidation:
