@@ -10,9 +10,11 @@ per-element left-to-right order 0 + t_0 + t_1 + ... for every kind.
 ``boltzmann`` encodes a value vector in place, overwriting the values
 with the probabilities, and takes its entropy from a closed form instead
 of a log2 pass over them.  It works through the vector in BLOCK_STATES
-slices, so it allocates nothing of the vector's size, and it combines
-the slices' sums as NumPy's pairwise summation does, so every output
-equals the dense formulas bit for bit.  ``cumsum_in_place`` writes
+slices, so it allocates nothing of the vector's size; each pass leaves
+its result in the vector for the next (the shifted values v - v_min,
+then the negated exponents), so none recomputes an earlier one's.  It
+combines the slices' sums as NumPy's pairwise summation does, so every
+output equals the dense formulas bit for bit.  ``cumsum_in_place`` writes
 np.cumsum's bits over a vector a block at a time.  ``linear_quantile``
 equals np.quantile's linear threshold bit for bit; it partitions only
 the entries that a strided sample brackets, not a copy of the whole
@@ -375,14 +377,23 @@ def boltzmann(values, scale):
     Z the weight sum, the entropy is (ln Z + sum(p * e)) / ln 2.
 
     The vector is worked through in BLOCK_STATES slices with one scratch
-    block, so nothing of the vector's size is allocated: passes for the
-    argmin, sum(e), sum((e - mean)^2) and Z, each on the values, then a
-    pass that overwrites each slice of values with its weights w = exp(-e)
-    and p = w / Z while it adds sum(p * e).  That last pass takes each
-    weight's exp a second time, which is what keeps the values readable
-    until Z is known.  Each sum is combined by _pairwise_sum and sigma
-    keeps np.std's order of operations, so every output equals the dense
-    formulas bit for bit.
+    block, so nothing of the vector's size is allocated.  Once v_min is
+    known the values are not read again, so each pass leaves in the
+    vector what the next one reads:
+      1. the argmin;
+      2. d = v - v_min over each slice, and sum(d), which gives the mean;
+      3. sum((d - mean)^2), in the scratch block, which gives sigma;
+      4. ne = (d * scale) / (-sigma) over each slice, and Z = sum(exp(ne))
+         with the weights in the scratch block;
+      5. p = exp(ne) / Z in the scratch block, ne * p over the slice and
+         its sum, then p copied over the slice.
+    IEEE rounding is symmetric in sign, so x / -sigma == -(x / sigma)
+    and ne * p == -(e * p) exactly, and a sum of negated terms is the
+    negated sum: the weights are exp(-e) and sum(p * e) is minus the
+    sum of pass 5, bit for bit (a zero's sign aside, which ln Z + 0
+    does not see).  Each sum is combined by _pairwise_sum and sigma
+    keeps np.std's order of operations, so every output equals the
+    dense formulas bit for bit.
     """
     v = values
     n = v.size
@@ -391,44 +402,38 @@ def boltzmann(values, scale):
     scale = float(scale)
     scratch = np.empty(min(n, BLOCK_STATES))
 
-    def shifted(lo, hi):
-        e = scratch[: hi - lo]
-        np.subtract(v[lo:hi], v_min, out=e)
-        return e
+    def subtract_min(lo, hi):
+        d = v[lo:hi]
+        d -= v_min
+        return d.sum()
 
     def squared_deviations(lo, hi):
-        e = shifted(lo, hi)
-        e -= mean
-        e *= e
-        return e.sum()
-
-    def exponents(lo, hi):
-        e = shifted(lo, hi)
-        if scale != 1.0:  # x * 1.0 == x for every double
-            e *= scale
-        e /= sigma
-        return e
+        dev = np.subtract(v[lo:hi], mean, out=scratch[: hi - lo])
+        dev *= dev
+        return dev.sum()
 
     def weights(lo, hi):
-        w = exponents(lo, hi)
-        np.negative(w, out=w)
-        np.exp(w, out=w)
-        return w.sum()
+        ne = v[lo:hi]
+        if scale != 1.0:  # x * 1.0 == x for every double
+            ne *= scale
+        ne /= -sigma
+        return np.exp(ne, out=scratch[: hi - lo]).sum()
 
     def normalize(lo, hi):
-        e = exponents(lo, hi)
-        p = np.negative(e, out=v[lo:hi])  # the values of this slice are read
-        np.exp(p, out=p)
+        ne = v[lo:hi]
+        p = np.exp(ne, out=scratch[: hi - lo])
         p /= z
-        e *= p
-        return e.sum()
+        ne *= p
+        total = ne.sum()
+        ne[:] = p
+        return total
 
-    mean = _pairwise_sum(lambda lo, hi: shifted(lo, hi).sum(), 0, n) / n
+    mean = _pairwise_sum(subtract_min, 0, n) / n
     sigma = math.sqrt(_pairwise_sum(squared_deviations, 0, n) / n)
     if sigma < 1e-12:
         sigma = 1.0
     z = _pairwise_sum(weights, 0, n)
-    mean_exponent = _pairwise_sum(normalize, 0, n)
+    mean_exponent = -_pairwise_sum(normalize, 0, n)
     entropy = max((math.log(z) + float(mean_exponent)) / math.log(2.0), 0.0)
     return argmin_index, v_min, sigma, entropy
 

@@ -1,5 +1,6 @@
 """Full adaptive-search driver."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -218,6 +219,39 @@ class TestReportSerialization:
         assert boxes[0] == report.iterations[0].bounds_before
         for rec, traced in zip(report.iterations, boxes[1:]):
             assert traced == rec.bounds_after
+
+
+class TestReportDigests:
+    # SHA-256 of run(...).to_json(): the found points, the boxes and each
+    # iteration's selected_count and entropy_fraction, which move if the
+    # encoding's probabilities or entropy change by one bit.  Keyed by
+    # (objective, d, qubits per axis, shots, law)
+    REPORT_DIGESTS = {
+        ("sphere", 2, 10, 0, "boltzmann-prob"):
+            "91f350ac3b661ad07e18c33a1ea18eceafde6f6e845ad9fcc1b8ebf23d877e5e",
+        ("sphere", 2, 10, 4096, "boltzmann-prob"):
+            "a87a682907ee77b24802eb0cebc8f08df83037cb3cad909be57021d9d518f706",
+        ("rastrigin", 5, 4, 0, "boltzmann-amp"):
+            "51358371979669fdad7ec6b86d0705cc98625e8053ca0e67acc46f55d90eedf7",
+        ("styblinski_tang", 3, 6, 0, "boltzmann-prob"):
+            "6ed69e5479d4a90e3ae944302ce864469b14b999f98ba2003e5c382773e9e898",
+        ("rosenbrock", 4, 4, 0, "boltzmann-prob"):
+            "571331d0bed341680fe234704c3b4312ed2fd8e22a7547aa945d59db6475daff",
+    }
+
+    @pytest.mark.parametrize("name,d,qubits,shots,law", sorted(REPORT_DIGESTS))
+    def test_reports_keep_their_digests(self, name, d, qubits, shots, law):
+        # the boxes of test_classical.py's digests: compare's for the
+        # sphere, an asymmetric one for the rest
+        if name == "sphere":
+            box = SearchBox.cube(d, -5.0, 5.0)
+        else:
+            i = np.arange(d)
+            box = SearchBox(-4.1 + 0.3 * i, 5.3 - 0.45 * i)
+        cfg = QagsConfig(qubits_per_dim=qubits, shots=shots, law=EncodingLaw(law))
+        report = run(get_objective(name, d), box, cfg)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == self.REPORT_DIGESTS[name, d, qubits, shots, law]
 
 
 def test_one_wide_axis_peaks_at_the_modelled_bytes_per_state():

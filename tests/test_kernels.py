@@ -77,7 +77,23 @@ def _boltzmann_inputs():
         "2^20 states": (rng.normal(0.0, 1e3, 1 << 20), 2.0),
         "3 * 2^16 + 5 states": (rng.normal(5.0, 2.0, 3 * (1 << 16) + 5), 1.0),
         "multi-block underflow": (rng.normal(0.0, 1.0, 3 * (1 << 16) + 5), 400.0),
+        # v - v_min is exact, but the mean of the values would round
+        "1e16 offset": (1e16 + 2.0 * rng.integers(0, 8, 5000), 1.0),
+        "signed zeros": (rng.choice([-0.0, 0.0, 1.0], 3000), 1.0),
+        "minimum opening a block": (_min_at_split(rng, 0), 1.0),
+        "minimum closing a block": (_min_at_split(rng, -1), 2.0),
     }
+
+
+def _min_at_split(rng, offset):
+    """Normal values over two blocks and a few states of the current
+    BLOCK_STATES, least on the first entry of boltzmann's second slice
+    (offset 0) or the last of its first (offset -1)."""
+    n = 2 * kernels.BLOCK_STATES + 7
+    values = rng.normal(0.0, 1.0, n)
+    split = n // 2 - (n // 2) % 8  # _pairwise_sum's first split, a slice end
+    values[split + offset] = values.min() - 1.0
+    return values
 
 
 @pytest.mark.parametrize("case", list(_boltzmann_inputs()))
@@ -102,6 +118,41 @@ def test_boltzmann_matches_direct_formulas(case):
     assert entropy == pytest.approx(entropy_ref, rel=1e-12, abs=0.0)
     if "underflow" in case:
         assert pos.size < probs.size
+
+
+@pytest.mark.parametrize("block", [None, 1000, 129])
+@pytest.mark.parametrize("case", list(_boltzmann_inputs()))
+def test_boltzmann_entropy_is_the_dense_closed_form(monkeypatch, case, block):
+    # bit for bit: boltzmann sums the negated exponents times p and
+    # negates the total, which equals sum(e * p) because IEEE rounding
+    # is symmetric in sign
+    if block:
+        monkeypatch.setattr(kernels, "BLOCK_STATES", block)
+    values, scale = _boltzmann_inputs()[case]
+    _, v_min, _, entropy = kernels.boltzmann(values.copy(), scale)
+
+    shifted = values - v_min
+    dev = shifted - shifted.mean()
+    sigma = float(np.sqrt(np.mean(dev * dev)))
+    if sigma < 1e-12:
+        sigma = 1.0
+    e = shifted * scale / sigma
+    w = np.exp(-e)
+    ref = max((math.log(w.sum()) + (e * (w / w.sum())).sum()) / math.log(2.0), 0.0)
+    assert np.float64(entropy).tobytes() == np.float64(ref).tobytes()
+
+
+def test_boltzmann_allocates_one_scratch_block():
+    # every pass writes into the vector or the one scratch block; a
+    # block-sized temporary beside it would double the peak
+    values = np.random.default_rng(3).normal(0.0, 1.0, 1 << 20)
+    tracemalloc.start()
+    try:
+        kernels.boltzmann(values, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * kernels.BLOCK_STATES * 8
 
 
 @pytest.mark.parametrize("block", [None, 1000, 129])
