@@ -11,6 +11,9 @@ finite-shot draw's support and frequencies, without the dense vector.
 The contracted box is the tight axis-aligned hull of the selected
 points, clamped to the current bounds: each axis's lowest and highest
 selected digit is read off a small presence table per group of axes.
+``contract_region``, the exact-readout path, never lists the selected
+states: it counts each slice's mask and reduces it, as rows of the low
+axes' codes, to the codes each side of the row boundary selects.
 """
 
 from __future__ import annotations
@@ -92,19 +95,32 @@ def _threshold(probs, quantile):
     return float(kernels.linear_quantile(probs, quantile))
 
 
-def _region_blocks(dist, threshold):
-    """The selected flat indices of dist, ascending, as one array per
-    BLOCK_STATES slice of its probabilities: the states that reach a
-    positive threshold (a positive threshold already excludes the
-    zero-probability states), or every positive state when it is 0.0,
-    and always f_min_index."""
+def _region_masks(dist, threshold):
+    """The selection of dist as (start, mask) per BLOCK_STATES slice of
+    its probabilities: the states that reach a positive threshold (a
+    positive threshold already excludes the zero-probability states),
+    or every positive state when it is 0.0, and always f_min_index.
+    Every mask is written into one buffer, so it holds until the next
+    slice's is yielded."""
     probs, top = dist.probabilities, dist.f_min_index
+    buffer = np.empty(min(probs.size, kernels.BLOCK_STATES), dtype=bool)
     for start in range(0, probs.size, kernels.BLOCK_STATES):
         block = probs[start:start + kernels.BLOCK_STATES]
-        mask = block >= threshold if threshold > 0.0 else block > 0.0
+        mask = buffer[:block.size]
+        if threshold > 0.0:
+            np.greater_equal(block, threshold, out=mask)
+        else:
+            np.greater(block, 0.0, out=mask)
         if start <= top < start + block.size:
             assert mask[top - start], "maximal entry must meet the threshold"
             mask[top - start] = True
+        yield start, mask
+
+
+def _region_blocks(dist, threshold):
+    """The selected flat indices of dist, ascending, as one array per
+    BLOCK_STATES slice (see _region_masks)."""
+    for start, mask in _region_masks(dist, threshold):
         flat = np.flatnonzero(mask)
         if start:
             flat += start
@@ -132,19 +148,20 @@ def select_region(dist, quantile=0.75):
 def contract_region(dist, quantile=0.75):
     """contract_bounds(dist.spec, select_region(dist, quantile)) and the
     selection's size, as (box, selected_count), streamed: each
-    BLOCK_STATES slice's selected indices are counted and marked in the
-    hull's presence tables, then dropped, so neither a mask nor an index
-    array of the lattice's size is made."""
+    BLOCK_STATES slice's mask is counted and reduced to the digits it
+    selects (_mask_index_blocks), then dropped, so no mask of the
+    lattice's size is made, nor, when the slices are whole rows of the
+    hull's low axes, any array of one entry per selected state."""
     threshold = _threshold(dist.probabilities, quantile)
     count = 0
 
     def counted():
         nonlocal count
-        for flat in _region_blocks(dist, threshold):
-            count += flat.size
-            yield flat
+        for start, mask in _region_masks(dist, threshold):
+            count += np.count_nonzero(mask)
+            yield start, mask
 
-    box = _hull(dist.spec, counted())
+    box = _hull(dist.spec, _mask_index_blocks(dist.spec, counted()))
     return box, count
 
 
@@ -179,7 +196,8 @@ def select_support(support, frequencies, size, quantile=0.75):
 # this many bits off one presence table.  A table pass costs about two
 # digit passes (on sphere d=5 q=4, 12-bit groups took 1.5 ms against
 # 1.9 ms for 10-bit ones and 2.3 ms for digit passes, 2-vCPU VM), so an
-# axis left alone in its group takes a digit pass instead.
+# axis left alone in its group takes a digit pass instead.  The rows of
+# contract_region's mask reduction are as many whole axes wide.
 HULL_TABLE_BITS = 12
 
 
@@ -215,6 +233,41 @@ def _digit_ranges(spec, index_blocks):
                 js = (codes >> n * (last - 1 - i)) & (m - 1)
                 lows[i], highs[i] = int(js.min()), int(js.max())
     return lows, highs
+
+
+def _mask_index_blocks(spec, masks):
+    """A stream of index blocks for _digit_ranges with the same digits
+    on every axis as the states selected by the stream masks of (start,
+    mask) slices.
+
+    A slice of whole rows of 2^g states, g being the bits of as many
+    whole axes as fit in HULL_TABLE_BITS (0 when one axis is wider) and
+    at most the register's, is reduced as a (rows, 2^g) array instead
+    of by its indices: any(axis=0) marks the codes of the low axes (the
+    g low bits) that it selects, and any(axis=1) the rows, the codes of
+    the high axes.  At the end, the codes L and H marked by all such
+    slices yield one small block, (H[0] << g) | L beside
+    (H << g) | L[0], whose digits on each axis are those of L or of H.
+    Any other slice yields its indices.
+    """
+    n = spec.qubits_per_dim
+    g = n * min(HULL_TABLE_BITS // n, spec.dimension)
+    row = 1 << g
+    low = np.zeros(row, dtype=bool)
+    high = np.zeros(spec.total_points >> g, dtype=bool)
+    for start, mask in masks:
+        if g and start % row == 0 and mask.size % row == 0:
+            rows = mask.reshape(-1, row)
+            low |= rows.any(axis=0)
+            high[start >> g:(start + mask.size) >> g] = rows.any(axis=1)
+        else:
+            flat = np.flatnonzero(mask)
+            flat += start
+            yield flat
+    highs = np.flatnonzero(high)
+    if highs.size:
+        lows = np.flatnonzero(low)
+        yield np.concatenate(((highs[0] << g) | lows, (highs << g) | lows[0]))
 
 
 def _hull(spec, index_blocks):

@@ -55,6 +55,7 @@ from .contraction import (
 from .errors import InvalidInputError
 from .grid import GridSpec, SearchBox, decode
 from .quantum import (
+    DRAW_BYTES_PER_SHOT,
     EncodingLaw,
     distribution_from_values,  # noqa: F401  (re-exported: encode_in_place is its step)
     draw_in_place,
@@ -63,6 +64,7 @@ from .quantum import (
     entropy_fraction,
     frequencies,
     grid_values,
+    probabilities_in_place,
     sample,  # noqa: F401  (re-exported: draw is its finite-shot step)
 )
 from .refine import RefinerConfig, refine
@@ -70,10 +72,11 @@ from .refine import RefinerConfig, refine
 # Model-based accounting: 8-byte amplitudes plus 8-byte probabilities per
 # basis state for the quantum model, 8-byte stored values per classical
 # grid point.  Pure functions of configuration, identical on any machine.
-# ``run`` refuses a register whose model bytes exceed physical memory.
-# The model overstates a qags run, which holds one 8 B/state vector
-# (values, then probabilities in place) and measures 9.2-11.0 B/state
-# under tracemalloc on 2^20 states, so the guard errs on the safe side.
+# ``run`` refuses a register whose model bytes, plus a finite-shot draw's
+# DRAW_BYTES_PER_SHOT per shot, exceed physical memory.  The model
+# overstates a qags run, which holds one 8 B/state vector (values, then
+# probabilities in place) and measures about 9.2 B/state under
+# tracemalloc on 2^20 states, so the guard errs on the safe side.
 QUANTUM_BYTES_PER_STATE = 16
 CLASSICAL_BYTES_PER_POINT = 8
 
@@ -97,12 +100,12 @@ class QagsConfig:
     refiner: RefinerConfig = field(default_factory=RefinerConfig)
 
     def __post_init__(self):
-        if self.qubits_per_dim < 1:
-            raise InvalidInputError("qubits_per_dim must be >= 1")
+        if not isinstance(self.qubits_per_dim, numbers.Integral) or self.qubits_per_dim < 1:
+            raise InvalidInputError("qubits_per_dim must be an integer >= 1")
         if not 0.0 < self.quantile < 1.0:
             raise InvalidInputError("quantile must lie strictly inside (0, 1)")
-        if self.shots < 0:
-            raise InvalidInputError("shots must be non-negative")
+        if not isinstance(self.shots, numbers.Integral) or self.shots < 0:
+            raise InvalidInputError("shots must be a non-negative integer")
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise InvalidInputError("seed must be a non-negative integer")
 
@@ -243,9 +246,9 @@ def run(f, initial_bounds, cfg):
     iteration that leaves the box unchanged (FIXED_POINT); at shots > 0
     determinism holds for a fixed seed.  The objective's evaluation
     counter advances by exactly total_f_evals.  A register of
-    2^(n*d) states whose QUANTUM_BYTES_PER_STATE bytes each exceed
-    physical memory raises InvalidInputError before anything is
-    allocated.
+    2^(n*d) states whose QUANTUM_BYTES_PER_STATE bytes each, with a
+    finite-shot draw's DRAW_BYTES_PER_SHOT per shot, exceed physical
+    memory raises InvalidInputError before anything is allocated.
     """
     vector = None  # the run's one lattice vector, made by the first iteration
 
@@ -253,30 +256,34 @@ def run(f, initial_bounds, cfg):
         nonlocal vector
         spec = GridSpec(f.arity, cfg.qubits_per_dim, box)
         vector = grid_values(f, spec, out=vector)
-        # the values become the probabilities; exact readout's point is
-        # the first-index grid argmin
-        dist, value = encode_in_place(spec, vector, cfg.law)
-        point = decode(spec, dist.f_min_index)
+        # the values become the probabilities; the point is the
+        # first-index grid argmin
         if cfg.shots > 0:
-            # read the draw off its support: the same selection and
-            # entropy as sample's empirical vector, without building it
+            # the draw needs only the probabilities: its entropy comes
+            # from its frequencies.  Read it off its support: the same
+            # selection and entropy as sample's empirical vector,
+            # without building it
+            index, value = probabilities_in_place(spec, vector, cfg.law)
             support, counts = draw_in_place(vector, cfg.shots, cfg.seed + (k - 1))
             freq = frequencies(counts)
             selection = select_support(support, freq, spec.total_points, cfg.quantile)
             entropy = entropy_bits_of(freq) / (spec.qubits_per_dim * spec.dimension)
             box_next, selected = contract_bounds(spec, selection), selection.selected_indices.size
         else:
+            dist, value = encode_in_place(spec, vector, cfg.law)
+            index = dist.f_min_index
             box_next, selected = contract_region(dist, cfg.quantile)
             entropy = entropy_fraction(dist)
-        return point, value, box_next, int(selected), float(entropy)
+        return decode(spec, index), value, box_next, int(selected), float(entropy)
 
     grid_points = 1 << (cfg.qubits_per_dim * f.arity)
-    needed = grid_points * QUANTUM_BYTES_PER_STATE
+    needed = grid_points * QUANTUM_BYTES_PER_STATE + cfg.shots * DRAW_BYTES_PER_SHOT
     memory = physical_memory_bytes()
     if needed > memory:
+        draw = f" with a {cfg.shots}-shot draw" if cfg.shots else ""
         raise InvalidInputError(
-            f"a {grid_points}-state register needs {needed} bytes, more than "
-            f"the {memory} bytes of physical memory"
+            f"a {grid_points}-state register{draw} needs {needed} bytes, more "
+            f"than the {memory} bytes of physical memory"
         )
     return search(
         "qags", f, initial_bounds, step, cfg.termination, cfg.shots == 0,

@@ -14,11 +14,15 @@ slices, so it allocates nothing of the vector's size; each pass leaves
 its result in the vector for the next (the shifted values v - v_min,
 then the negated exponents), so none recomputes an earlier one's.  It
 combines the slices' sums as NumPy's pairwise summation does, so every
-output equals the dense formulas bit for bit.  ``cumsum_in_place`` writes
+output equals the dense formulas bit for bit.  Its result needs no check
+over the vector: a finite sigma proves every probability lies in [0, 1]
+and that they sum to 1, and a sigma that is not finite raises.  A reader
+that needs only the probabilities skips the entropy's last products and
+sum.  ``cumsum_in_place`` writes
 np.cumsum's bits over a vector a block at a time.  ``linear_quantile``
 equals np.quantile's linear threshold bit for bit; it partitions only
 the entries that a strided sample brackets, not a copy of the whole
-vector.  ``padded_quantile``
+vector, and a bracket of one value it only counts.  ``padded_quantile``
 gives the same threshold for a vector of zeros and a few positive
 entries, such as a finite-shot draw, from the positive entries alone.
 
@@ -41,6 +45,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import InvalidInputError
 
 KIND_SPHERE = 0
 KIND_RASTRIGIN = 1
@@ -363,7 +369,7 @@ def _pairwise_sum(leaf, start, n):
     return _pairwise_sum(leaf, start, half) + _pairwise_sum(leaf, start + half, n - half)
 
 
-def boltzmann(values, scale):
+def boltzmann(values, scale, entropy=True):
     """Boltzmann encoding of a value vector, in place: the float64
     vector ``values`` is overwritten by the probabilities.
 
@@ -374,7 +380,16 @@ def boltzmann(values, scale):
     exp(-scale * (v - v_min) / sigma).  Sigma is taken from v - v_min,
     not from v, so a constant offset added to the values cannot round
     the mean and move the encoding.  With e the scaled exponent and
-    Z the weight sum, the entropy is (ln Z + sum(p * e)) / ln 2.
+    Z the weight sum, the entropy is (ln Z + sum(p * e)) / ln 2; with
+    entropy=False it is not taken, and entropy_bits is None.
+
+    A value that is not finite, or a spread that overflows float64,
+    makes sigma NaN or infinite, and raises InvalidInputError before the
+    exponents are taken; nothing warns on the way.  A finite sigma makes
+    every exponent ne finite and <= 0, and the argmin's -0.0, so every
+    weight lies in [0, 1], the argmin's is 1, and Z lies in [1, N]: every
+    probability lies in [0, 1] and they sum to 1 within pairwise
+    rounding, and no pass over the probabilities needs to check them.
 
     The vector is worked through in BLOCK_STATES slices with one scratch
     block, so nothing of the vector's size is allocated.  Once v_min is
@@ -386,7 +401,8 @@ def boltzmann(values, scale):
       4. ne = (d * scale) / (-sigma) over each slice, and Z = sum(exp(ne))
          with the weights in the scratch block;
       5. p = exp(ne) / Z in the scratch block, ne * p over the slice and
-         its sum, then p copied over the slice.
+         its sum, then p copied over the slice; without the entropy,
+         p = exp(ne) / Z written over the slice alone.
     IEEE rounding is symmetric in sign, so x / -sigma == -(x / sigma)
     and ne * p == -(e * p) exactly, and a sum of negated terms is the
     negated sum: the weights are exp(-e) and sum(p * e) is minus the
@@ -428,14 +444,26 @@ def boltzmann(values, scale):
         ne[:] = p
         return total
 
-    mean = _pairwise_sum(subtract_min, 0, n) / n
-    sigma = math.sqrt(_pairwise_sum(squared_deviations, 0, n) / n)
+    # a sum that overflows, or inf - inf, shows in sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _pairwise_sum(subtract_min, 0, n) / n
+        sigma = math.sqrt(_pairwise_sum(squared_deviations, 0, n) / n)
+    if not math.isfinite(sigma):
+        raise InvalidInputError(
+            "the values' spread overflows float64, or a value is not finite"
+        )
     if sigma < 1e-12:
         sigma = 1.0
     z = _pairwise_sum(weights, 0, n)
+    if not entropy:
+        for start in range(0, n, BLOCK_STATES):
+            p = v[start:start + BLOCK_STATES]
+            np.exp(p, out=p)
+            p /= z
+        return argmin_index, v_min, sigma, None
     mean_exponent = -_pairwise_sum(normalize, 0, n)
-    entropy = max((math.log(z) + float(mean_exponent)) / math.log(2.0), 0.0)
-    return argmin_index, v_min, sigma, entropy
+    entropy_bits = max((math.log(z) + float(mean_exponent)) / math.log(2.0), 0.0)
+    return argmin_index, v_min, sigma, entropy_bits
 
 
 def cumsum_in_place(x):
@@ -462,10 +490,17 @@ QUANTILE_STRIDE = 251
 
 
 def _rank_bracket(p, i, j):
-    """(below, run): a new array of the entries of p that lie between two
-    sampled values around the ranks i <= j, and how many entries lie
-    below that range.  When the counts show the range misses a rank, the
-    sample misled, and the run is a copy of all of p, with below = 0.
+    """(below, run): run holds, in some order, the entries of p of ranks
+    below, below + 1, ..., among them the ranks i <= j.
+
+    A sorted strided sample gives two values around the ranks.  When
+    they differ, run is a new array of the entries that lie between
+    them and below counts the entries under that range.  When they are
+    one value, each block is only counted, below it and equal to it: if
+    ranks i and j fall among the equal entries, both order statistics
+    are that value, and run is it for ranks i to j alone, below = i, so
+    nothing is copied.  When the counts show the range misses a rank,
+    the sample misled, and the run is a copy of all of p, with below = 0.
     """
     n = p.size
     sample = np.sort(p[::QUANTILE_STRIDE])
@@ -473,18 +508,25 @@ def _rank_bracket(p, i, j):
     gap = 2 * math.isqrt(sample.size) + 1
     lo = sample[max(at - gap, 0)]
     hi = sample[min(at + gap, sample.size - 1)]
-    below, parts = 0, []
+    one_value = lo == hi
+    below, inside, parts = 0, 0, []
     for start in range(0, n, BLOCK_STATES):
         block = p[start:start + BLOCK_STATES]
-        under = block < lo
-        below += np.count_nonzero(under)
-        keep = block <= hi
-        keep ^= under
-        parts.append(block[keep])
-    run = np.concatenate(parts)
-    if below <= i and j < below + run.size:
-        return below, run
-    return 0, p.copy()
+        if one_value:
+            below += np.count_nonzero(block < lo)
+            inside += np.count_nonzero(block == lo)
+        else:
+            under = block < lo
+            below += np.count_nonzero(under)
+            keep = block <= hi
+            keep ^= under
+            parts.append(block[keep])
+            inside += parts[-1].size
+    if not below <= i or not j < below + inside:
+        return 0, p.copy()
+    if one_value:
+        return i, np.full(j - i + 1, lo)
+    return below, np.concatenate(parts)
 
 
 def _quantile_ranks(n, q):

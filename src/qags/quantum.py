@@ -7,12 +7,17 @@ and the classical baseline reduces over it.  A qags run holds one
 vector of 8 B per state: the values are encoded into probabilities in
 place (``encode_in_place``), and a finite-shot draw writes its cdf over
 them (``draw_in_place``).  The encoding, the selection and the hull add
-only buffers of a block or of the selection, so a 10-iteration run on
-a 2^20-state lattice peaks under ``tracemalloc`` at 9.2 B per state
-(d = 2, q = 10, exact readout or 4,096 shots) to 11.0 B (d = 10, q = 2,
-where the quantile's bracket is widest), against the register model's
-16 B.  ``distribution_from_values``, ``draw`` and ``sample`` encode or
-draw from a copy, and never change what they are given.
+only buffers of a block, of a bracket of distinct values or of the
+draw, so a 10-iteration run on a 2^20-state lattice peaks under
+``tracemalloc`` at about 9.2 B per state (d = 10, q = 2; d = 2,
+q = 10; rastrigin d = 5, q = 4; exact readout or 4,096 shots), against
+the register model's 16 B.  The encoding proves its own
+probabilities valid (``kernels.boltzmann``), so ``encode_in_place``
+builds its distribution without the public constructor's O(N) check,
+and ``probabilities_in_place`` writes the same probabilities without
+the entropy for a draw.  ``distribution_from_values``, ``draw`` and
+``sample`` encode or draw from a copy, and never change what they are
+given.
 
 Objective values over the full grid are encoded as Boltzmann weights
 exp(-(f - f_min) / sigma) with sigma the population standard deviation of
@@ -97,6 +102,18 @@ class QuantumDistribution:
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "entropy_bits", float(self.entropy_bits))
 
+    @classmethod
+    def _encoded(cls, spec, probabilities, f_min_index, sigma, entropy_bits):
+        """The distribution of the read-only probabilities that
+        kernels.boltzmann has just made, built without __post_init__'s
+        O(N) check: the encoding proves them valid."""
+        dist = object.__new__(cls)
+        for name, value in [("spec", spec), ("probabilities", probabilities),
+                            ("f_min_index", f_min_index), ("sigma", sigma),
+                            ("entropy_bits", entropy_bits)]:
+            object.__setattr__(dist, name, value)
+        return dist
+
 
 def lattice_blocks(objective, box, points_per_dim, last_axis_major=False):
     """Objective values over the lattice of m = points_per_dim points per
@@ -151,25 +168,36 @@ def grid_values(objective, spec, out=None):
     return values
 
 
+def _encode(spec, values, law, entropy):
+    if values.dtype != np.float64 or values.shape != (spec.total_points,):
+        raise InvalidInputError("value vector must hold 2^(n*d) float64 entries")
+    return kernels.boltzmann(values, law.exponent_scale, entropy)
+
+
 def encode_in_place(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
     """Boltzmann-encode the float64 value vector ``values`` (flat-index
     order) in place: it is overwritten by the probabilities.
 
     Returns (distribution, f_min): the distribution's probabilities are
     a read-only view of ``values``, valid until ``values`` is written
-    again, and f_min is the least value, the one at f_min_index.
+    again, and f_min is the least value, the one at f_min_index.  The
+    encoding itself proves them a distribution (kernels.boltzmann), so
+    they are not checked again; values that cannot be encoded, not
+    finite or too far apart for float64, raise InvalidInputError.
     """
-    if values.dtype != np.float64 or values.shape != (spec.total_points,):
-        raise InvalidInputError("value vector must hold 2^(n*d) float64 entries")
-    argmin_index, f_min, sigma, entropy = kernels.boltzmann(values, law.exponent_scale)
-    dist = QuantumDistribution(
-        spec=spec,
-        probabilities=values[:],  # a view, so values itself stays writable
-        f_min_index=argmin_index,
-        sigma=sigma,
-        entropy_bits=entropy,
-    )
-    return dist, f_min
+    argmin_index, f_min, sigma, entropy = _encode(spec, values, law, True)
+    probs = values[:]  # a view, so values itself stays writable
+    probs.setflags(write=False)
+    return QuantumDistribution._encoded(spec, probs, argmin_index, sigma, entropy), f_min
+
+
+def probabilities_in_place(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
+    """encode_in_place's probabilities alone: ``values`` is overwritten
+    by the same bits, and (f_min_index, f_min) is returned, without the
+    entropy's products and sum or a distribution, for a reader such as
+    a finite-shot draw that takes only these."""
+    argmin_index, f_min, _, _ = _encode(spec, values, law, False)
+    return argmin_index, f_min
 
 
 def distribution_from_values(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
@@ -193,6 +221,14 @@ def entropy_bits_of(probs):
 def entropy_fraction(dist):
     """Entropy relative to the n*d-bit maximum: 1 uniform, 0 point mass."""
     return dist.entropy_bits / (dist.spec.qubits_per_dim * dist.spec.dimension)
+
+
+# draw_in_place frees each per-shot buffer once it is spent, so it holds
+# at most three 8 B entries per shot: the drawn indices beside the
+# uniforms, then beside the run starts and their differences, and at the
+# end the support, the run starts and the counts.  The memory guard of
+# driver.run counts them beside the register.
+DRAW_BYTES_PER_SHOT = 24
 
 
 def _cdf_indices(cdf, u):
@@ -227,9 +263,15 @@ def draw_in_place(probabilities, shots, seed):
     u.sort()
     u *= cdf[-1]
     idx = _cdf_indices(cdf, u)
+    del u  # spent: see DRAW_BYTES_PER_SHOT
     # idx is sorted: each run of equal indices is one drawn state
     starts = np.flatnonzero(np.diff(idx, prepend=-1))
-    return idx[starts], np.diff(starts, append=shots)
+    support = idx[starts]
+    del idx
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = shots - starts[-1]
+    return support, counts
 
 
 def draw(dist, shots, seed):

@@ -102,6 +102,32 @@ class TestOptimize:
         assert out == ""
         assert "physical memory" in err
 
+    def test_draw_over_physical_memory(self, capsys, monkeypatch):
+        import qags.driver
+
+        monkeypatch.setattr(qags.driver, "physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(qags.driver, "grid_values", None)  # never reached
+        code, out, err = run_main(
+            capsys,
+            "optimize", "--function", "sphere", "--dim", "2", "--qubits", "3",
+            "--bounds=-5,5", "--shots", "100000000000",
+        )
+        assert (code, out) == (2, "")
+        assert "100000000000-shot draw" in err and "physical memory" in err
+
+    @pytest.mark.parametrize("shots", ["0", "64"])
+    @pytest.mark.parametrize("law", ["boltzmann-prob", "boltzmann-amp"])
+    def test_overflowing_spread_is_usage_error(self, capsys, law, shots):
+        # sphere values up to 1.69e308: their squared deviations overflow.
+        # pytest turns any RuntimeWarning into an error, so none is raised
+        code, out, err = run_main(
+            capsys,
+            "optimize", "--function", "sphere", "--dim", "1", "--qubits", "3",
+            "--bounds=0,1.3e154", "--law", law, "--shots", shots,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the values' spread overflows float64, or a value is not finite\n"
+
     def test_shift_on_non_sphere(self, capsys):
         code, _, err = run_main(
             capsys,

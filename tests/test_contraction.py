@@ -1,5 +1,7 @@
 """Region selection, bound contraction, and termination."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,13 @@ from qags.contraction import (
 )
 from qags.errors import InvalidInputError
 from qags.grid import GridSpec, SearchBox, decode_many, pack_indices
+from qags.objectives import make_sphere
 from qags.quantum import (
     EncodingLaw,
     QuantumDistribution,
     distribution_from_values,
     entropy_fraction,
+    grid_values,
 )
 
 
@@ -341,6 +345,51 @@ class TestContractRegion:
         assert count == sel.selected_indices.size
         assert box.lower.tobytes() == ref.lower.tobytes()
         assert box.upper.tobytes() == ref.upper.tobytes()
+
+    # n that does not divide HULL_TABLE_BITS (5, 7, 10), axes wider than
+    # it (n = 13, 14, where every slice takes the index path), and
+    # lattices of several default blocks (2^17 to 2^18 states), where
+    # each whole-row slice is reduced by its mask
+    @pytest.mark.parametrize("block", [None, 7, 129, 1000])
+    @pytest.mark.parametrize("kind", REGION_KINDS)
+    @pytest.mark.parametrize("d,n", [(2, 5), (3, 5), (1, 7), (1, 10), (1, 13), (1, 14),
+                                     (17, 1), (2, 9)])
+    def test_row_reduction_equals_select_region_then_contract_bounds(self, monkeypatch, block,
+                                                                    kind, d, n):
+        rng = np.random.default_rng([d, n, REGION_KINDS.index(kind), 1])
+        lower = rng.uniform(-20.0, 20.0, d)
+        spec = GridSpec(d, n, SearchBox(lower, lower + rng.uniform(0.5, 9.0, d)))
+        probs, top = _region_probabilities(kind, spec.total_points, block or 1 << 16, rng)
+        if block is not None:
+            monkeypatch.setattr(contraction.kernels, "BLOCK_STATES", block)
+        dist = make_dist(probs, f_min_index=top, spec=spec, entropy=1.0)
+        for quantile in (0.25, 0.9):
+            # the dense selection rule, on the whole vector at once
+            threshold, selected = quantile_reference(dist, quantile)
+            ref = contract_bounds(spec, RegionSelection(quantile, selected, threshold))
+            box, count = contract_region(dist, quantile)
+            assert count == selected.size
+            assert box.lower.tobytes() == ref.lower.tobytes()
+            assert box.upper.tobytes() == ref.upper.tobytes()
+
+    def test_whole_row_slices_hold_no_index_per_selected_state(self):
+        # sphere d = 10, q = 2 keeps over a quarter of 2^20 states.  The
+        # mask reduction peaks at about 200 KB; the index path, whose
+        # per-slice index arrays of over 128 KB the hull's digit pass
+        # shifts and masks, peaked at 740 KB
+        spec = GridSpec(10, 2, SearchBox.cube(10, -5.0, 5.0))
+        dist = distribution_from_values(spec, grid_values(make_sphere(10), spec))
+        sel = select_region(dist, 0.75)
+        assert sel.selected_indices.size > spec.total_points // 4
+        tracemalloc.start()
+        try:
+            box, count = contract_region(dist, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == sel.selected_indices.size
+        assert box == contract_bounds(spec, sel)
+        assert peak < 4 * contraction.kernels.BLOCK_STATES
 
     def test_threshold_zero_keeps_only_positive_states(self, monkeypatch):
         monkeypatch.setattr(contraction.kernels, "BLOCK_STATES", 4)

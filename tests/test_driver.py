@@ -171,6 +171,25 @@ class TestMemoryGuard:
         with pytest.raises(InvalidInputError, match="16384 bytes"):
             sphere_run(qubits=5)
 
+    def test_draw_counts_beside_the_register(self, monkeypatch, no_lattice):
+        # 2^10 states and 10^11 shots: 16,384 bytes of register and 24 B
+        # per shot of the draw's uniforms, indices and run starts
+        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: 1 << 30)
+        obj = make_sphere(2)
+        with pytest.raises(InvalidInputError, match="100000000000-shot draw needs 2400000016384 bytes"):
+            run(obj, SearchBox.cube(2, -5.0, 5.0), QagsConfig(qubits_per_dim=5, shots=10**11))
+        assert obj.eval_count == 0
+
+    def test_limit_counts_the_draw_to_the_byte(self, monkeypatch):
+        needed = 1024 * 16 + 100 * driver.DRAW_BYTES_PER_SHOT
+        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: needed)
+        _, report = sphere_run(qubits=5, shots=100)
+        assert report.peak_model_bytes == 1024 * 16  # the model is the register's alone
+        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: needed - 1)
+        monkeypatch.setattr(driver, "grid_values", None)
+        with pytest.raises(InvalidInputError, match=f"{needed} bytes"):
+            sphere_run(qubits=5, shots=100)
+
 
 class TestQagsConfig:
     def test_defaults(self):
@@ -187,6 +206,20 @@ class TestQagsConfig:
             QagsConfig(qubits_per_dim=2, quantile=1.0)
         with pytest.raises(InvalidInputError):
             QagsConfig(qubits_per_dim=2, shots=-5)
+
+    @pytest.mark.parametrize("shots", [2.5, 1.0, "3", None, -1])
+    def test_rejects_shots_that_are_not_a_non_negative_int(self, shots):
+        with pytest.raises(InvalidInputError, match="shots"):
+            QagsConfig(qubits_per_dim=2, shots=shots)
+
+    @pytest.mark.parametrize("qubits", [2.5, 2.0, "3", None, 0])
+    def test_rejects_qubits_that_are_not_a_positive_int(self, qubits):
+        with pytest.raises(InvalidInputError, match="qubits_per_dim"):
+            QagsConfig(qubits_per_dim=qubits)
+
+    def test_accepts_numpy_ints(self):
+        cfg = QagsConfig(qubits_per_dim=np.int64(3), shots=np.int32(8))
+        assert (cfg.qubits_per_dim, cfg.shots) == (3, 8)
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, "3", None])
     def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
@@ -237,6 +270,12 @@ class TestReportDigests:
             "6ed69e5479d4a90e3ae944302ce864469b14b999f98ba2003e5c382773e9e898",
         ("rosenbrock", 4, 4, 0, "boltzmann-prob"):
             "571331d0bed341680fe234704c3b4312ed2fd8e22a7547aa945d59db6475daff",
+        # a threshold bracket of one value, counted, and at 4096 shots an
+        # encoding without the entropy
+        ("sphere", 10, 2, 0, "boltzmann-prob"):
+            "9cf14c5cf1af3a355068275470fc39e0d8acec4ab02b27cb9c9e89cfdbff6054",
+        ("sphere", 10, 2, 4096, "boltzmann-prob"):
+            "087b63180a1ba5edf007b06ecacc915434edaaaacb511a75c3855cf87500b453",
     }
 
     @pytest.mark.parametrize("name,d,qubits,shots,law", sorted(REPORT_DIGESTS))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qags import kernels
+from qags.errors import InvalidInputError
 
 KINDS = [
     (kernels.KIND_SPHERE, "sphere"),
@@ -142,6 +143,29 @@ def test_boltzmann_entropy_is_the_dense_closed_form(monkeypatch, case, block):
     assert np.float64(entropy).tobytes() == np.float64(ref).tobytes()
 
 
+@pytest.mark.parametrize("block", [None, 1000, 129])
+@pytest.mark.parametrize("case", list(_boltzmann_inputs()))
+def test_boltzmann_without_entropy_writes_the_same_probabilities(monkeypatch, case, block):
+    if block:
+        monkeypatch.setattr(kernels, "BLOCK_STATES", block)
+    values, scale = _boltzmann_inputs()[case]
+    full, alone = values.copy(), values.copy()
+    argmin_index, v_min, sigma, _ = kernels.boltzmann(full, scale)
+    assert kernels.boltzmann(alone, scale, entropy=False) == (argmin_index, v_min, sigma, None)
+    assert alone.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("values", [
+    [0.0, np.nan, 1.0], [np.inf, 0.0, 1.0], [0.0, -np.inf, 1.0], [np.nan] * 3,
+    # spreads whose squared deviations overflow float64
+    [0.0, 1e154, 4e154, 9e154], [0.0, 1.7e308], [1.7e308, 1.6e308, 1.7e308, 1.7e308],
+])
+def test_boltzmann_rejects_values_it_cannot_encode_without_warning(values, scale):
+    with pytest.raises(InvalidInputError, match="spread overflows float64"):
+        kernels.boltzmann(np.array(values), scale)
+
+
 def test_boltzmann_allocates_one_scratch_block():
     # every pass writes into the vector or the one scratch block; a
     # block-sized temporary beside it would double the peak
@@ -258,6 +282,43 @@ def test_linear_quantile_partitions_everything_when_the_sample_misleads():
     rng = np.random.default_rng(3)
     p = rng.random(1 << 18) * 0.5
     p[:: kernels.QUANTILE_STRIDE] = 1.0 + rng.random(p[:: kernels.QUANTILE_STRIDE].size)
+    i = int((p.size - 1) * 0.75)
+    below, run = kernels._rank_bracket(p, i, i + 1)
+    assert below == 0 and run.size == p.size
+    assert np.float64(kernels.linear_quantile(p, 0.75)).tobytes() == np.quantile(p, 0.75).tobytes()
+
+
+def _one_value_bracket():
+    """2^20 probabilities of which the middle ranks are all one value,
+    as sphere d = 10, q = 2's 22 distinct values give: a strided sample
+    brackets the quartile ranks with that value at both ends."""
+    rng = np.random.default_rng(8)
+    p = np.full(1 << 20, 0.25)
+    p[rng.choice(p.size, 300_000, replace=False)] = rng.random(300_000)
+    return p
+
+
+@pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
+def test_one_value_bracket_is_counted_not_copied(q):
+    p = _one_value_bracket()
+    _, i, j = kernels._quantile_ranks(p.size, q)
+    below, run = kernels._rank_bracket(p, i, j)
+    assert below == i and run.tolist() == [0.25] * (j - i + 1)
+    tracemalloc.start()
+    try:
+        got = kernels.linear_quantile(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.float64(got).tobytes() == np.quantile(p, q).tobytes()
+    # a bracket of the equal entries would copy over 2 MB of them
+    assert peak < kernels.BLOCK_STATES * 8
+
+
+def test_one_value_sample_that_misleads_partitions_everything():
+    # every sampled entry is one value larger than every other entry
+    p = np.random.default_rng(4).random(1 << 18) * 0.5
+    p[:: kernels.QUANTILE_STRIDE] = 2.0
     i = int((p.size - 1) * 0.75)
     below, run = kernels._rank_bracket(p, i, i + 1)
     assert below == 0 and run.size == p.size

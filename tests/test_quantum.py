@@ -1,5 +1,7 @@
 """Measurement-distribution encoding and sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,11 @@ from qags.objectives import (
     make_sphere,
 )
 from qags.quantum import (
+    DRAW_BYTES_PER_SHOT,
     EncodingLaw,
     QuantumDistribution,
     _cdf_indices,
+    _check_probabilities,
     build_distribution,
     distribution_from_values,
     draw,
@@ -24,6 +28,7 @@ from qags.quantum import (
     encode_in_place,
     entropy_fraction,
     grid_values,
+    probabilities_in_place,
     sample,
 )
 
@@ -135,6 +140,27 @@ class TestInPlaceRoutines:
             ref.f_min_index, ref.sigma, ref.entropy_bits
         )
 
+    @pytest.mark.parametrize("n", [12, 17])
+    @pytest.mark.parametrize("law", list(EncodingLaw))
+    def test_probabilities_in_place_writes_the_encodings_bits(self, law, n):
+        values = self._values(n)
+        dist, f_min = encode_in_place(spec1(n=n), values.copy(), law)
+        assert probabilities_in_place(spec1(n=n), values, law) == (dist.f_min_index, f_min)
+        assert values.tobytes() == dist.probabilities.tobytes()
+
+    @pytest.mark.parametrize("law", list(EncodingLaw))
+    @pytest.mark.parametrize("values", [
+        np.random.default_rng(1).normal(3.0, 2.0, 1 << 17),
+        np.random.default_rng(2).normal(0.0, 1.0, 1 << 12) * 1e3,  # most weights underflow
+        np.r_[np.zeros(1), np.full(1023, 50.0)],
+        np.full(64, 1e300),
+        np.repeat(np.random.default_rng(3).normal(0.0, 1e150, 16), 64),
+    ], ids=["normal", "underflow", "all but one underflow", "constant", "wide ties"])
+    def test_encoding_passes_the_full_check_it_skips(self, law, values):
+        # a finite sigma proves the check, so it never fails on an encoding
+        dist, _ = encode_in_place(spec1(n=values.size.bit_length() - 1), values.copy(), law)
+        _check_probabilities(dist.probabilities)
+
     def test_encode_in_place_needs_a_float64_vector_of_the_grid(self):
         with pytest.raises(InvalidInputError):
             encode_in_place(spec1(n=2), np.zeros(3))
@@ -150,6 +176,21 @@ class TestInPlaceRoutines:
         assert counts.tobytes() == ref_counts.tobytes()
         assert probs.tobytes() == np.cumsum(dist.probabilities).tobytes()
 
+    @pytest.mark.parametrize("states", [1 << 10, 1 << 22])
+    def test_draw_peaks_at_the_modelled_bytes_per_shot(self, states):
+        # few states, so the draws repeat, and more states than shots,
+        # so nearly every draw is its own support entry
+        probs = np.random.default_rng(5).random(states)
+        probs /= probs.sum()
+        shots = 1 << 20
+        tracemalloc.start()
+        try:
+            draw_in_place(probs, shots, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < DRAW_BYTES_PER_SHOT * shots + 65536
+
     @pytest.mark.parametrize("law", list(EncodingLaw))
     def test_public_routines_leave_their_inputs_unchanged(self, law):
         values = self._values()
@@ -163,6 +204,37 @@ class TestInPlaceRoutines:
         listed = list(kept[:8])
         distribution_from_values(spec1(n=3), listed, law)
         assert listed == list(kept[:8])
+
+
+# Value vectors the full check rejected after encoding them (a NaN
+# probability), and spreads that overflowed into a uniform encoding
+# under the probability law, where the amplitude law's doubled exponent
+# gave NaN: every one is now refused before its exponents are taken
+UNENCODABLE = {
+    "nan": [0.0, 1.0, np.nan, 3.0, 4.0, 5.0, 6.0, 7.0],
+    "nan at the minimum": [np.nan, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+    "plus-inf": [0.0, 1.0, 2.0, np.inf, 4.0, 5.0, 6.0, 7.0],
+    "minus-inf": [0.0, 1.0, -np.inf, 3.0, 4.0, 5.0, 6.0, 7.0],
+    "all nan": [np.nan] * 8,
+    "all plus-inf": [np.inf] * 8,
+    "all minus-inf": [-np.inf] * 8,
+    "both infinities": [np.inf, -np.inf] * 4,
+    "spread of 2e308": [-1e308, 1e308] * 4,
+    "sphere on [0, 1.3e154]": list(np.linspace(0.0, 1.3e154, 8) ** 2),
+    "spread of 1.7e308": [0.0, 1.7e308] * 4,
+    "deviations of 1e307": [1.6e308] + [1.7e308] * 7,
+}
+
+
+class TestUnencodableValues:
+    @pytest.mark.parametrize("law", list(EncodingLaw))
+    @pytest.mark.parametrize("name", sorted(UNENCODABLE))
+    def test_rejected_under_both_laws_without_warning(self, name, law):
+        values = np.array(UNENCODABLE[name])
+        with pytest.raises(InvalidInputError, match="spread overflows float64"):
+            distribution_from_values(spec1(n=3), values, law)
+        with pytest.raises(InvalidInputError, match="spread overflows float64"):
+            probabilities_in_place(spec1(n=3), values.copy(), law)
 
 
 class TestQuantumDistributionValidation:
