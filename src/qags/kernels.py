@@ -32,12 +32,15 @@ of the full arrays; both methods evaluate their lattices through these
 streams, and ``lattice_values`` is the reference they are tested
 against.  A value block is a (c, R) array, entry [j, r] at flat index
 start + r * c + j: a flat run (c = 1), or for a consumer that asks, the
-last axis major (c = m), whose last sum loops over the R rows.  An axis
-with more points than a block is split across blocks, so a pass over
-any lattice holds about one block beyond the leading axes' partial
-sums.  ``lattice_points`` is the one flat-index decoder: it evaluates
-the rule at the decoded digits, so no decoder builds an axis table, and
-it decodes the columns of every coordinate block too.
+last axis major (c = m), whose last sum loops over the R rows.  A
+value block holds at most BLOCK_STATES states, a coordinate block at
+most BLOCK_STATES coordinates, so a batch function's temporaries do not
+grow with d.  An axis with more points than a block is split across
+blocks, so a pass over any lattice holds about one block beyond the
+leading axes' partial sums.  ``lattice_points`` is the one flat-index
+decoder: it evaluates the rule at the decoded digits, so no decoder
+builds an axis table, and it decodes the columns of every coordinate
+block too.
 """
 
 from __future__ import annotations
@@ -189,20 +192,20 @@ def lattice_values(kind, lower, upper, points_per_dim, shift=None):
     return _accumulate(np.zeros(1), 0, _term_tables(int(kind), axes, shift))
 
 
-def _block_layout(d, m):
-    """How a lattice of m**d states splits into blocks of at most
-    BLOCK_STATES states: (p, tail), tail = m**(d - p) being the states of
-    the trailing d - p axes' sub-lattice and p the leading axes whose
-    index prefixes the blocks step through.
+def _block_layout(d, m, limit=None):
+    """How a lattice of m**d states splits into blocks of at most limit
+    (default BLOCK_STATES) states: (p, tail), tail = m**(d - p) being the
+    states of the trailing d - p axes' sub-lattice and p the leading axes
+    whose index prefixes the blocks step through.
 
-    The trailing axes are as many as fit in BLOCK_STATES, and a block
-    spans all their states for consecutive prefixes.  When one axis
-    alone has more points than that, only the last axis trails
-    (p = d - 1, tail = m) and a block is a run of its points under one
-    prefix.
+    The trailing axes are as many as fit in limit, and a block spans all
+    their states for consecutive prefixes.  When one axis alone has more
+    points than that, only the last axis trails (p = d - 1, tail = m) and
+    a block is a run of its points under one prefix.
     """
+    limit = BLOCK_STATES if limit is None else limit
     p, tail = d, 1
-    while p > 0 and tail * m <= BLOCK_STATES:
+    while p > 0 and tail * m <= limit:
         p -= 1
         tail *= m
     if p == d:
@@ -210,16 +213,17 @@ def _block_layout(d, m):
     return p, tail
 
 
-def _block_ranges(p, tail, m):
+def _block_ranges(p, tail, m, limit=None):
     """The blocks of _block_layout in flat-index order, as (k0, k1, r0,
     r1): prefixes [k0, k1) of the leading p axes, each followed by the
     trailing states [r0, r1); the block starts at k0 * tail + r0."""
+    limit = BLOCK_STATES if limit is None else limit
     prefixes = m**p
-    chunk = max(1, BLOCK_STATES // tail)
+    chunk = max(1, limit // tail)
     for k0 in range(0, prefixes, chunk):
         k1 = min(k0 + chunk, prefixes)
-        for r0 in range(0, tail, BLOCK_STATES):
-            yield k0, k1, r0, min(r0 + BLOCK_STATES, tail)
+        for r0 in range(0, tail, limit):
+            yield k0, k1, r0, min(r0 + limit, tail)
 
 
 def _last_axis_columns(table):
@@ -311,7 +315,12 @@ def _trailing_coordinates(lower, upper, m, r0, r1):
 def coordinate_blocks(lower, upper, m):
     """The (N, d) coordinate matrix of the lattice of m points per axis
     of the box [lower, upper] (dimension 0 most significant) as a stream
-    of (start, coords) over the same blocks as lattice_value_blocks.
+    of (start, coords) over contiguous flat-index blocks of at most
+    BLOCK_STATES coordinates: floor(BLOCK_STATES / d) rows rounded down
+    to a power of two, and one row when d > BLOCK_STATES.  A block's
+    memory, and that of whatever a batch function makes of it, does not
+    grow with d; a power of two keeps every block made of whole runs of
+    the trailing axes of a lattice of 2^q points per axis.
 
     Each block's leading columns are its prefixes decoded by
     lattice_points, broadcast over its trailing states' coordinates;
@@ -320,9 +329,10 @@ def coordinate_blocks(lower, upper, m):
     """
     lower, upper, _ = _lattice_args(lower, upper, None)
     d = lower.size
-    p, tail = _block_layout(d, m)
+    limit = 1 << max(0, (BLOCK_STATES // d).bit_length() - 1)
+    p, tail = _block_layout(d, m, limit)
     window = None
-    for k0, k1, r0, r1 in _block_ranges(p, tail, m):
+    for k0, k1, r0, r1 in _block_ranges(p, tail, m, limit):
         if window != (r0, r1):
             window = (r0, r1)
             trailing = _trailing_coordinates(lower[p:], upper[p:], m, r0, r1)

@@ -9,9 +9,10 @@ place (``encode_in_place``), and a finite-shot draw writes its cdf over
 them (``draw_in_place``).  The encoding, the selection and the hull add
 only buffers of a block, of a bracket of distinct values or of the
 draw, so a 10-iteration run on a 2^20-state lattice peaks under
-``tracemalloc`` at about 9.2 B per state (d = 10, q = 2; d = 2,
-q = 10; rastrigin d = 5, q = 4; exact readout or 4,096 shots), against
-the register model's 16 B.  The encoding proves its own
+``tracemalloc`` at 8.6 to 9.4 B per state (d = 10, q = 2; d = 2,
+q = 10; rastrigin d = 5, q = 4; exact readout or 4,096 shots; a
+batch-only rotated ellipsoid at d = 5, q = 4), against the register
+model's 16 B.  The encoding proves its own
 probabilities valid (``kernels.boltzmann``), so ``encode_in_place``
 builds its distribution without the public constructor's O(N) check,
 and ``probabilities_in_place`` writes the same probabilities without
@@ -118,7 +119,9 @@ class QuantumDistribution:
 def lattice_blocks(objective, box, points_per_dim, last_axis_major=False):
     """Objective values over the lattice of m = points_per_dim points per
     axis of ``box``, as a stream of (start, block) over contiguous
-    flat-index blocks of at most 2^16 states.
+    flat-index blocks: of at most 2^16 states from the lattice kernel,
+    of at most 2^16 coordinates (2^16 / d states, rounded down to a power
+    of two) from evaluate_batch.
 
     A block is a (c, R) array whose entry [j, r] is the value at flat
     index start + r * c + j (see kernels.lattice_value_blocks).  It is a
@@ -165,6 +168,7 @@ def grid_values(objective, spec, out=None):
                 f"{objective.name} returned {values[idx]} on the grid",
                 point=decode(spec, idx),
             )
+        del block  # freed before the stream builds the next one
     return values
 
 

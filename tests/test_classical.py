@@ -291,7 +291,7 @@ class TestStreamedLattice:
         return SearchBox.cube(2, 0.0, float(m - 1))
 
     def test_constant_objective_argmin_is_zero(self):
-        m = 400  # 160,000 states: three blocks
+        m = 400  # 160,000 states: several blocks
         box = self._integer_box(m)
         const = self._batch_only(2, lambda pts: np.full(len(pts), 2.5))
         assert _lattice_argmin(const, box, m) == (0, 2.5)
@@ -304,7 +304,7 @@ class TestStreamedLattice:
         twin = self._batch_only(
             2, lambda pts: ((pts[:, 0] - 10.0) * (pts[:, 0] - 300.0)) ** 2 + (pts[:, 1] - 7.0) ** 2
         )
-        # zeros at flat 10*400+7 (first block) and 300*400+7 (second block)
+        # zeros at flat 10*400+7 (first block) and 300*400+7 (a later block)
         assert _lattice_argmin(twin, box, m) == (4007, 0.0)
         report = run_ags(twin, box, AgsConfig(points_per_dim=m, budget_points=m * m))
         assert report.iterations[0].best_point_so_far.tolist() == [10.0, 7.0]

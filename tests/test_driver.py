@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qags import driver
+from qags import driver, kernels
+from qags.classical import AgsConfig, run_ags
 from qags.contraction import TerminationPolicy, Verdict
 from qags.driver import IterationRecord, QagsConfig, RunReport, run, trace_boxes
 from qags.errors import InvalidInputError
@@ -337,3 +338,89 @@ def test_a_run_reuses_one_lattice_vector(monkeypatch, shots):
     assert all(out is not None and out is outs[1] for out in outs[1:])
     assert outs[1].shape == (states,)
     assert peak < 12 * states
+
+
+class TestBatchOnlyBlocks:
+    """A batch-only objective is evaluated on coordinate blocks of at most
+    BLOCK_STATES coordinates.  The size of those blocks changes neither
+    method's report, and it bounds the memory of a batch function that
+    makes temporaries of its block's size."""
+
+    @staticmethod
+    def ellipsoid(d, seen=None):
+        # the rotated ellipsoid: a seeded orthogonal rotation, so the
+        # batch function is two matrix products over its block
+        rng = np.random.default_rng([1, d])
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        rotation = q * np.sign(np.diag(r))[None, :]
+        centre = rng.uniform(-2.0, 2.0, d)
+        weights = 10.0 ** (3.0 * np.arange(d) / (d - 1))
+
+        def batch(pts):
+            if seen is not None:
+                seen.append(len(pts))
+            z = (pts - centre[None, :]) @ rotation.T
+            return (z * z) @ weights
+
+        return ObjectiveFunction(
+            name="ellipsoid", arity=d, fn=lambda x: float(batch(x[None, :])[0]), batch_fn=batch
+        )
+
+    def reports(self, monkeypatch, block):
+        """qags and run_ags on the d = 3 ellipsoid, with the lattice
+        streams' block size patched to block (None: the default), and
+        the most rows of a batch in qags' lattice fills.  qags gets the
+        size for its fills only: the encoding's pairwise sums take
+        slices of at least 129 states."""
+        grid_values = driver.grid_values
+        block = block or kernels.BLOCK_STATES
+
+        def fill(f, spec, out=None):
+            first = len(seen)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "BLOCK_STATES", block)
+                values = grid_values(f, spec, out=out)
+            fills.append(max(seen[first:]))
+            return values
+
+        box = SearchBox.cube(3, -5.0, 5.0)
+        seen, fills = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "grid_values", fill)
+            obj = self.ellipsoid(3, seen)
+            qags = run(obj, box, QagsConfig(qubits_per_dim=3))
+            qags_evals = obj.eval_count
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "BLOCK_STATES", block)
+            obj = self.ellipsoid(3)
+            ags = run_ags(obj, box, AgsConfig(points_per_dim=9, budget_points=9**3))
+            ags_evals = obj.eval_count
+        return (
+            [qags.to_dict(), qags.total_f_evals, qags_evals, ags.to_dict(), ags.total_f_evals, ags_evals],
+            max(fills),
+        )
+
+    def test_block_size_does_not_change_the_bits(self, monkeypatch):
+        # 7 gives batches of 2 rows of 3 coordinates, 1000 of 256 rows
+        # and the default the whole 512-state lattice.  A single-row
+        # matrix product rounds differently from a many-row one in
+        # NumPy's BLAS, so the smallest blocks here hold two rows.
+        ref, rows = self.reports(monkeypatch, None)
+        assert rows == 512
+        for block, rows in [(7, 2), (1000, 256)]:
+            got, lattice_rows = self.reports(monkeypatch, block)
+            assert lattice_rows == rows
+            assert json.dumps(got) == json.dumps(ref), block
+
+    def test_batch_only_run_peaks_near_its_vector(self):
+        # d = 5, q = 4: 2^20 states in blocks of 8,192 rows of 5
+        # coordinates (320 KB); the run's vector takes 8 MB.  Blocks of
+        # 2^16 rows peaked at 19.4 MB here.
+        cfg = QagsConfig(qubits_per_dim=4)
+        tracemalloc.start()
+        try:
+            run(self.ellipsoid(5), SearchBox.cube(5, -5.0, 5.0), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20 + 2_000_000

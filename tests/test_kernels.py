@@ -370,6 +370,16 @@ def _joined(blocks, block):
     return np.concatenate(parts), starts
 
 
+def _coordinate_rows(d):
+    """The row limit of a coordinate block: the largest power of two of
+    rows of d coordinates that holds at most BLOCK_STATES of them, and
+    one row when d > BLOCK_STATES."""
+    rows = 1
+    while 2 * rows * d <= kernels.BLOCK_STATES:
+        rows *= 2
+    return rows
+
+
 def _check_blocks_join(monkeypatch, kind, m, block, major):
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_STATES", block)
@@ -457,7 +467,11 @@ def test_axis_wider_than_a_block_is_split_across_blocks(kind, name, m):
     ref = np.concatenate([_row_reference(kind, lo, hi, m, shift, k) for k in (0, 1)])
     assert got.tobytes() == ref.tobytes()
     assert starts == [k * m + j for k in (0, 1) for j in range(0, m, kernels.BLOCK_STATES)]
-    coords, _ = _joined(itertools.islice(kernels.coordinate_blocks(lo, hi, m), 2 * per_row), None)
+    # coordinate blocks of d = 2 hold at most BLOCK_STATES / 2 rows
+    rows = _coordinate_rows(2)
+    per_row = -(-m // rows)
+    coords, starts = _joined(itertools.islice(kernels.coordinate_blocks(lo, hi, m), 2 * per_row), rows)
+    assert starts == [k * m + j for k in (0, 1) for j in range(0, m, rows)]
     axes = kernels.lattice_axes(lo, hi, m)
     assert coords.tobytes() == np.stack(
         [np.repeat(axes[0][:2], m), np.tile(axes[1], 2)], axis=1
@@ -488,12 +502,23 @@ def test_coordinate_blocks_equal_meshgrid_lattice(monkeypatch, m, block):
     for d in _block_dims(block, m):
         lo, hi, shift = _lattice_case(d, m, 7 * d + m)
         axes = kernels.lattice_axes(lo, hi, m)
-        got, starts = _joined(kernels.coordinate_blocks(lo, hi, m), block)
         ref = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-        assert np.array_equal(got, ref), (d, m)
-        # the same ranges as the value blocks
-        value_starts = [s for s, _ in kernels.lattice_value_blocks(0, lo, hi, m, shift)]
-        assert starts == value_starts
+        blocks = list(kernels.coordinate_blocks(lo, hi, m))
+        got, starts = _joined(blocks, block)  # they tile the lattice in order
+        assert got.shape == ref.shape, (d, m)
+        for start, coords in blocks:
+            # at most BLOCK_STATES coordinates, or one row of more
+            if d <= kernels.BLOCK_STATES:
+                assert coords.size <= kernels.BLOCK_STATES, (d, m)
+            else:
+                assert coords.shape == (1, d), (d, m)
+            assert coords.tobytes() == ref[start:start + len(coords)].tobytes(), (d, m)
+        # the ranges of value blocks of at most that many rows
+        rows = _coordinate_rows(d)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "BLOCK_STATES", rows)
+            value_starts = [s for s, _ in kernels.lattice_value_blocks(0, lo, hi, m, shift)]
+        assert starts == value_starts, (d, m)
 
 
 @pytest.mark.parametrize("block", [None, 100, 3])

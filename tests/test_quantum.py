@@ -378,10 +378,26 @@ class TestGridValuesKernelBlocks:
         assert err.value.point.tobytes() == decode(s, first_bad).tobytes()
         assert err.value.point.tolist() == [s.axis_coordinates(0)[first_bad // 512], 0.0]
 
+    def test_fill_holds_one_block_at_a_time(self):
+        # sphere d = 10, q = 2: 2^20 states in 16 blocks of 512 KB.  The
+        # fill drops each block before the stream builds the next, so
+        # it peaks at about one block beside the given vector (two
+        # blocks: 1.19 MB)
+        s = GridSpec(10, 2, SearchBox.cube(10, -5.0, 5.0))
+        out = np.empty(s.total_points)
+        tracemalloc.start()
+        try:
+            grid_values(make_sphere(10), s, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * kernels.BLOCK_STATES
+
 
 class TestGridValuesBatchBlocks:
     """Objectives without a lattice kernel are evaluated on coordinate
-    blocks of at most 2^16 rows."""
+    blocks of at most 2^16 coordinates: floor(2^16 / d) rows, rounded
+    down to a power of two."""
 
     @staticmethod
     def recording(batch, seen):
@@ -400,14 +416,14 @@ class TestGridValuesBatchBlocks:
         values = grid_values(obj, s)
         full = make_rastrigin(2).batch_fn(decode_many(s, np.arange(s.total_points)))
         assert np.array_equal(values, full)
-        assert max(seen) <= 1 << 16
-        assert len(seen) == 4
+        # d = 2: 2^15 rows of 2 coordinates each, 8 calls over 2^18 states
+        assert seen == [1 << 15] * 8
         assert obj.eval_count == sum(seen) == s.total_points
 
     def test_non_finite_in_later_block_names_its_point(self):
         obj = self.recording(lambda pts: np.where(pts[:, 0] >= 300.0, np.inf, 0.0), [])
         # step 1: coordinates are the integers 0..511; the first bad flat
-        # index is 300 * 512, in the third block
+        # index is 300 * 512, in the fifth block
         s = GridSpec(2, 9, SearchBox.cube(2, 0.0, 511.0))
         with pytest.raises(EvaluationError) as err:
             grid_values(obj, s)
