@@ -11,6 +11,7 @@ probability region.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,14 +35,14 @@ class AgsConfig:
     refiner: RefinerConfig = field(default_factory=RefinerConfig)
 
     def __post_init__(self):
-        if self.points_per_dim < 2:
-            raise InvalidInputError("points_per_dim must be >= 2")
-        if self.budget_points < 2:
-            raise InvalidInputError("budget_points must be >= 2")
+        if not isinstance(self.points_per_dim, numbers.Integral) or self.points_per_dim < 2:
+            raise InvalidInputError("points_per_dim must be an integer >= 2")
+        if not isinstance(self.budget_points, numbers.Integral) or self.budget_points < 2:
+            raise InvalidInputError("budget_points must be an integer >= 2")
         if not 0.0 < self.shrink_factor < 1.0:
             raise InvalidInputError("shrink_factor must lie strictly inside (0, 1)")
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be >= 1")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise InvalidInputError("max_iterations must be an integer >= 1")
         if not self.delta > 0.0:
             raise InvalidInputError("delta must be positive")
 

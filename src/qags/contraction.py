@@ -9,16 +9,18 @@ on them, and including them would re-inflate the bounds the moment
 weights underflow.  ``select_support`` makes the same selection from a
 finite-shot draw's support and frequencies, without the dense vector.
 The contracted box is the tight axis-aligned hull of the selected
-points, clamped to the current bounds: each axis's lowest and highest
-selected digit is read off a small presence table per group of axes.
+points, clamped to the current bounds: a running min and max of each
+axis's digits gives its lowest and highest selected digit.
 ``contract_region``, the exact-readout path, never lists the selected
 states: it counts each slice's mask and reduces it, as rows of the low
-axes' codes, to the codes each side of the row boundary selects.
+axes' codes, to the codes each side of the row boundary selects, so the
+min and max run over one small block.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +73,8 @@ class TerminationPolicy:
     def __post_init__(self):
         if not self.delta > 0:
             raise InvalidInputError("delta must be positive")
-        if self.k_max < 1:
-            raise InvalidInputError("k_max must be >= 1")
+        if not isinstance(self.k_max, numbers.Integral) or self.k_max < 1:
+            raise InvalidInputError("k_max must be an integer >= 1")
         if not 0.0 <= self.entropy_floor < 1.0:
             raise InvalidInputError("entropy_floor must lie in [0, 1)")
 
@@ -117,16 +119,6 @@ def _region_masks(dist, threshold):
         yield start, mask
 
 
-def _region_blocks(dist, threshold):
-    """The selected flat indices of dist, ascending, as one array per
-    BLOCK_STATES slice (see _region_masks)."""
-    for start, mask in _region_masks(dist, threshold):
-        flat = np.flatnonzero(mask)
-        if start:
-            flat += start
-        yield flat
-
-
 def select_region(dist, quantile=0.75):
     """Select all basis states with P >= quantile-level threshold.
 
@@ -140,7 +132,9 @@ def select_region(dist, quantile=0.75):
     threshold = _threshold(dist.probabilities, quantile)
     return RegionSelection(
         quantile=quantile,
-        selected_indices=np.concatenate(list(_region_blocks(dist, threshold))),
+        selected_indices=np.concatenate(
+            [np.flatnonzero(mask) + start for start, mask in _region_masks(dist, threshold)]
+        ),
         threshold_probability=threshold,
     )
 
@@ -192,46 +186,24 @@ def select_support(support, frequencies, size, quantile=0.75):
     )
 
 
-# contract_bounds reads the digits of a group of whole axes of at most
-# this many bits off one presence table.  A table pass costs about two
-# digit passes (on sphere d=5 q=4, 12-bit groups took 1.5 ms against
-# 1.9 ms for 10-bit ones and 2.3 ms for digit passes, 2-vCPU VM), so an
-# axis left alone in its group takes a digit pass instead.  The rows of
-# contract_region's mask reduction are as many whole axes wide.
-HULL_TABLE_BITS = 12
+# The rows of contract_region's mask reduction are as many whole axes
+# wide as fit in this many bits.
+HULL_ROW_BITS = 12
 
 
 def _digit_ranges(spec, index_blocks):
     """Per axis, the lowest and highest grid index among the flat
-    indices of the stream index_blocks (arrays, some maybe empty).
-
-    Each group of whole axes of at most HULL_TABLE_BITS bits has a
-    presence table, into which every block scatters the digits of the
-    group it holds; an axis alone in its group keeps a running min and
-    max of its digits instead.
-    """
-    n, d, m = spec.qubits_per_dim, spec.dimension, spec.points_per_dim
-    per_table = max(1, HULL_TABLE_BITS // n)
-    groups = [(first, min(first + per_table, d)) for first in range(0, d, per_table)]
-    tables = [np.zeros(1 << n * (last - first), dtype=bool) if last - first > 1 else None
-              for first, last in groups]
-    lows, highs = [m] * d, [-1] * d
+    indices of the stream index_blocks (arrays, some maybe empty), as a
+    running min and max of each axis's digits over the blocks."""
+    d = spec.dimension
+    lows, highs = [spec.points_per_dim] * d, [-1] * d
     for flat in index_blocks:
         if not flat.size:
             continue
-        for (first, last), present in zip(groups, tables):
-            if present is None:
-                js = axis_indices(spec, flat, first)
-                lows[first] = min(lows[first], int(js.min()))
-                highs[first] = max(highs[first], int(js.max()))
-            else:
-                present[(flat >> n * (d - last)) & (present.size - 1)] = True
-    for (first, last), present in zip(groups, tables):
-        if present is not None:
-            codes = np.flatnonzero(present)
-            for i in range(first, last):
-                js = (codes >> n * (last - 1 - i)) & (m - 1)
-                lows[i], highs[i] = int(js.min()), int(js.max())
+        for i in range(d):
+            js = axis_indices(spec, flat, i)
+            lows[i] = min(lows[i], int(js.min()))
+            highs[i] = max(highs[i], int(js.max()))
     return lows, highs
 
 
@@ -241,7 +213,7 @@ def _mask_index_blocks(spec, masks):
     mask) slices.
 
     A slice of whole rows of 2^g states, g being the bits of as many
-    whole axes as fit in HULL_TABLE_BITS (0 when one axis is wider) and
+    whole axes as fit in HULL_ROW_BITS (0 when one axis is wider) and
     at most the register's, is reduced as a (rows, 2^g) array instead
     of by its indices: any(axis=0) marks the codes of the low axes (the
     g low bits) that it selects, and any(axis=1) the rows, the codes of
@@ -251,7 +223,7 @@ def _mask_index_blocks(spec, masks):
     Any other slice yields its indices.
     """
     n = spec.qubits_per_dim
-    g = n * min(HULL_TABLE_BITS // n, spec.dimension)
+    g = n * min(HULL_ROW_BITS // n, spec.dimension)
     row = 1 << g
     low = np.zeros(row, dtype=bool)
     high = np.zeros(spec.total_points >> g, dtype=bool)
@@ -286,12 +258,8 @@ def contract_bounds(spec, selection):
 
     Grid coordinates never decrease as the per-axis index grows, so the
     hull's corners are the points at each axis's lowest and highest
-    selected index; only those two are decoded.  Those indices are read
-    off small presence tables: one scatter pass per group of whole axes
-    of at most HULL_TABLE_BITS bits marks the digits of the group that
-    some selected state has, and each axis's extremes come from the
-    marked entries.  An axis alone in its group has its digits' min and
-    max taken directly.
+    selected index, the min and max of its digits; only those two are
+    decoded.
     """
     return _hull(spec, [selection.selected_indices])
 

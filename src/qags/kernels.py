@@ -18,13 +18,12 @@ output equals the dense formulas bit for bit.  Its result needs no check
 over the vector: a finite sigma proves every probability lies in [0, 1]
 and that they sum to 1, and a sigma that is not finite raises.  A reader
 that needs only the probabilities skips the entropy's last products and
-sum.  ``cumsum_in_place`` writes
-np.cumsum's bits over a vector a block at a time.  ``linear_quantile``
-equals np.quantile's linear threshold bit for bit; it partitions only
-the entries that a strided sample brackets, not a copy of the whole
-vector, and a bracket of one value it only counts.  ``padded_quantile``
-gives the same threshold for a vector of zeros and a few positive
-entries, such as a finite-shot draw, from the positive entries alone.
+sum.  ``linear_quantile`` equals np.quantile's linear threshold bit for
+bit; it partitions only the entries that a strided sample brackets, not
+a copy of the whole vector, and a bracket of one value it only counts.
+``padded_quantile`` gives the same threshold for a vector of zeros and a
+few positive entries, such as a finite-shot draw, from the positive
+entries alone.
 
 ``lattice_value_blocks`` and ``coordinate_blocks`` stream a lattice in
 cache-sized flat-index blocks, each bit-identical to the matching slice
@@ -474,22 +473,6 @@ def boltzmann(values, scale, entropy=True):
     mean_exponent = -_pairwise_sum(normalize, 0, n)
     entropy_bits = max((math.log(z) + float(mean_exponent)) / math.log(2.0), 0.0)
     return argmin_index, v_min, sigma, entropy_bits
-
-
-def cumsum_in_place(x):
-    """Overwrite the float64 vector x with np.cumsum(x), bit for bit.
-
-    np.cumsum adds sequentially, so each BLOCK_STATES slice continues
-    from the last sum of the slice before it: its first entry takes that
-    carry, and the slice is then summed into itself.  Nothing of the
-    vector's size is allocated.
-    """
-    for start in range(0, x.size, BLOCK_STATES):
-        block = x[start:start + BLOCK_STATES]
-        if start:  # np.cumsum copies the first entry, so -0.0 stays
-            block[0] += x[start - 1]
-        np.cumsum(block, out=block)
-    return x
 
 
 # linear_quantile brackets its ranks with every QUANTILE_STRIDE-th entry;

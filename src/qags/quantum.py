@@ -262,7 +262,7 @@ def draw_in_place(probabilities, shots, seed):
     if shots < 1:
         raise InvalidInputError("a draw needs at least one shot")
     rng = np.random.Generator(np.random.PCG64(seed))
-    cdf = kernels.cumsum_in_place(probabilities)
+    cdf = np.cumsum(probabilities, out=probabilities)
     u = rng.random(shots)
     u.sort()
     u *= cdf[-1]

@@ -12,6 +12,7 @@ evaluations.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -45,14 +46,14 @@ class RefinerConfig:
     history_size: int = 10
 
     def __post_init__(self):
-        if self.max_evals < 1:
-            raise InvalidInputError("max_evals must be >= 1")
+        if not isinstance(self.max_evals, numbers.Integral) or self.max_evals < 1:
+            raise InvalidInputError("max_evals must be an integer >= 1")
         if not self.gradient_step_scale > 0:
             raise InvalidInputError("gradient_step_scale must be positive")
         if not self.convergence_tol > 0:
             raise InvalidInputError("convergence_tol must be positive")
-        if self.history_size < 1:
-            raise InvalidInputError("history_size must be >= 1")
+        if not isinstance(self.history_size, numbers.Integral) or self.history_size < 1:
+            raise InvalidInputError("history_size must be an integer >= 1")
 
 
 class _BudgetedObjective:
@@ -179,7 +180,7 @@ def refine(f, box, start, cfg=None):
     if not free.any():
         return best_x, best_f, ev.used
 
-    history = deque(maxlen=cfg.history_size)
+    history = deque(maxlen=int(cfg.history_size))  # deque takes no NumPy int
     try:
         g = _fd_gradient(ev.batch, x, fx, box, cfg.gradient_step_scale, free)
         # Backtracking starts at 1 / max|g| (capped at 1) on the first

@@ -266,6 +266,24 @@ class TestAgsConfig:
         with pytest.raises(InvalidInputError, match="delta must be positive"):
             AgsConfig(delta=float("nan"))
 
+    # a count that is not an integer was accepted: points_per_dim = 4.5
+    # gave a lattice of int(4.5)**2 points, centres decoded in base 4.5
+    # and a float total_f_evals
+    @pytest.mark.parametrize("field", ["points_per_dim", "budget_points", "max_iterations"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, "4", None])
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            AgsConfig(**{field: value})
+
+    def test_accepts_python_and_numpy_ints(self):
+        box = SearchBox.cube(2, -1.0, 1.5)
+        python = run_ags(make_sphere(2), box, AgsConfig(4, 100, max_iterations=3))
+        numpy = run_ags(make_sphere(2), box,
+                        AgsConfig(np.int64(4), np.int32(100), max_iterations=np.int16(3)))
+        assert python.grid_points_per_iteration == 16
+        assert len(python.iterations) == 3
+        assert numpy.to_dict() == python.to_dict()
+
 
 class TestStreamedLattice:
     """run_ags streams each lattice in blocks of at most 2^16 states and

@@ -262,9 +262,9 @@ HULL_SHAPES = [(d, n) for d in range(1, 21) for n in range(1, 21) if d * n <= 20
 
 @pytest.mark.parametrize("d,n", HULL_SHAPES, ids=lambda v: str(v))
 def test_hull_equals_digit_extremes(d, n):
-    # every grouping of axes into presence tables: groups with a
-    # remainder (n = 3, 4, 5), axes alone in their group (n >= 7), and
-    # registers wider than a table (2, 12) and (1, 24)
+    # every register of up to 20 bits, from one axis of 20 bits to 20
+    # axes of one, and two wider ones, (2, 12) and (1, 24): each axis's
+    # least and greatest digit, from one block or a stream of blocks
     rng = np.random.default_rng(d * 100 + n)
     lower = rng.uniform(-50.0, 50.0, d)
     spec = GridSpec(d, n, SearchBox(lower, lower + rng.uniform(0.1, 9.7, d)))
@@ -346,7 +346,7 @@ class TestContractRegion:
         assert box.lower.tobytes() == ref.lower.tobytes()
         assert box.upper.tobytes() == ref.upper.tobytes()
 
-    # n that does not divide HULL_TABLE_BITS (5, 7, 10), axes wider than
+    # n that does not divide HULL_ROW_BITS (5, 7, 10), axes wider than
     # it (n = 13, 14, where every slice takes the index path), and
     # lattices of several default blocks (2^17 to 2^18 states), where
     # each whole-row slice is reduced by its mask
@@ -511,3 +511,16 @@ class TestTerminationPolicy:
             TerminationPolicy(k_max=0)
         with pytest.raises(InvalidInputError):
             TerminationPolicy(entropy_floor=1.0)
+
+    # k_max = 2.5 was accepted and ran 3 iterations
+    @pytest.mark.parametrize("k_max", [2.5, 2.0, "2", None])
+    def test_rejects_a_k_max_that_is_not_an_integer(self, k_max):
+        with pytest.raises(InvalidInputError, match="k_max"):
+            TerminationPolicy(k_max=k_max)
+
+    @pytest.mark.parametrize("k_max", [3, np.int64(3), np.int16(3)])
+    def test_accepts_python_and_numpy_ints(self, k_max):
+        wide = SearchBox.cube(1, 0.0, 10.0)
+        policy = TerminationPolicy(k_max=k_max)
+        assert should_terminate(wide, wide, None, 2, policy) is Verdict.CONTINUE
+        assert should_terminate(wide, wide, None, 3, policy) is Verdict.MAX_ITERATIONS

@@ -204,23 +204,6 @@ def test_add_reduce_is_the_pairwise_tree_of_block_sums(monkeypatch, n, block):
     assert max(pieces) <= kernels.BLOCK_STATES
 
 
-@pytest.mark.parametrize("block", [None, 3, 129])
-@pytest.mark.parametrize("n", [1, (1 << 16) - 1, (1 << 16) + 1, 3 * (1 << 16) + 5, 1 << 20])
-def test_cumsum_in_place_is_np_cumsum(monkeypatch, n, block):
-    # a finite-shot draw writes its cdf over the probabilities, block by
-    # block with a carry; np.cumsum adds sequentially, so the bits agree
-    if block is not None:
-        monkeypatch.setattr(kernels, "BLOCK_STATES", block)
-    rng = np.random.default_rng(n)
-    x = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
-    x[rng.random(n) < 0.25] = 0.0
-    x[0] = -0.0  # np.cumsum copies the first entry, sign and all
-    ref = np.cumsum(x)
-    got = kernels.cumsum_in_place(x)
-    assert got is x
-    assert got.tobytes() == ref.tobytes()
-
-
 # --- quantile threshold -------------------------------------------------------
 
 

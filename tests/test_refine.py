@@ -148,6 +148,23 @@ class TestRefinerConfig:
         with pytest.raises(InvalidInputError):
             RefinerConfig(gradient_step_scale=0.0)
 
+    # these raised TypeError inside refine, after a run's lattice phase
+    @pytest.mark.parametrize("field", ["max_evals", "history_size"])
+    @pytest.mark.parametrize("value", [7.5, 7.0, "7", None])
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            RefinerConfig(**{field: value})
+
+    def test_accepts_python_and_numpy_ints(self):
+        box = SearchBox.cube(2, -2.0, 3.0)
+        start = np.array([1.5, -1.0])
+        python = refine(make_rosenbrock(2), box, start, RefinerConfig(max_evals=40, history_size=2))
+        numpy = refine(make_rosenbrock(2), box, start,
+                       RefinerConfig(max_evals=np.int64(40), history_size=np.int32(2)))
+        assert python[2] == 40  # the budget binds
+        assert numpy[0].tobytes() == python[0].tobytes()
+        assert numpy[1:] == python[1:]
+
 
 def recording(objective):
     """objective with a log: each evaluate() appends its value, each
