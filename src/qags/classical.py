@@ -2,11 +2,12 @@
 
 A step function for the loop in ``driver.search``, which both methods
 share (uniform grid, contract, repeat, refine).  The grid is a plain
-m-per-dimension lattice, streamed through ``quantum.lattice_blocks`` with
-each block's last axis major where that is faster to build, and reduced
-to its first-index argmin without reordering a block.  Contraction
-recentres a shrunken box on the best grid point instead of selecting a
-probability region.
+m-per-dimension lattice, streamed through ``quantum.lattice_blocks`` in
+the kernel's digit-reversed block layout, whose sums loop over the
+partial sums instead of the few points of each axis, and reduced to its
+first-index argmin without reordering a block.  Contraction recentres a
+shrunken box on the best grid point instead of selecting a probability
+region.
 """
 
 from __future__ import annotations
@@ -73,34 +74,38 @@ def _lattice_argmin(objective, box, m):
     of m points per axis of ``box``, reduced block by block over
     ``lattice_blocks`` so no full value vector exists.
 
-    A block comes with its last axis major where the kernel builds that
-    faster: entry [j, r] of a (c, R) block is the state at flat index
-    start + r * c + j.  It is reduced as it lies: each row's first
-    minimum, then, among the rows that reach the block's minimum, the
-    smallest r * c + j, which is the first flat index of that minimum.
+    A block comes in the kernel's digit-reversed layout, a flat run being
+    its T = 0 case, and is reduced as it lies: its minimum, and when that
+    improves on the blocks before, the smallest flat index among the
+    entries that hold it (kernels.block_flat_indices), which is the
+    first flat index of that minimum.  A non-finite value is reported at
+    the first such state in flat order.
     """
     best_index, best_value = 0, np.inf
-    for start, block in lattice_blocks(objective, box, m, last_axis_major=True):
-        c = block.shape[0]
-        rows = block.argmin(axis=1)  # a NaN is its own row's argmin
-        mins = block[np.arange(c), rows]
-        low = mins.min()
+    for start, block in lattice_blocks(objective, box, m):
+        low = block.min()  # NaN if any entry is NaN
         if not (np.isfinite(low) and np.isfinite(block.max())):
-            bad = start + int(np.argmin(np.isfinite(block.T.ravel())))
+            bad = np.flatnonzero(~np.isfinite(block))
             raise EvaluationError(
                 "objective returned a non-finite value on the grid",
-                point=kernels.lattice_points(box.lower, box.upper, m, bad)[0],
+                point=kernels.lattice_points(
+                    box.lower, box.upper, m, _first_flat(start, block, bad)
+                )[0],
             )
         # strict: ties across blocks keep the lower index
         if low < best_value:
-            tied = np.flatnonzero(mins == low)
-            best_index = start + int(np.min(rows[tied] * c + tied))
+            best_index = _first_flat(start, block, np.flatnonzero(block == low))
             best_value = float(low)
         # free the block before the next is built: glibc then reuses its
         # pages, where two live blocks are trimmed after every lattice
         # and faulted in again (about 200 faults a lattice at d = 7, m = 10)
         del block
     return best_index, best_value
+
+
+def _first_flat(start, block, positions):
+    """The least flat index of the C-order positions of a block."""
+    return int(kernels.block_flat_indices(start, block.shape, positions).min())
 
 
 def run_ags(f, initial_bounds, cfg=None):

@@ -13,6 +13,7 @@ indices big-endian: dimension 0 occupies the most significant ``n`` bits.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,10 +112,10 @@ class GridSpec:
     qubit_cap: int = field(default=DEFAULT_QUBIT_CAP)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise InvalidInputError("dimension must be >= 1")
-        if self.qubits_per_dim < 1:
-            raise InvalidInputError("qubits_per_dim must be >= 1")
+        if not isinstance(self.dimension, numbers.Integral) or self.dimension < 1:
+            raise InvalidInputError("dimension must be an integer >= 1")
+        if not isinstance(self.qubits_per_dim, numbers.Integral) or self.qubits_per_dim < 1:
+            raise InvalidInputError("qubits_per_dim must be an integer >= 1")
         if self.bounds.dimension != self.dimension:
             raise InvalidInputError("bounds dimension mismatch")
         total = self.dimension * self.qubits_per_dim

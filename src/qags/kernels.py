@@ -25,21 +25,25 @@ a copy of the whole vector, and a bracket of one value it only counts.
 few positive entries, such as a finite-shot draw, from the positive
 entries alone.
 
-``lattice_value_blocks`` and ``coordinate_blocks`` stream a lattice in
-cache-sized flat-index blocks, each bit-identical to the matching slice
-of the full arrays; both methods evaluate their lattices through these
-streams, and ``lattice_values`` is the reference they are tested
-against.  A value block is a (c, R) array, entry [j, r] at flat index
-start + r * c + j: a flat run (c = 1), or for a consumer that asks, the
-last axis major (c = m), whose last sum loops over the R rows.  A
-value block holds at most BLOCK_STATES states, a coordinate block at
-most BLOCK_STATES coordinates, so a batch function's temporaries do not
-grow with d.  An axis with more points than a block is split across
-blocks, so a pass over any lattice holds about one block beyond the
-leading axes' partial sums.  ``lattice_points`` is the one flat-index
-decoder: it evaluates the rule at the decoded digits, so no decoder
-builds an axis table, and it decodes the columns of every coordinate
-block too.
+``lattice_value_runs``, ``lattice_value_blocks`` and
+``coordinate_blocks`` stream a lattice in cache-sized flat-index blocks,
+each bit-identical to the matching slice of the full arrays; both
+methods evaluate their lattices through these streams, and
+``lattice_values`` is the reference they are tested against.  The qags
+fill writes flat runs of at most BLOCK_STATES states.  The classical
+baseline, which reads a block in any order, takes blocks of up to a
+quarter more states in the digit-reversed layout: shape (m,) * T + (K,)
+for T trailing axes under K prefixes, the last axis major, so that every
+sum loops over the partial sums before it and the large ones pass
+NumPy's buffered threshold; ``block_flat_indices`` decodes its entries,
+and a flat run is its T = 0 case.  A coordinate block holds at most
+BLOCK_STATES coordinates, so a batch function's temporaries do not grow
+with d.  An axis with more points than a block is split across blocks,
+so a pass over any lattice holds about one block beyond the leading
+axes' partial sums.  ``lattice_points`` is the one decoder of flat
+indices to points: it evaluates the rule at the decoded digits, so no
+decoder builds an axis table, and it decodes the columns of every
+coordinate block too.
 """
 
 from __future__ import annotations
@@ -56,10 +60,15 @@ KIND_STYBLINSKI_TANG = 2
 KIND_ROSENBROCK = 3
 
 
-# Streamed lattices come in contiguous flat-index blocks of at most this
-# many states: 512 KB of float64 values, which stay in cache.  On ags
-# sphere d=5 plus d=10 at 10^7 points (2-vCPU VM) this took 0.58 s, 2^17
-# 0.57 s at twice the memory, 2^14 0.90 s and 2^18 0.73 s.
+# Streamed lattices come in contiguous flat-index blocks of about this
+# many states: 512 KB of float64 values, which stay in cache.  The qags
+# fill's runs and the coordinate blocks hold at most this many; the
+# baseline's blocks up to a quarter more (lattice_value_blocks), which
+# takes their last sum, block / m entries, past NumPy's buffered
+# threshold at m = 25 (3,125 against 2,621 entries).  On ags sphere d=5
+# plus d=10 at 10^7 points (2-vCPU VM, blocks of the earlier flat layout)
+# this took 0.58 s, 2^17 0.57 s at twice the memory, 2^14 0.90 s and
+# 2^18 0.73 s.
 BLOCK_STATES = 1 << 16
 
 
@@ -191,18 +200,17 @@ def lattice_values(kind, lower, upper, points_per_dim, shift=None):
     return _accumulate(np.zeros(1), 0, _term_tables(int(kind), axes, shift))
 
 
-def _block_layout(d, m, limit=None):
+def _block_layout(d, m, limit):
     """How a lattice of m**d states splits into blocks of at most limit
-    (default BLOCK_STATES) states: (p, tail), tail = m**(d - p) being the
-    states of the trailing d - p axes' sub-lattice and p the leading axes
-    whose index prefixes the blocks step through.
+    states: (p, tail), tail = m**(d - p) being the states of the trailing
+    d - p axes' sub-lattice and p the leading axes whose index prefixes
+    the blocks step through.
 
     The trailing axes are as many as fit in limit, and a block spans all
     their states for consecutive prefixes.  When one axis alone has more
     points than that, only the last axis trails (p = d - 1, tail = m) and
     a block is a run of its points under one prefix.
     """
-    limit = BLOCK_STATES if limit is None else limit
     p, tail = d, 1
     while p > 0 and tail * m <= limit:
         p -= 1
@@ -212,11 +220,10 @@ def _block_layout(d, m, limit=None):
     return p, tail
 
 
-def _block_ranges(p, tail, m, limit=None):
+def _block_ranges(p, tail, m, limit):
     """The blocks of _block_layout in flat-index order, as (k0, k1, r0,
     r1): prefixes [k0, k1) of the leading p axes, each followed by the
     trailing states [r0, r1); the block starts at k0 * tail + r0."""
-    limit = BLOCK_STATES if limit is None else limit
     prefixes = m**p
     chunk = max(1, limit // tail)
     for k0 in range(0, prefixes, chunk):
@@ -225,49 +232,92 @@ def _block_ranges(p, tail, m, limit=None):
             yield k0, k1, r0, min(r0 + limit, tail)
 
 
-def _last_axis_columns(table):
-    """The last axis's term table turned for last-axis-major blocks and
-    C-ordered: entry [j, i] is table[i, j], so (m, 1) for a one-row
-    table and (m, m) for a pair table, at most one block."""
-    return np.ascontiguousarray(table[:].T)
+def _reversed_sums(acc, first, tables):
+    """Extend acc, the partial sums of flat indices first, first + 1, ...
+    of the lattice of the axes so far, over the trailing axes of tables,
+    each added by one sum over all of acc: entry [j_i, ...] of the result
+    is acc[...] + table[j_{i-1}, j_i], the digit of the new axis leading.
+    A one-row table is added by an outer sum, a pair table with its rows
+    picked by the previous digit: the prefix's last digit for the first
+    axis (acc then one-dimensional), else acc's leading index.  Either
+    way the inner loop runs over the partial sums, not the few points of
+    the new axis, and each entry adds the same two operands as _extend,
+    so it keeps its bits."""
+    for table in tables:
+        rows = table.shape[0]
+        if rows == 1:
+            acc = np.add.outer(table[0], acc)
+        elif acc.ndim == 1:
+            picked = table[(first + np.arange(acc.size)) % rows]
+            acc = np.add(picked.T, acc, order="C")
+        else:
+            pairs = table[:].T[:, :, None]  # [j_i, j_{i-1}, 1]
+            acc = np.add(pairs, acc.reshape(rows, -1), order="C").reshape(
+                (pairs.shape[0],) + acc.shape
+            )
+    return acc
 
 
-def _laid_out(acc, columns):
-    """The block of the states whose partial sums before the last axis
-    are acc: entry [j, r] is acc[r] + columns[j, r % t] for t columns
-    (acc starts on a whole run of the axis before the last).
-    A one-column table broadcasts over the rows.  A pair table's columns
-    are tiled over them into the block itself, which the sum then
-    updates in place, so no tile outlives its block.  With no columns,
-    acc itself is the block, a flat run."""
-    if columns is None:
-        return acc[None, :]
-    if columns.shape[1] == 1:
-        return np.add(columns, acc)
-    block = np.tile(columns, (1, acc.size // columns.shape[1]))
-    block += acc
-    return block
+def _value_blocks(kind, lower, upper, points_per_dim, shift, limit, accumulate):
+    """The stream of lattice_value_runs and lattice_value_blocks: blocks
+    of at most limit states, each the head's partial sums of its
+    prefixes extended over the trailing axes by accumulate(acc, first,
+    tables).  A run of a split last axis is the one-dimensional sum of
+    its prefix's partial sum and its points' terms."""
+    lower, upper, shift = _lattice_args(lower, upper, shift)
+    m, kind, d = int(points_per_dim), int(kind), lower.size
+    p, tail = _block_layout(d, m, limit)
+    split = tail > limit  # the last axis then gets its points per block
+    axes = lattice_axes(lower[:d - split], upper[:d - split], m)
+    tables = _term_tables(kind, axes, shift)
+    head = _accumulate(np.zeros(1), 0, tables[:p])
+    trailing = tables[p:]
+    for k0, k1, r0, r1 in _block_ranges(p, tail, m, limit):
+        # no name here holds a block, so a consumer that drops it frees
+        # it before the next one is built
+        if split:
+            xs = _coordinates(lower[p], upper[p], m, np.arange(r0, r1))
+            table = _term_table(kind, axes[-1] if p else None, xs, shift[p])
+            row = k0 % table.shape[0]
+            yield k0 * tail + r0, np.add(head[k0], table[row:row + 1]).reshape(-1)
+        else:
+            yield k0 * tail + r0, accumulate(head[k0:k1], k0, trailing)
 
 
-def lattice_value_blocks(
-    kind, lower, upper, points_per_dim, shift=None, last_axis_major=False
-):
+def lattice_value_runs(kind, lower, upper, points_per_dim, shift=None):
+    """lattice_values as a stream of (start, run) over contiguous
+    flat-index runs of at most BLOCK_STATES states, each holding the bits
+    of values[start:start + run.size].  The qags fill writes these into
+    its vector in flat order: with the transposed write that a block of
+    another layout needs (the earlier last-axis-major one), that fill was
+    slower at m = 2, 4, 32 and 256 (faster at 8 and 16) than with the
+    flat sum."""
+    return _value_blocks(
+        kind, lower, upper, points_per_dim, shift, BLOCK_STATES, _accumulate
+    )
+
+
+def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
     """lattice_values as a stream of (start, block) over contiguous
-    flat-index blocks of at most BLOCK_STATES states.
+    flat-index blocks of at most BLOCK_STATES + BLOCK_STATES // 4
+    states, in the digit-reversed layout, for a consumer that reads a
+    block in any order.
 
-    A block is a C-ordered (c, R) array whose entry [j, r] is the value
-    at flat index start + r * c + j.  It is a flat run, c = 1, unless
-    last_axis_major is asked for and the block holds whole runs of the
-    last axis under at least one more trailing axis (m * m <=
-    BLOCK_STATES); then c = m and R = size / m.  That block's last sum
-    acc[r] + t[j] runs its inner loop over the R rows instead of the few
-    points of the last axis: NumPy buffers a broadcast sum whose inner
-    loop is short, at about four times the cost per state.  IEEE
-    addition commutes, so each entry keeps its bits.  A consumer that
-    reads a block in any order asks for this layout.  The qags fill,
-    which writes flat order, does not: with the transposed write it
-    needs, the fill was slower at m = 2, 4, 32 and 256 (faster at 8 and
-    16) than with the flat sum.
+    A block spans T trailing axes for K consecutive prefixes: a C-ordered
+    array of shape (m,) * T + (K,) whose entry [j_{d-1}, ..., j_{d-T}, k]
+    is the value at flat index start + k * m**T + sum_i j_i * m**(d-1-i)
+    (block_flat_indices), so block.T.ravel() is the flat run.  A run of a
+    last axis wider than a block is the T = 0 case, shape (K,).  Each
+    trailing axis is added by one sum over all of the previous partial
+    sums, whose inner loop runs over them instead of over the m points of
+    the new axis: NumPy buffers a broadcast sum whose inner loop is
+    shorter than about 2,731 entries, at about four times the cost per
+    state.  A quarter more states than BLOCK_STATES takes the last sum's
+    loop, block / m entries, past that threshold on the compare presets'
+    lattices of more than one block: 3,125 at m = 25, 8,000 at m = 10,
+    9,604 at m = 7, and 15,625 at m = 5, where the sum before it, a fifth
+    of the block, loops over 3,125.  IEEE addition commutes, so each
+    entry keeps its bits.
 
     The term tables and the leading axes' partial sums are computed once;
     each block continues the same accumulation over the trailing axes, so
@@ -276,24 +326,23 @@ def lattice_value_blocks(
     block computes the terms of its own run of points, so a pass holds
     about one block beyond the leading axes' sums.
     """
-    lower, upper, shift = _lattice_args(lower, upper, shift)
-    m, kind, d = int(points_per_dim), int(kind), lower.size
-    p, tail = _block_layout(d, m)
-    split = tail > BLOCK_STATES  # the last axis then gets its points per block
-    axes = lattice_axes(lower[:d - split], upper[:d - split], m)
-    tables = _term_tables(kind, axes, shift)
-    head = _accumulate(np.zeros(1), 0, tables[:p])
-    trailing = tables[p:]
-    columns = None
-    if last_axis_major and tail > m:
-        columns = _last_axis_columns(trailing.pop())
-    for k0, k1, r0, r1 in _block_ranges(p, tail, m):
-        if split:
-            xs = _coordinates(lower[p], upper[p], m, np.arange(r0, r1))
-            trailing = [_term_table(kind, axes[-1] if p else None, xs, shift[p])]
-        # no name here holds the block, so a consumer that drops it
-        # frees it before the next one is built
-        yield k0 * tail + r0, _laid_out(_accumulate(head[k0:k1], k0, trailing), columns)
+    limit = BLOCK_STATES + BLOCK_STATES // 4
+    return _value_blocks(
+        kind, lower, upper, points_per_dim, shift, limit, _reversed_sums
+    )
+
+
+def block_flat_indices(start, shape, positions):
+    """The flat lattice indices of the C-order positions ``positions`` of
+    a block of lattice_value_blocks, or a flat run (T = 0), that starts
+    at flat index ``start`` and has shape (m,) * T + (K,)."""
+    *digits, k = np.unravel_index(positions, shape)
+    flat = start + k * math.prod(shape[:-1])
+    weight = 1
+    for j, size in zip(digits, shape):
+        flat += j * weight
+        weight *= size
+    return flat
 
 
 def _trailing_coordinates(lower, upper, m, r0, r1):
@@ -360,18 +409,31 @@ def lattice_points(lower, upper, m, flats):
     return _coordinates(lower, upper, m, digits)
 
 
+# NumPy sums a contiguous float64 run of at most this many entries in
+# one piece, without splitting it pairwise
+_PAIRWISE_LEAF = 128
+
+
+def _sum_piece():
+    """The most entries of one piece of _pairwise_sum, and of boltzmann's
+    slices: BLOCK_STATES, and at least _PAIRWISE_LEAF."""
+    return max(BLOCK_STATES, _PAIRWISE_LEAF)
+
+
 def _pairwise_sum(leaf, start, n):
     """np.add.reduce of a float64 run [start, start + n) of some vector,
     bit for bit, given leaf(lo, hi), the np.add.reduce of one piece of
-    at most BLOCK_STATES entries.
+    at most _sum_piece() entries.
 
-    NumPy sums a contiguous float64 run pairwise: a run longer than 128
-    entries splits at n2 = n // 2 - (n // 2) % 8 and the two halves'
-    sums are added.  Splitting by the same rule until each piece fits
-    one block therefore adds the same partial sums in the same order,
-    for any n; tests/test_kernels.py pins this NumPy behaviour.
+    NumPy sums a contiguous float64 run pairwise: a run longer than
+    _PAIRWISE_LEAF entries splits at n2 = n // 2 - (n // 2) % 8 and the
+    two halves' sums are added.  Splitting by the same rule until each
+    piece fits one block therefore adds the same partial sums in the
+    same order, for any n; tests/test_kernels.py pins this NumPy
+    behaviour.  A piece is never split below _PAIRWISE_LEAF entries,
+    where NumPy stops splitting and the rule would give an empty half.
     """
-    if n <= BLOCK_STATES:
+    if n <= _sum_piece():
         return leaf(start, start + n)
     half = n // 2
     half -= half % 8
@@ -400,10 +462,11 @@ def boltzmann(values, scale, entropy=True):
     probability lies in [0, 1] and they sum to 1 within pairwise
     rounding, and no pass over the probabilities needs to check them.
 
-    The vector is worked through in BLOCK_STATES slices with one scratch
-    block, so nothing of the vector's size is allocated.  Once v_min is
-    known the values are not read again, so each pass leaves in the
-    vector what the next one reads:
+    The vector is worked through in slices of BLOCK_STATES entries (at
+    least _PAIRWISE_LEAF) with one scratch block, so nothing of the
+    vector's size is allocated.  Once v_min is known the values are not
+    read again, so each pass leaves in the vector what the next one
+    reads:
       1. the argmin;
       2. d = v - v_min over each slice, and sum(d), which gives the mean;
       3. sum((d - mean)^2), in the scratch block, which gives sigma;
@@ -425,7 +488,7 @@ def boltzmann(values, scale, entropy=True):
     argmin_index = int(np.argmin(v))
     v_min = float(v[argmin_index])
     scale = float(scale)
-    scratch = np.empty(min(n, BLOCK_STATES))
+    scratch = np.empty(min(n, _sum_piece()))
 
     def subtract_min(lo, hi):
         d = v[lo:hi]

@@ -1,14 +1,16 @@
 """Simulated quantum measurement distribution over a qubit grid.
 
-``lattice_blocks`` is the one lattice stream both methods evaluate
-through: the qags driver fills its value vector from it
-(``grid_values``, which checks each block for finiteness as it lands)
-and the classical baseline reduces over it.  A qags run holds one
-vector of 8 B per state: the values are encoded into probabilities in
-place (``encode_in_place``), and a finite-shot draw writes its cdf over
-them (``draw_in_place``).  The encoding, the selection and the hull add
-only buffers of a block, of a bracket of distinct values or of the
-draw, so a 10-iteration run on a 2^20-state lattice peaks under
+Both methods evaluate their lattices through one stream, which picks
+the lattice kernel or the objective's evaluate_batch: the qags driver
+fills its value vector from its flat runs (``grid_values``, which checks
+each run for finiteness as it lands), and the classical baseline reduces
+over its blocks in the kernel's digit-reversed layout
+(``lattice_blocks``).  A qags run holds one vector of 8 B per state: the
+values are encoded into probabilities in place (``encode_in_place``),
+and a finite-shot draw writes its cdf over them (``draw_in_place``).
+The encoding, the selection and the hull add only buffers of a block,
+of a bracket of distinct values or of the draw, so a 10-iteration run
+on a 2^20-state lattice peaks under
 ``tracemalloc`` at 8.6 to 9.4 B per state (d = 10, q = 2; d = 2,
 q = 10; rastrigin d = 5, q = 4; exact readout or 4,096 shots; a
 batch-only rotated ellipsoid at d = 5, q = 4), against the register
@@ -116,18 +118,19 @@ class QuantumDistribution:
         return dist
 
 
-def lattice_blocks(objective, box, points_per_dim, last_axis_major=False):
+def lattice_blocks(objective, box, points_per_dim):
     """Objective values over the lattice of m = points_per_dim points per
     axis of ``box``, as a stream of (start, block) over contiguous
-    flat-index blocks: of at most 2^16 states from the lattice kernel,
-    of at most 2^16 coordinates (2^16 / d states, rounded down to a power
-    of two) from evaluate_batch.
+    flat-index blocks, for a consumer that reads each block in any order:
+    of at most 81,920 states in the lattice kernel's digit-reversed
+    layout, or flat runs of at most 2^16 coordinates (2^16 / d states,
+    rounded down to a power of two) from evaluate_batch.
 
-    A block is a (c, R) array whose entry [j, r] is the value at flat
-    index start + r * c + j (see kernels.lattice_value_blocks).  It is a
-    flat run, c = 1, unless ``last_axis_major`` is asked for and the
-    kernel lays the block out with its last axis major; evaluate_batch
-    blocks are always flat runs.
+    A block is a C-ordered array of shape (m,) * T + (K,) whose entry
+    [j_{d-1}, ..., j_{d-T}, k] is the value at flat index
+    start + k * m**T + sum_i j_i * m**(d-1-i); a flat run is the T = 0
+    case, and kernels.block_flat_indices decodes every block (see
+    kernels.lattice_value_blocks).
 
     Uses the lattice kernel when the objective advertises one (no point
     coordinates are materialized); otherwise calls evaluate_batch on the
@@ -136,39 +139,45 @@ def lattice_blocks(objective, box, points_per_dim, last_axis_major=False):
     kernel's values are not checked for finiteness here: the consumer
     already passes over them.
     """
+    return _evaluated(objective, box, points_per_dim, kernels.lattice_value_blocks)
+
+
+def _evaluated(objective, box, points_per_dim, kernel_stream):
+    """The one place that picks the lattice kernel or evaluate_batch:
+    kernel_stream's blocks, or flat runs of evaluate_batch."""
     if objective.kernel_kind is not None:
         objective.count_evaluations(points_per_dim**box.dimension)
-        yield from kernels.lattice_value_blocks(
-            objective.kernel_kind, box.lower, box.upper, points_per_dim, objective.shift,
-            last_axis_major,
+        yield from kernel_stream(
+            objective.kernel_kind, box.lower, box.upper, points_per_dim, objective.shift
         )
         return
     for start, coords in kernels.coordinate_blocks(box.lower, box.upper, points_per_dim):
-        yield start, objective.evaluate_batch(coords)[None, :]
+        yield start, objective.evaluate_batch(coords)
 
 
 def grid_values(objective, spec, out=None):
     """Objective values over every grid point, in flat-index order,
-    filled from the flat runs of ``lattice_blocks`` into ``out`` (a
-    float64 vector of 2^(n*d) entries, new when None), which is
-    returned; on success the evaluation counter advances by 2^(n*d).
-    Each block is checked for finiteness as it lands, while it is still
-    in cache: a non-finite value raises EvaluationError naming the first
-    grid point that gave one, and the blocks after it are not
-    evaluated."""
+    filled from flat runs into ``out`` (a float64 vector of 2^(n*d)
+    entries, new when None), which is returned; on success the
+    evaluation counter advances by 2^(n*d).  The runs are the lattice
+    kernel's of at most 2^16 states (kernels.lattice_value_runs), or
+    those of evaluate_batch that ``lattice_blocks`` gives.  Each run is
+    checked for finiteness as it lands, while it is still in cache: a
+    non-finite value raises EvaluationError naming the first grid point
+    that gave one, and the runs after it are not evaluated."""
     if objective.arity != spec.dimension:
         raise InvalidInputError("objective arity does not match grid dimension")
     values = np.empty(spec.total_points) if out is None else out
-    for start, block in lattice_blocks(objective, spec.bounds, spec.points_per_dim):
-        block = block.T.ravel()  # flat order: a flat run is not copied
-        values[start:start + block.size] = block
-        if not np.isfinite(block).all():
-            idx = start + int(np.argmin(np.isfinite(block)))
+    runs = _evaluated(objective, spec.bounds, spec.points_per_dim, kernels.lattice_value_runs)
+    for start, run in runs:
+        values[start:start + run.size] = run
+        if not np.isfinite(run).all():
+            idx = start + int(np.argmin(np.isfinite(run)))
             raise EvaluationError(
                 f"{objective.name} returned {values[idx]} on the grid",
                 point=decode(spec, idx),
             )
-        del block  # freed before the stream builds the next one
+        del run  # freed before the stream builds the next one
     return values
 
 

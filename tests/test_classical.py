@@ -438,9 +438,11 @@ class TestStreamedLattice:
 
 
 class TestLastAxisMajor:
-    """_lattice_argmin reduces blocks laid out with the last axis major,
-    (c, R) with entry [j, r] at flat index start + r * c + j, and must
-    still give the first flat argmin of the whole lattice."""
+    """_lattice_argmin reduces blocks in the digit-reversed layout, the
+    last axis major: shape (m,) * T + (K,) with entry
+    [j_{d-1}, ..., j_{d-T}, k] at flat index
+    start + k * m**T + sum_i j_i * m**(d-1-i), and must still give the
+    first flat argmin of the whole lattice."""
 
     KIND_NAMES = ["sphere", "rastrigin", "styblinski_tang", "rosenbrock"]
 
@@ -467,9 +469,12 @@ class TestLastAxisMajor:
     @pytest.mark.parametrize("block", [None, 5, 3, 7, 50])
     @pytest.mark.parametrize("name", KIND_NAMES)
     def test_argmin_is_the_first_flat_argmin(self, monkeypatch, name, block):
-        # BLOCK_STATES 5 lays out only m = 2 major; 3 only flat runs; 7
-        # splits a last axis of m = 8 across blocks; 50 streams m = 5 and
-        # 7 in several major blocks.  The default holds each lattice whole
+        # blocks hold up to BLOCK_STATES + BLOCK_STATES // 4 states.
+        # BLOCK_STATES 5 (6) and 3 split the last axes of m = 7 and 8 into
+        # flat runs, and stream m = 2 and 3 in blocks of one or two trailing
+        # axes; 7 (8) holds three axes of m = 2 and one of m = 8; 50 (62)
+        # streams m = 5 and 7 in blocks of two trailing axes and m = 8 in
+        # blocks of one.  The default holds each lattice whole
         if block is not None:
             monkeypatch.setattr(kernels, "BLOCK_STATES", block)
         for d, m in [(2, 2), (2, 8), (3, 3), (3, 7), (4, 5)]:
@@ -483,38 +488,96 @@ class TestLastAxisMajor:
 
     def test_rounding_ties_across_rows_keep_the_first_flat_index(self, monkeypatch):
         # sums of doubles near 1e18 (ulp 128) round equal in patterns that
-        # are no product of row and column minima, so the first flat index
-        # of the minimum can lie in a later row (larger j) than the first
-        # row that reaches it.  Blocks laid out as the ags stream gives them
+        # are no product of per-axis minima, so the first flat index of the
+        # minimum need not be the first entry that holds it in the block's
+        # own (C) order.  Blocks laid out as the ags stream gives them:
+        # shape (4, 3, 6), entry [j_2, j_1, k] at flat k * 12 + j_1 * 4 + j_2
         rng = np.random.default_rng(1)
-        later_row = 0
+        offsets = np.arange(72).reshape(6, 3, 4).T  # the flat offset of each entry
+        later_entry = 0
         for _ in range(400):
             acc = 4.9e17 + 64.0 * rng.integers(0, 6, 6)
-            t = 5.1e17 + 64.0 * rng.integers(0, 6, 4)
-            block = t[:, None] + acc  # entry [j, r] is flat r * 4 + j
+            t1 = 2.5e17 + 64.0 * rng.integers(0, 6, 3)
+            t2 = 2.6e17 + 64.0 * rng.integers(0, 6, 4)
+            block = np.add.outer(t2, np.add.outer(t1, acc))
             flat = block.T.ravel()
             first = int(np.argmin(flat))
             monkeypatch.setattr(
                 classical, "lattice_blocks", lambda *args, **kw: iter([(24, block)])
             )
             assert _lattice_argmin(None, None, None) == (24 + first, float(flat[first]))
-            tied_rows = np.flatnonzero(block.min(axis=1) == flat[first])
-            later_row += first % 4 != tied_rows[0]
-        assert later_row > 0
+            later_entry += offsets.ravel()[np.argmin(block)] != first
+        assert later_entry > 0
 
     def test_blocks_are_last_axis_major(self):
-        # the ags stream lays out whole runs of a short last axis major,
-        # and a long last axis (m * m > BLOCK_STATES) stays a flat run
+        # the ags stream holds up to 81,920 states a block: every trailing
+        # axis that fits, the last one major.  A d = 2 lattice of up to
+        # 286^2 states is one block, (m, m, 1); at m = 287 a block spans
+        # the last axis for 285 prefixes; a last axis wider than a block
+        # is split into flat runs.  The qags fill's runs stay flat
         box = SearchBox.cube(2, -1.0, 2.0)
-        for m, c in [(10, 10), (256, 256), (257, 1)]:
-            for _, block in lattice_blocks(make_sphere(2), box, m, last_axis_major=True):
-                assert block.shape[0] == c and block.flags.c_contiguous
-            for _, block in lattice_blocks(make_sphere(2), box, m):
-                assert block.shape[0] == 1
+        for m, shapes in [
+            (10, {(10, 10, 1)}),
+            (286, {(286, 286, 1)}),
+            (287, {(287, 285), (287, 2)}),
+            (90_000, {(81_920,), (8_080,)}),
+        ]:
+            got = set()
+            for _, block in itertools.islice(lattice_blocks(make_sphere(2), box, m), 4):
+                assert block.flags.c_contiguous
+                got.add(block.shape)
+            assert got == shapes, m
+            for _, run in itertools.islice(
+                kernels.lattice_value_runs(kernels.KIND_SPHERE, box.lower, box.upper, m), 4
+            ):
+                assert run.ndim == 1 and run.size <= kernels.BLOCK_STATES
+
+    # NumPy (2.4) buffers a broadcast sum whose inner loop is shorter than
+    # about 8192 / 3 entries, at about four times the cost per state
+    BUFFERED_LOOP = 2731
+
+    @pytest.mark.parametrize("d", [5, 7, 8, 10])
+    def test_block_sums_loop_past_the_buffered_threshold(self, monkeypatch, d):
+        # compare's ags lattices (10^7 points; d = 2 has only 1,024 states):
+        # every outer sum of a block loops over its right operand, the
+        # partial sums, and the sums that make a fifth of a block or more
+        # (the last one, and at m = 5 the one before) loop over at least
+        # BUFFERED_LOOP of them.  No timing: the sums are recorded
+        m = points_per_dim_for(AgsConfig(budget_points=10**7), d)
+        sums = []
+
+        class Add:
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def outer(self, left, right):
+                out = np.add.outer(left, right)
+                sums.append((right.size, out.size))
+                return out
+
+        class NumPy:
+            add = Add()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(kernels, "np", NumPy())
+        box = SearchBox.cube(d, -5.0, 5.0)
+        blocks = 0
+        for _, block in lattice_blocks(get_objective("sphere", d), box, m):
+            assert sums[-1][1] == block.size
+            assert sums[-1][0] >= self.BUFFERED_LOOP, (d, m)
+            for loop, made in sums:
+                assert loop >= self.BUFFERED_LOOP or 5 * made < block.size, (d, m, loop, made)
+            sums.clear()
+            blocks += 1
+        # and the blocks are larger than BLOCK_STATES, by up to a quarter
+        assert blocks * 81_920 >= m**d > blocks * 65_536
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_error_point_is_the_first_non_finite_state_in_flat_order(self):
-        # m = 200 keeps the last axis major in one 40,000-state block.
+        # m = 200 keeps the lattice in one 40,000-state block, entry
+        # [j_1, j_0, 0] at flat index 200 * j_0 + j_1.
         # On [0, 2e154] x [0, 1] the squares overflow from row 134 of axis
         # 0 on; on [0, 2e154]^2 also from point 134 of the last axis, so
         # the first bad state in flat order, (0, 134), lies in a later row
@@ -561,9 +624,9 @@ class TestLastAxisMajor:
 
     @pytest.mark.parametrize("name,d,m", [("sphere", 7, 10), ("rosenbrock", 4, 31)])
     def test_reduction_holds_about_one_block(self, name, d, m):
-        # one block at a time, freed before the next is built (the pair
-        # table is tiled into each block), against the 80 MB and 7.4 MB
-        # of these lattices' value vectors
+        # one block of up to 81,920 states at a time, freed before the
+        # next is built, against the 80 MB and 7.4 MB of these lattices'
+        # value vectors
         box = SearchBox.cube(d, -3.0, 4.0)
         tracemalloc.start()
         try:

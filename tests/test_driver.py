@@ -340,6 +340,24 @@ def test_a_run_reuses_one_lattice_vector(monkeypatch, shots):
     assert peak < 12 * states
 
 
+@pytest.mark.parametrize("block", [1, 3, 5, 16, 127])
+@pytest.mark.parametrize("name,d,q,shots", [
+    ("sphere", 3, 3, 0), ("rastrigin", 2, 4, 0), ("rosenbrock", 3, 3, 0),
+    ("styblinski_tang", 2, 5, 64),
+])
+def test_tiny_block_size_keeps_a_qags_report(monkeypatch, name, d, q, shots, block):
+    # the whole run with BLOCK_STATES patched below the 128 entries that
+    # the encoding's pairwise sums take in one piece: the same report bits
+    i = np.arange(d)
+    box = SearchBox(-4.1 + 0.3 * i, 5.3 - 0.45 * i)
+    cfg = QagsConfig(qubits_per_dim=q, shots=shots, seed=3)
+    report = run(get_objective(name, d), box, cfg)
+    monkeypatch.setattr(kernels, "BLOCK_STATES", block)
+    patched = run(get_objective(name, d), box, cfg)
+    assert patched.to_json() == report.to_json()
+    assert patched.total_f_evals == report.total_f_evals
+
+
 class TestBatchOnlyBlocks:
     """A batch-only objective is evaluated on coordinate blocks of at most
     BLOCK_STATES coordinates.  The size of those blocks changes neither
@@ -370,8 +388,9 @@ class TestBatchOnlyBlocks:
         """qags and run_ags on the d = 3 ellipsoid, with the lattice
         streams' block size patched to block (None: the default), and
         the most rows of a batch in qags' lattice fills.  qags gets the
-        size for its fills only: the encoding's pairwise sums take
-        slices of at least 129 states."""
+        size for its fills only, so its other blocks keep the default
+        size (test_tiny_block_size_keeps_a_qags_report patches whole
+        runs)."""
         grid_values = driver.grid_values
         block = block or kernels.BLOCK_STATES
 

@@ -109,6 +109,17 @@ class TestGridSpec:
         with pytest.raises(InvalidInputError):
             GridSpec(2, 0, box2())
 
+    @pytest.mark.parametrize("dimension,qubits", [(2.0, 2), (2, 2.5), (2, 2.0), (2, "2")])
+    def test_non_integral_sizes_are_rejected(self, dimension, qubits):
+        # rejected at construction, not by a TypeError from total_points
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            GridSpec(dimension, qubits, box2())
+
+    @pytest.mark.parametrize("dimension,qubits", [(2, 3), (np.int64(2), 3), (2, np.int32(3))])
+    def test_integral_sizes_are_accepted(self, dimension, qubits):
+        spec = GridSpec(dimension, qubits, box2())
+        assert spec.total_points == 1 << (2 * int(qubits))
+
     def test_axis_coordinates_endpoints_exact(self):
         spec = GridSpec(2, 3, box2(-5.12, 5.12))
         xs = spec.axis_coordinates(0)

@@ -121,7 +121,7 @@ def test_boltzmann_matches_direct_formulas(case):
         assert pos.size < probs.size
 
 
-@pytest.mark.parametrize("block", [None, 1000, 129])
+@pytest.mark.parametrize("block", [None, 1000, 129, 3])
 @pytest.mark.parametrize("case", list(_boltzmann_inputs()))
 def test_boltzmann_entropy_is_the_dense_closed_form(monkeypatch, case, block):
     # bit for bit: boltzmann sums the negated exponents times p and
@@ -179,7 +179,7 @@ def test_boltzmann_allocates_one_scratch_block():
     assert peak < 2 * kernels.BLOCK_STATES * 8
 
 
-@pytest.mark.parametrize("block", [None, 1000, 129])
+@pytest.mark.parametrize("block", [None, 1000, 129, 3])
 @pytest.mark.parametrize("n", [1, 127, 1 << 16, (1 << 16) + 1, 1 << 17, 3 * (1 << 16) + 5,
                                1 << 20, 1_000_003])
 def test_add_reduce_is_the_pairwise_tree_of_block_sums(monkeypatch, n, block):
@@ -201,7 +201,9 @@ def test_add_reduce_is_the_pairwise_tree_of_block_sums(monkeypatch, n, block):
     got = kernels._pairwise_sum(leaf, 0, n)
     assert got.tobytes() == np.add.reduce(x).tobytes()
     assert sum(pieces) == n
-    assert max(pieces) <= kernels.BLOCK_STATES
+    # pieces of at most a block, and at least the 128 entries NumPy sums
+    # in one piece: a block of 3 splits no run of 15 into an empty half
+    assert max(pieces) <= max(kernels.BLOCK_STATES, 128)
 
 
 # --- quantile threshold -------------------------------------------------------
@@ -329,20 +331,27 @@ def _block_dims(block, m):
     return [d for d in range(1, 11) if m**d <= cap]
 
 
+def _reversed_limit():
+    """The most states of a block of lattice_value_blocks."""
+    return kernels.BLOCK_STATES + kernels.BLOCK_STATES // 4
+
+
 def _flat(blocks, m=None):
-    """Value blocks in flat order.  Entry [j, r] of a C-ordered (c, R)
-    block is flat index start + r * c + j; c is 1 for a flat run and m
-    for a block with its last axis major (m given)."""
+    """Value blocks in flat order.  Entry [j_{d-1}, ..., j_{d-T}, k] of a
+    C-ordered block of shape (m,) * T + (K,) is flat index
+    start + k * m**T + sum_i j_i * m**(d-1-i), so block.T, of shape
+    (K,) + (m,) * T, is in flat order; a flat run is T = 0 (m given
+    only for blocks of more axes)."""
     for start, block in blocks:
-        assert block.ndim == 2 and block.flags.c_contiguous
-        assert block.shape[0] in (1, m)
+        assert block.ndim >= 1 and block.flags.c_contiguous
+        assert all(size == m for size in block.shape[:-1]), block.shape
         yield start, block.T.ravel()
 
 
-def _joined(blocks, block):
+def _joined(blocks, limit=None):
     """Concatenate (start, array) blocks, checking they tile the lattice
-    in order and none exceeds the block size."""
-    limit = block or kernels.BLOCK_STATES
+    in order and none exceeds limit (default BLOCK_STATES)."""
+    limit = limit or kernels.BLOCK_STATES
     parts, starts, at = [], [], 0
     for start, arr in blocks:
         starts.append(start)
@@ -363,9 +372,10 @@ def _coordinate_rows(d):
     return rows
 
 
-def _check_blocks_join(monkeypatch, kind, m, block, major):
+def _check_blocks_join(monkeypatch, kind, m, block, reversed_layout):
     if block is not None:
         monkeypatch.setattr(kernels, "BLOCK_STATES", block)
+    limit = _reversed_limit() if reversed_layout else kernels.BLOCK_STATES
     for d in _block_dims(block, m):
         if kind == kernels.KIND_ROSENBROCK and d < 2:
             continue
@@ -373,34 +383,49 @@ def _check_blocks_join(monkeypatch, kind, m, block, major):
         if d > 2:
             hi[1] = lo[1]  # degenerate axis
         ref = kernels.lattice_values(kind, lo, hi, m, shift)
-        blocks = list(kernels.lattice_value_blocks(kind, lo, hi, m, shift, major))
-        got, _ = _joined(_flat(blocks, m), block)
+        if not reversed_layout:
+            runs = list(kernels.lattice_value_runs(kind, lo, hi, m, shift))
+            assert all(run.ndim == 1 for _, run in runs), (d, m)
+            got, _ = _joined(_flat(runs), limit)
+            assert got.tobytes() == ref.tobytes(), (d, m)
+            continue
+        blocks = list(kernels.lattice_value_blocks(kind, lo, hi, m, shift))
+        got, _ = _joined(_flat(blocks, m), limit)
         assert got.tobytes() == ref.tobytes(), (d, m)
-        # the last axis goes major where a block holds whole runs of it
-        # under another trailing axis, and only when asked for
-        whole_runs = d > 1 and m * m <= kernels.BLOCK_STATES
-        assert {v.shape[0] for _, v in blocks} == {m if major and whole_runs else 1}, (d, m)
+        # a block spans the most trailing axes whose states fit in one,
+        # or is a run of a last axis wider than a block (T = 0)
+        trailing = max(t for t in range(d + 1) if m**t <= limit)
+        assert {v.ndim - 1 for _, v in blocks} == {trailing}, (d, m)
+        # every entry decodes to the flat index of its value
+        for start, v in blocks:
+            flats = kernels.block_flat_indices(start, v.shape, np.arange(v.size))
+            assert ref[flats].tobytes() == v.tobytes(), (d, m, start)
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("m", BLOCK_MS)
 @pytest.mark.parametrize("kind,name", KINDS)
 def test_lattice_value_blocks_join_to_lattice_values(monkeypatch, kind, name, m, block):
-    _check_blocks_join(monkeypatch, kind, m, block, major=False)
+    _check_blocks_join(monkeypatch, kind, m, block, reversed_layout=True)
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("m", BLOCK_MS)
 @pytest.mark.parametrize("kind,name", KINDS)
-def test_last_axis_major_blocks_join_to_lattice_values(monkeypatch, kind, name, m, block):
-    _check_blocks_join(monkeypatch, kind, m, block, major=True)
+def test_lattice_value_runs_join_to_lattice_values(monkeypatch, kind, name, m, block):
+    _check_blocks_join(monkeypatch, kind, m, block, reversed_layout=False)
 
 
 def test_lattice_value_blocks_span_several_blocks():
     lo, hi, shift = _lattice_case(4, 32, 5)
+    runs = list(kernels.lattice_value_runs(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
+    assert len(runs) == 16
+    assert all(v.shape == (kernels.BLOCK_STATES,) == (1 << 16,) for _, v in runs)
+    # at most 81,920 states: three trailing axes under two prefixes
     blocks = list(kernels.lattice_value_blocks(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
-    assert len(blocks) == 16
-    assert all(v.shape == (1, kernels.BLOCK_STATES) == (1, 1 << 16) for _, v in blocks)
+    assert _reversed_limit() == 81_920
+    assert [start for start, _ in blocks] == [k << 16 for k in range(16)]
+    assert all(v.shape == (32, 32, 32, 2) for _, v in blocks)
 
 
 def test_rosenbrock_d2_stream_holds_no_pair_table():
@@ -434,22 +459,27 @@ def _row_reference(kind, lo, hi, m, shift, k):
 def test_axis_wider_than_a_block_is_split_across_blocks(kind, name, m):
     # one axis holds more points than a block: the stream splits the last
     # axis into runs of at most BLOCK_STATES points under each prefix
+    # (the blocks of lattice_value_blocks hold up to 81,920 states, so
+    # there m = 65,537 is one (m, 1) block per row and 2^17 is split)
     lo, hi, shift = _lattice_case(2, m, m + kind)
+    limits = [kernels.BLOCK_STATES, _reversed_limit()]
     if kind != kernels.KIND_ROSENBROCK:
         ref = kernels.lattice_values(kind, lo[:1], hi[:1], m, shift[:1])
-        blocks = kernels.lattice_value_blocks(kind, lo[:1], hi[:1], m, shift[:1])
-        got, starts = _joined(_flat(blocks), None)
-        assert got.tobytes() == ref.tobytes()
-        assert starts == list(range(0, m, kernels.BLOCK_STATES))
-        coords, _ = _joined(kernels.coordinate_blocks(lo[:1], hi[:1], m), None)
+        for stream, limit in zip([kernels.lattice_value_runs, kernels.lattice_value_blocks], limits):
+            blocks = stream(kind, lo[:1], hi[:1], m, shift[:1])
+            got, starts = _joined(_flat(blocks, m), limit)
+            assert got.tobytes() == ref.tobytes()
+            assert starts == list(range(0, m, limit))
+        coords, _ = _joined(kernels.coordinate_blocks(lo[:1], hi[:1], m))
         assert coords[:, 0].tobytes() == kernels.lattice_axes(lo[:1], hi[:1], m)[0].tobytes()
     # d = 2 has m^2 states: check the blocks of the first two rows
-    per_row = -(-m // kernels.BLOCK_STATES)
-    blocks = kernels.lattice_value_blocks(kind, lo, hi, m, shift, last_axis_major=True)
-    got, starts = _joined(_flat(itertools.islice(blocks, 2 * per_row)), None)
     ref = np.concatenate([_row_reference(kind, lo, hi, m, shift, k) for k in (0, 1)])
-    assert got.tobytes() == ref.tobytes()
-    assert starts == [k * m + j for k in (0, 1) for j in range(0, m, kernels.BLOCK_STATES)]
+    for stream, limit in zip([kernels.lattice_value_runs, kernels.lattice_value_blocks], limits):
+        per_row = -(-m // limit)
+        blocks = itertools.islice(stream(kind, lo, hi, m, shift), 2 * per_row)
+        got, starts = _joined(_flat(blocks, m), limit)
+        assert got.tobytes() == ref.tobytes()
+        assert starts == [k * m + j for k in (0, 1) for j in range(0, m, limit)]
     # coordinate blocks of d = 2 hold at most BLOCK_STATES / 2 rows
     rows = _coordinate_rows(2)
     per_row = -(-m // rows)
@@ -467,6 +497,8 @@ def test_axis_wider_than_a_block_streams_in_block_sized_memory():
     m = 1 << 22
     tracemalloc.start()
     try:
+        for _ in kernels.lattice_value_runs(kernels.KIND_SPHERE, [-1.0], [2.0], m):
+            pass
         for _ in kernels.lattice_value_blocks(kernels.KIND_SPHERE, [-1.0], [2.0], m):
             pass
         for _ in kernels.coordinate_blocks(np.array([-1.0]), np.array([2.0]), m):
@@ -496,11 +528,11 @@ def test_coordinate_blocks_equal_meshgrid_lattice(monkeypatch, m, block):
             else:
                 assert coords.shape == (1, d), (d, m)
             assert coords.tobytes() == ref[start:start + len(coords)].tobytes(), (d, m)
-        # the ranges of value blocks of at most that many rows
+        # the ranges of value runs of at most that many rows
         rows = _coordinate_rows(d)
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "BLOCK_STATES", rows)
-            value_starts = [s for s, _ in kernels.lattice_value_blocks(0, lo, hi, m, shift)]
+            value_starts = [s for s, _ in kernels.lattice_value_runs(0, lo, hi, m, shift)]
         assert starts == value_starts, (d, m)
 
 
