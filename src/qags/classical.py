@@ -5,13 +5,17 @@ share (uniform grid, contract, repeat, refine).  The grid is a plain
 m-per-dimension lattice, streamed through ``quantum.lattice_blocks`` in
 the kernel's digit-reversed block layout, whose sums loop over the
 partial sums instead of the few points of each axis, and reduced to its
-first-index argmin without reordering a block.  Contraction recentres a
-shrunken box on the best grid point instead of selecting a probability
-region.
+first-index argmin without reordering a block.  Each block comes with
+its least and greatest value, so the reduction reads only those two
+numbers of a block that neither improves on the blocks before nor holds
+a value that is not finite; every block is still evaluated, so every
+lattice point counts as an evaluation.  Contraction recentres a shrunken
+box on the best grid point instead of selecting a probability region.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -28,6 +32,12 @@ from .refine import RefinerConfig
 
 @dataclass(frozen=True)
 class AgsConfig:
+    """The baseline's settings.  The lattice has points_per_dim points
+    per axis, lowered to the largest m with m**d <= budget_points but
+    never below 2 (points_per_dim_for): past d = log2(budget_points) the
+    lattice of 2**d points exceeds the budget, and its evaluations grow
+    as 2**d per iteration."""
+
     points_per_dim: int = 32
     budget_points: int = 10**6
     shrink_factor: float = 0.5
@@ -65,7 +75,13 @@ def _integer_root(budget, d):
 
 def points_per_dim_for(cfg, dimension):
     """Grid resolution for one run: the configured per-dimension count,
-    lowered so the full lattice fits the point budget, floored at 2."""
+    lowered so the full lattice fits the point budget, floored at 2.
+
+    The floor wins past d = log2(budget_points): the lattice then has
+    2**d points, more than the budget.  At budget_points = 10**4, d = 20
+    makes 2**20 = 1,048,576 points an iteration (10,485,781 evaluations
+    over a run of sphere), and at d = 40 a lattice of 2**40 points is
+    not finished in any useful time."""
     return max(2, min(cfg.points_per_dim, _integer_root(cfg.budget_points, dimension)))
 
 
@@ -74,17 +90,17 @@ def _lattice_argmin(objective, box, m):
     of m points per axis of ``box``, reduced block by block over
     ``lattice_blocks`` so no full value vector exists.
 
-    A block comes in the kernel's digit-reversed layout, a flat run being
-    its T = 0 case, and is reduced as it lies: its minimum, and when that
-    improves on the blocks before, the smallest flat index among the
-    entries that hold it (kernels.block_flat_indices), which is the
-    first flat index of that minimum.  A non-finite value is reported at
-    the first such state in flat order.
+    Each block comes with its least and greatest value, so only two
+    numbers are read for most blocks: both finite means every entry is,
+    and the block is searched only when its minimum improves on the
+    blocks before, for the smallest flat index among the entries that
+    hold it (kernels.block_flat_indices), which is the first flat index
+    of that minimum.  A non-finite value is reported at the first such
+    state in flat order.
     """
     best_index, best_value = 0, np.inf
-    for start, block in lattice_blocks(objective, box, m):
-        low = block.min()  # NaN if any entry is NaN
-        if not (np.isfinite(low) and np.isfinite(block.max())):
+    for start, block, low, high in lattice_blocks(objective, box, m):
+        if not (math.isfinite(low) and math.isfinite(high)):
             bad = np.flatnonzero(~np.isfinite(block))
             raise EvaluationError(
                 "objective returned a non-finite value on the grid",

@@ -36,7 +36,10 @@ quarter more states in the digit-reversed layout: shape (m,) * T + (K,)
 for T trailing axes under K prefixes, the last axis major, so that every
 sum loops over the partial sums before it and the large ones pass
 NumPy's buffered threshold; ``block_flat_indices`` decodes its entries,
-and a flat run is its T = 0 case.  A coordinate block holds at most
+and a flat run is its T = 0 case.  Each such block comes with its
+least and greatest value, which for the separable kinds are sums of the
+operands' extremes, so the baseline reads a block only when it improves
+or holds a value that is not finite.  A coordinate block holds at most
 BLOCK_STATES coordinates, so a batch function's temporaries do not grow
 with d.  An axis with more points than a block is split across blocks,
 so a pass over any lattice holds about one block beyond the leading
@@ -258,12 +261,41 @@ def _reversed_sums(acc, first, tables):
     return acc
 
 
-def _value_blocks(kind, lower, upper, points_per_dim, shift, limit, accumulate):
+def _extremes(table):
+    """The least and greatest entry of an array, as floats: NaN if any
+    entry is NaN."""
+    return float(table.min()), float(table.max())
+
+
+def _fold(acc, ends):
+    """The least and greatest of acc[k] + t_p[j_p] + ... + t_{d-1}[j_{d-1}],
+    added left to right, over every k and every j, given each one-row
+    table's ends = _extremes(t): the same sums of the operands' extremes,
+    in the same order.  Round-to-nearest is monotone in each operand, and
+    the pair of extremes is itself a pair of operands, so both are
+    entries of the sums, bit for bit.  A NaN or infinite operand, or a
+    sum that overflows, makes one of them non-finite."""
+    low, high = _extremes(acc)
+    for t_low, t_high in ends:
+        low += t_low
+        high += t_high
+    return low, high
+
+
+def block_extremes(start, block):
+    """(start, block, low, high) for a block whose extremes do not follow
+    from one-row term tables (Rosenbrock pair sums, evaluate_batch
+    values): its least and greatest entry, read off the block."""
+    return (start, block, *_extremes(block))
+
+
+def _value_blocks(kind, lower, upper, points_per_dim, shift, limit, accumulate, extremes):
     """The stream of lattice_value_runs and lattice_value_blocks: blocks
     of at most limit states, each the head's partial sums of its
     prefixes extended over the trailing axes by accumulate(acc, first,
     tables).  A run of a split last axis is the one-dimensional sum of
-    its prefix's partial sum and its points' terms."""
+    its prefix's partial sum and its points' terms.  With extremes, each
+    block comes with its least and greatest value (lattice_value_blocks)."""
     lower, upper, shift = _lattice_args(lower, upper, shift)
     m, kind, d = int(points_per_dim), int(kind), lower.size
     p, tail = _block_layout(d, m, limit)
@@ -272,16 +304,29 @@ def _value_blocks(kind, lower, upper, points_per_dim, shift, limit, accumulate):
     tables = _term_tables(kind, axes, shift)
     head = _accumulate(np.zeros(1), 0, tables[:p])
     trailing = tables[p:]
+    ends = None  # a pair table trails: the block gives its own extremes
+    if extremes and all(table.shape[0] == 1 for table in trailing):
+        ends = [_extremes(table) for table in trailing]
     for k0, k1, r0, r1 in _block_ranges(p, tail, m, limit):
-        # no name here holds a block, so a consumer that drops it frees
-        # it before the next one is built
         if split:
             xs = _coordinates(lower[p], upper[p], m, np.arange(r0, r1))
             table = _term_table(kind, axes[-1] if p else None, xs, shift[p])
             row = k0 % table.shape[0]
-            yield k0 * tail + r0, np.add(head[k0], table[row:row + 1]).reshape(-1)
+            terms = table[row:row + 1]
+            block = np.add(head[k0], terms).reshape(-1)
+            acc, acc_ends = head[k0:k0 + 1], [_extremes(terms)] if extremes else None
         else:
-            yield k0 * tail + r0, accumulate(head[k0:k1], k0, trailing)
+            acc, acc_ends = head[k0:k1], ends
+            block = accumulate(acc, k0, trailing)
+        if not extremes:
+            yield k0 * tail + r0, block
+        elif acc_ends is None:
+            yield block_extremes(k0 * tail + r0, block)
+        else:
+            yield (k0 * tail + r0, block, *_fold(acc, acc_ends))
+        # a consumer that drops the block frees it before the next one
+        # is built
+        del block
 
 
 def lattice_value_runs(kind, lower, upper, points_per_dim, shift=None):
@@ -293,15 +338,17 @@ def lattice_value_runs(kind, lower, upper, points_per_dim, shift=None):
     slower at m = 2, 4, 32 and 256 (faster at 8 and 16) than with the
     flat sum."""
     return _value_blocks(
-        kind, lower, upper, points_per_dim, shift, BLOCK_STATES, _accumulate
+        kind, lower, upper, points_per_dim, shift, BLOCK_STATES, _accumulate, False
     )
 
 
 def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
-    """lattice_values as a stream of (start, block) over contiguous
-    flat-index blocks of at most BLOCK_STATES + BLOCK_STATES // 4
-    states, in the digit-reversed layout, for a consumer that reads a
-    block in any order.
+    """lattice_values as a stream of (start, block, low, high) over
+    contiguous flat-index blocks of at most BLOCK_STATES +
+    BLOCK_STATES // 4 states, in the digit-reversed layout, for a
+    consumer that reads a block in any order; low and high are the
+    block's least and greatest value, as block.min() and block.max()
+    give them, bit for bit.
 
     A block spans T trailing axes for K consecutive prefixes: a C-ordered
     array of shape (m,) * T + (K,) whose entry [j_{d-1}, ..., j_{d-T}, k]
@@ -325,10 +372,24 @@ def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
     its layout.  A trailing axis longer than a block has no table: each
     block computes the terms of its own run of points, so a pass holds
     about one block beyond the leading axes' sums.
+
+    Every entry of a block is the left-to-right sum acc[k] + t_p[j_p] +
+    ... + t_{d-1}[j_{d-1}] of a partial sum and one term per trailing
+    axis.  When every trailing table is one row (the separable kinds, and
+    the run of a split last axis), any choice of operands is an entry,
+    and round-to-nearest is monotone in each operand, so the block's
+    minimum is the same sum of the operands' minima and its maximum that
+    of their maxima (_fold): a min and a max over the K partial sums and
+    T float additions, with each table's extremes taken once per
+    lattice, instead of two passes over the block.  A NaN or infinite
+    operand, or an entry that overflows, makes one of them non-finite,
+    and each is an entry, so they are finite exactly when the block is.
+    The Rosenbrock pair tables couple the digits of adjacent axes, so
+    those blocks give the extremes of their own entries (block_extremes).
     """
     limit = BLOCK_STATES + BLOCK_STATES // 4
     return _value_blocks(
-        kind, lower, upper, points_per_dim, shift, limit, _reversed_sums
+        kind, lower, upper, points_per_dim, shift, limit, _reversed_sums, True
     )
 
 

@@ -4,10 +4,11 @@ Both methods evaluate their lattices through one stream, which picks
 the lattice kernel or the objective's evaluate_batch: the qags driver
 fills its value vector from its flat runs (``grid_values``, which checks
 each run for finiteness as it lands), and the classical baseline reduces
-over its blocks in the kernel's digit-reversed layout
-(``lattice_blocks``).  A qags run holds one vector of 8 B per state: the
-values are encoded into probabilities in place (``encode_in_place``),
-and a finite-shot draw writes its cdf over them (``draw_in_place``).
+over its blocks in the kernel's digit-reversed layout, each given with
+its least and greatest value (``lattice_blocks``).  A qags run holds one
+vector of 8 B per state: the values are encoded into probabilities in
+place (``encode_in_place``), and a finite-shot draw writes its cdf over
+them (``draw_in_place``).
 The encoding, the selection and the hull add only buffers of a block,
 of a bracket of distinct values or of the draw, so a 10-iteration run
 on a 2^20-state lattice peaks under
@@ -120,11 +121,14 @@ class QuantumDistribution:
 
 def lattice_blocks(objective, box, points_per_dim):
     """Objective values over the lattice of m = points_per_dim points per
-    axis of ``box``, as a stream of (start, block) over contiguous
-    flat-index blocks, for a consumer that reads each block in any order:
-    of at most 81,920 states in the lattice kernel's digit-reversed
-    layout, or flat runs of at most 2^16 coordinates (2^16 / d states,
-    rounded down to a power of two) from evaluate_batch.
+    axis of ``box``, as a stream of (start, block, low, high) over
+    contiguous flat-index blocks, for a consumer that reads each block in
+    any order: of at most 81,920 states in the lattice kernel's
+    digit-reversed layout, or flat runs of at most 2^16 coordinates
+    (2^16 / d states, rounded down to a power of two) from
+    evaluate_batch.  low and high are the block's least and greatest
+    value, bit for bit, and NaN if a value is; a block holds a
+    non-finite value exactly when one of them is not finite.
 
     A block is a C-ordered array of shape (m,) * T + (K,) whose entry
     [j_{d-1}, ..., j_{d-T}, k] is the value at flat index
@@ -133,18 +137,21 @@ def lattice_blocks(objective, box, points_per_dim):
     kernels.lattice_value_blocks).
 
     Uses the lattice kernel when the objective advertises one (no point
-    coordinates are materialized); otherwise calls evaluate_batch on the
-    block's coordinate rows, so no full (m^d, d) matrix ever exists.
-    Either way the objective's evaluation counter advances by m^d.  The
-    kernel's values are not checked for finiteness here: the consumer
-    already passes over them.
+    coordinates are materialized, and low and high of the separable
+    kinds come from the term tables' extremes without a pass over the
+    block); otherwise calls evaluate_batch on the block's coordinate
+    rows, so no full (m^d, d) matrix ever exists, and reads low and high
+    off each run.  Either way the objective's evaluation counter
+    advances by m^d.  The values are not checked for finiteness here:
+    low and high tell the consumer whether to look.
     """
-    return _evaluated(objective, box, points_per_dim, kernels.lattice_value_blocks)
+    return _evaluated(objective, box, points_per_dim, kernels.lattice_value_blocks, True)
 
 
-def _evaluated(objective, box, points_per_dim, kernel_stream):
+def _evaluated(objective, box, points_per_dim, kernel_stream, extremes=False):
     """The one place that picks the lattice kernel or evaluate_batch:
-    kernel_stream's blocks, or flat runs of evaluate_batch."""
+    kernel_stream's blocks, or flat runs of evaluate_batch, given with
+    their least and greatest value when extremes is set."""
     if objective.kernel_kind is not None:
         objective.count_evaluations(points_per_dim**box.dimension)
         yield from kernel_stream(
@@ -152,7 +159,10 @@ def _evaluated(objective, box, points_per_dim, kernel_stream):
         )
         return
     for start, coords in kernels.coordinate_blocks(box.lower, box.upper, points_per_dim):
-        yield start, objective.evaluate_batch(coords)
+        if extremes:
+            yield kernels.block_extremes(start, objective.evaluate_batch(coords))
+        else:
+            yield start, objective.evaluate_batch(coords)
 
 
 def grid_values(objective, spec, out=None):

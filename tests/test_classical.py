@@ -24,6 +24,13 @@ from qags.quantum import lattice_blocks
 from qags.refine import refine
 
 
+def _assert_extremes(block, low, high):
+    """low and high, as a lattice_blocks block comes with them, are its
+    min() and max(), bit for bit."""
+    assert np.float64(low).tobytes() == block.min().tobytes()
+    assert np.float64(high).tobytes() == block.max().tobytes()
+
+
 class TestIntegerRoot:
     def test_exact_powers(self):
         # float roots of exact powers round below the integer answer
@@ -500,10 +507,14 @@ class TestLastAxisMajor:
             t1 = 2.5e17 + 64.0 * rng.integers(0, 6, 3)
             t2 = 2.6e17 + 64.0 * rng.integers(0, 6, 4)
             block = np.add.outer(t2, np.add.outer(t1, acc))
+            # the stream's extremes: the sums of the operands' extremes
+            low = float(acc.min()) + float(t1.min()) + float(t2.min())
+            high = float(acc.max()) + float(t1.max()) + float(t2.max())
+            _assert_extremes(block, low, high)
             flat = block.T.ravel()
             first = int(np.argmin(flat))
             monkeypatch.setattr(
-                classical, "lattice_blocks", lambda *args, **kw: iter([(24, block)])
+                classical, "lattice_blocks", lambda *args, **kw: iter([(24, block, low, high)])
             )
             assert _lattice_argmin(None, None, None) == (24 + first, float(flat[first]))
             later_entry += offsets.ravel()[np.argmin(block)] != first
@@ -523,8 +534,9 @@ class TestLastAxisMajor:
             (90_000, {(81_920,), (8_080,)}),
         ]:
             got = set()
-            for _, block in itertools.islice(lattice_blocks(make_sphere(2), box, m), 4):
+            for _, block, low, high in itertools.islice(lattice_blocks(make_sphere(2), box, m), 4):
                 assert block.flags.c_contiguous
+                _assert_extremes(block, low, high)
                 got.add(block.shape)
             assert got == shapes, m
             for _, run in itertools.islice(
@@ -564,7 +576,8 @@ class TestLastAxisMajor:
         monkeypatch.setattr(kernels, "np", NumPy())
         box = SearchBox.cube(d, -5.0, 5.0)
         blocks = 0
-        for _, block in lattice_blocks(get_objective("sphere", d), box, m):
+        for _, block, low, high in lattice_blocks(get_objective("sphere", d), box, m):
+            _assert_extremes(block, low, high)
             assert sums[-1][1] == block.size
             assert sums[-1][0] >= self.BUFFERED_LOOP, (d, m)
             for loop, made in sums:
@@ -635,3 +648,61 @@ class TestLastAxisMajor:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * kernels.BLOCK_STATES
+
+
+class TestBlockExtremesErrors:
+    """run_ags tests a block's least and greatest value for finiteness,
+    as the stream gives them, and still names the first non-finite
+    state in flat order, as the whole-lattice kernel gives it."""
+
+    @staticmethod
+    def _first_bad_point(box, m, values):
+        bad = np.flatnonzero(~np.isfinite(values))
+        assert bad.size > 0
+        return kernels.lattice_points(box.lower, box.upper, m, bad[0])[0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", TestLastAxisMajor.KIND_NAMES)
+    @pytest.mark.parametrize(
+        "label,lower,upper",
+        [
+            # the sphere and rastrigin terms are finite, and only the
+            # sums near the upper corner overflow: the maxima alone
+            ("maximum", -1e100, 1e154),
+            # the terms overflow at both ends of every axis
+            ("both", -1e155, 1e155),
+        ],
+    )
+    def test_overflow_names_the_first_non_finite_state(self, name, label, lower, upper):
+        d = 4
+        obj = get_objective(name, d)
+        box = SearchBox.cube(d, lower, upper)
+        cfg = AgsConfig(budget_points=10**5)  # m = 17: two blocks
+        m = points_per_dim_for(cfg, d)
+        values = kernels.lattice_values(obj.kernel_kind, box.lower, box.upper, m, obj.shift)
+        if (name, label) == ("sphere", "maximum"):
+            assert np.isfinite(values.min()) and not np.isfinite(values.max())
+            for xs in kernels.lattice_axes(box.lower, box.upper, m):
+                assert np.isfinite(xs * xs).all()
+        with pytest.raises(EvaluationError) as err:
+            run_ags(obj, box, cfg)
+        assert err.value.point.tobytes() == self._first_bad_point(box, m, values).tobytes()
+
+    def test_batch_nan_in_a_later_block_names_its_point(self):
+        # a batch-only objective has no term tables: the blocks' own
+        # extremes find its NaN, in the fourth block of 2^15 rows
+        d, m = 2, 400
+        box = SearchBox.cube(d, 0.0, float(m - 1))
+
+        def batch(pts):
+            return np.where(pts[:, 0] * m + pts[:, 1] >= 100_123.0, np.nan, np.sum(pts, axis=1))
+
+        obj = ObjectiveFunction(
+            name="batch-only", arity=d, fn=lambda x: float(batch(x[None, :])[0]), batch_fn=batch
+        )
+        values = np.concatenate([batch(c) for _, c in kernels.coordinate_blocks(box.lower, box.upper, m)])
+        with pytest.raises(EvaluationError) as err:
+            run_ags(obj, box, AgsConfig(points_per_dim=m, budget_points=m * m))
+        point = self._first_bad_point(box, m, values)
+        assert err.value.point.tobytes() == point.tobytes()
+        assert point.tolist() == [250.0, 123.0]

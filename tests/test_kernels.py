@@ -348,6 +348,21 @@ def _flat(blocks, m=None):
         yield start, block.T.ravel()
 
 
+def _assert_extremes(block, low, high):
+    """low and high, as a lattice_value_blocks block comes with them, are
+    its min() and max(), bit for bit."""
+    assert np.float64(low).tobytes() == block.min().tobytes()
+    assert np.float64(high).tobytes() == block.max().tobytes()
+
+
+def _checked_value_blocks(*args):
+    """lattice_value_blocks as (start, block), each block's extremes
+    checked."""
+    for start, block, low, high in kernels.lattice_value_blocks(*args):
+        _assert_extremes(block, low, high)
+        yield start, block
+
+
 def _joined(blocks, limit=None):
     """Concatenate (start, array) blocks, checking they tile the lattice
     in order and none exceeds limit (default BLOCK_STATES)."""
@@ -389,7 +404,7 @@ def _check_blocks_join(monkeypatch, kind, m, block, reversed_layout):
             got, _ = _joined(_flat(runs), limit)
             assert got.tobytes() == ref.tobytes(), (d, m)
             continue
-        blocks = list(kernels.lattice_value_blocks(kind, lo, hi, m, shift))
+        blocks = list(_checked_value_blocks(kind, lo, hi, m, shift))
         got, _ = _joined(_flat(blocks, m), limit)
         assert got.tobytes() == ref.tobytes(), (d, m)
         # a block spans the most trailing axes whose states fit in one,
@@ -422,7 +437,7 @@ def test_lattice_value_blocks_span_several_blocks():
     assert len(runs) == 16
     assert all(v.shape == (kernels.BLOCK_STATES,) == (1 << 16,) for _, v in runs)
     # at most 81,920 states: three trailing axes under two prefixes
-    blocks = list(kernels.lattice_value_blocks(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
+    blocks = list(_checked_value_blocks(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
     assert _reversed_limit() == 81_920
     assert [start for start, _ in blocks] == [k << 16 for k in range(16)]
     assert all(v.shape == (32, 32, 32, 2) for _, v in blocks)
@@ -465,7 +480,7 @@ def test_axis_wider_than_a_block_is_split_across_blocks(kind, name, m):
     limits = [kernels.BLOCK_STATES, _reversed_limit()]
     if kind != kernels.KIND_ROSENBROCK:
         ref = kernels.lattice_values(kind, lo[:1], hi[:1], m, shift[:1])
-        for stream, limit in zip([kernels.lattice_value_runs, kernels.lattice_value_blocks], limits):
+        for stream, limit in zip([kernels.lattice_value_runs, _checked_value_blocks], limits):
             blocks = stream(kind, lo[:1], hi[:1], m, shift[:1])
             got, starts = _joined(_flat(blocks, m), limit)
             assert got.tobytes() == ref.tobytes()
@@ -474,7 +489,7 @@ def test_axis_wider_than_a_block_is_split_across_blocks(kind, name, m):
         assert coords[:, 0].tobytes() == kernels.lattice_axes(lo[:1], hi[:1], m)[0].tobytes()
     # d = 2 has m^2 states: check the blocks of the first two rows
     ref = np.concatenate([_row_reference(kind, lo, hi, m, shift, k) for k in (0, 1)])
-    for stream, limit in zip([kernels.lattice_value_runs, kernels.lattice_value_blocks], limits):
+    for stream, limit in zip([kernels.lattice_value_runs, _checked_value_blocks], limits):
         per_row = -(-m // limit)
         blocks = itertools.islice(stream(kind, lo, hi, m, shift), 2 * per_row)
         got, starts = _joined(_flat(blocks, m), limit)
@@ -499,8 +514,10 @@ def test_axis_wider_than_a_block_streams_in_block_sized_memory():
     try:
         for _ in kernels.lattice_value_runs(kernels.KIND_SPHERE, [-1.0], [2.0], m):
             pass
-        for _ in kernels.lattice_value_blocks(kernels.KIND_SPHERE, [-1.0], [2.0], m):
-            pass
+        for _, block, low, high in kernels.lattice_value_blocks(
+            kernels.KIND_SPHERE, [-1.0], [2.0], m
+        ):
+            _assert_extremes(block, low, high)
         for _ in kernels.coordinate_blocks(np.array([-1.0]), np.array([2.0]), m):
             pass
         peak = tracemalloc.get_traced_memory()[1]
