@@ -6,16 +6,16 @@ m-per-dimension lattice, streamed through ``quantum.lattice_blocks`` in
 the kernel's digit-reversed block layout, whose sums loop over the
 partial sums instead of the few points of each axis, and reduced to its
 first-index argmin without reordering a block.  Each block comes with
-its least and greatest value, so the reduction reads only those two
-numbers of a block that neither improves on the blocks before nor holds
-a value that is not finite; every block is still evaluated, so every
-lattice point counts as an evaluation.  Contraction recentres a shrunken
-box on the best grid point instead of selecting a probability region.
+its least and greatest value, and the stream has already refused a
+value that is not finite, so the reduction reads only the least value
+of a block that does not improve on the blocks before; every block is
+still evaluated, so every lattice point counts as an evaluation.
+Contraction recentres a shrunken box on the best grid point instead of
+selecting a probability region.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .contraction import TerminationPolicy
 from .driver import CLASSICAL_BYTES_PER_POINT, search
-from .errors import EvaluationError, InvalidInputError
+from .errors import InvalidInputError
 from .grid import SearchBox
 from .quantum import lattice_blocks
 from .refine import RefinerConfig
@@ -90,24 +90,15 @@ def _lattice_argmin(objective, box, m):
     of m points per axis of ``box``, reduced block by block over
     ``lattice_blocks`` so no full value vector exists.
 
-    Each block comes with its least and greatest value, so only two
-    numbers are read for most blocks: both finite means every entry is,
-    and the block is searched only when its minimum improves on the
-    blocks before, for the smallest flat index among the entries that
-    hold it (kernels.block_flat_indices), which is the first flat index
-    of that minimum.  A non-finite value is reported at the first such
-    state in flat order.
+    Each block comes with its least value, so only that number is read
+    for most blocks: the block is searched only when its minimum
+    improves on the blocks before, for the smallest flat index among the
+    entries that hold it (kernels.block_flat_indices), which is the
+    first flat index of that minimum.  The stream raises EvaluationError
+    at the first value that is not finite, in flat order.
     """
     best_index, best_value = 0, np.inf
-    for start, block, low, high in lattice_blocks(objective, box, m):
-        if not (math.isfinite(low) and math.isfinite(high)):
-            bad = np.flatnonzero(~np.isfinite(block))
-            raise EvaluationError(
-                "objective returned a non-finite value on the grid",
-                point=kernels.lattice_points(
-                    box.lower, box.upper, m, _first_flat(start, block, bad)
-                )[0],
-            )
+    for start, block, low, _ in lattice_blocks(objective, box, m):
         # strict: ties across blocks keep the lower index
         if low < best_value:
             best_index = _first_flat(start, block, np.flatnonzero(block == low))

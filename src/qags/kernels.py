@@ -36,21 +36,23 @@ quarter more states in the digit-reversed layout: shape (m,) * T + (K,)
 for T trailing axes under K prefixes, the last axis major, so that every
 sum loops over the partial sums before it and the large ones pass
 NumPy's buffered threshold; ``block_flat_indices`` decodes its entries,
-and a flat run is its T = 0 case.  Each such block comes with its
-least and greatest value, which for the separable kinds are sums of the
-operands' extremes, so the baseline reads a block only when it improves
-or holds a value that is not finite.  A coordinate block holds at most
-BLOCK_STATES coordinates, so a batch function's temporaries do not grow
-with d.  An axis with more points than a block is split across blocks,
-so a pass over any lattice holds about one block beyond the leading
-axes' partial sums.  ``lattice_points`` is the one decoder of flat
-indices to points: it evaluates the rule at the decoded digits, so no
+and a flat run is its T = 0 case.  Every block comes with its least
+and greatest value, for the separable kinds sums of the operands'
+extremes, which are finite exactly when the block is: so both methods
+refuse a value that is not finite, with no NumPy warning, and the
+baseline reads a block only when it improves.  A coordinate block holds
+at most BLOCK_STATES coordinates, so a batch function's temporaries do
+not grow with d.  An axis with more points than a block is split across
+blocks, so a pass over any lattice holds about one block beyond the
+leading axes' partial sums.  ``lattice_points`` is the one decoder of
+flat indices to points: it evaluates the rule at the decoded digits, so no
 decoder builds an axis table, and it decodes the columns of every
 coordinate block too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -283,63 +285,63 @@ def _fold(acc, ends):
 
 
 def block_extremes(start, block):
-    """(start, block, low, high) for a block whose extremes do not follow
-    from one-row term tables (Rosenbrock pair sums, evaluate_batch
-    values): its least and greatest entry, read off the block."""
+    """(start, block, low, high) for a block of evaluate_batch values, as
+    the lattice streams give theirs: its least and greatest entry, read
+    off the block."""
     return (start, block, *_extremes(block))
 
 
-def _value_blocks(kind, lower, upper, points_per_dim, shift, limit, accumulate, extremes):
+def _value_blocks(kind, lower, upper, points_per_dim, shift, limit, accumulate):
     """The stream of lattice_value_runs and lattice_value_blocks: blocks
     of at most limit states, each the head's partial sums of its
     prefixes extended over the trailing axes by accumulate(acc, first,
-    tables).  A run of a split last axis is the one-dimensional sum of
-    its prefix's partial sum and its points' terms.  With extremes, each
-    block comes with its least and greatest value (lattice_value_blocks)."""
+    tables), and given with its least and greatest value.  A run of a
+    split last axis is the one-dimensional sum of its prefix's partial
+    sum and its points' terms."""
     lower, upper, shift = _lattice_args(lower, upper, shift)
     m, kind, d = int(points_per_dim), int(kind), lower.size
     p, tail = _block_layout(d, m, limit)
     split = tail > limit  # the last axis then gets its points per block
-    axes = lattice_axes(lower[:d - split], upper[:d - split], m)
-    tables = _term_tables(kind, axes, shift)
-    head = _accumulate(np.zeros(1), 0, tables[:p])
-    trailing = tables[p:]
-    ends = None  # a pair table trails: the block gives its own extremes
-    if extremes and all(table.shape[0] == 1 for table in trailing):
-        ends = [_extremes(table) for table in trailing]
+    # every overflow or invalid step ends in a value that is not finite,
+    # which the extremes show, so none warns; a lattice whose extremes are
+    # finite overflows in no sum, so its blocks skip the errstate, which at
+    # 1.2 us a block took compare's pass 6% longer (2-vCPU VM)
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = lattice_axes(lower[:d - split], upper[:d - split], m)
+        tables = _term_tables(kind, axes, shift)
+        head = _accumulate(np.zeros(1), 0, tables[:p])
+        trailing = tables[p:]
+        ends = None  # a pair table trails: the block gives its own extremes
+        if all(table.shape[0] == 1 for table in trailing):
+            ends = [_extremes(table) for table in trailing]
+    quiet = split or ends is None or not all(map(math.isfinite, _fold(head, ends)))
     for k0, k1, r0, r1 in _block_ranges(p, tail, m, limit):
-        if split:
-            xs = _coordinates(lower[p], upper[p], m, np.arange(r0, r1))
-            table = _term_table(kind, axes[-1] if p else None, xs, shift[p])
-            row = k0 % table.shape[0]
-            terms = table[row:row + 1]
-            block = np.add(head[k0], terms).reshape(-1)
-            acc, acc_ends = head[k0:k0 + 1], [_extremes(terms)] if extremes else None
-        else:
-            acc, acc_ends = head[k0:k1], ends
-            block = accumulate(acc, k0, trailing)
-        if not extremes:
-            yield k0 * tail + r0, block
-        elif acc_ends is None:
-            yield block_extremes(k0 * tail + r0, block)
-        else:
-            yield (k0 * tail + r0, block, *_fold(acc, acc_ends))
-        # a consumer that drops the block frees it before the next one
-        # is built
-        del block
+        with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+            if split:
+                xs = _coordinates(lower[p], upper[p], m, np.arange(r0, r1))
+                table = _term_table(kind, axes[-1] if p else None, xs, shift[p])
+                row = k0 % table.shape[0]
+                terms = table[row:row + 1]
+                block = np.add(head[k0], terms).reshape(-1)
+                acc, acc_ends = head[k0:k0 + 1], [_extremes(terms)]
+            else:
+                acc, acc_ends = head[k0:k1], ends
+                block = accumulate(acc, k0, trailing)
+            low, high = _extremes(block) if acc_ends is None else _fold(acc, acc_ends)
+        yield k0 * tail + r0, block, low, high
+        del block  # freed before the next is built, once the consumer drops it
 
 
 def lattice_value_runs(kind, lower, upper, points_per_dim, shift=None):
-    """lattice_values as a stream of (start, run) over contiguous
-    flat-index runs of at most BLOCK_STATES states, each holding the bits
-    of values[start:start + run.size].  The qags fill writes these into
-    its vector in flat order: with the transposed write that a block of
-    another layout needs (the earlier last-axis-major one), that fill was
-    slower at m = 2, 4, 32 and 256 (faster at 8 and 16) than with the
-    flat sum."""
-    return _value_blocks(
-        kind, lower, upper, points_per_dim, shift, BLOCK_STATES, _accumulate, False
-    )
+    """lattice_values as a stream of (start, run, low, high) over
+    contiguous flat-index runs of at most BLOCK_STATES states, each
+    holding the bits of values[start:start + run.size], with low and
+    high its least and greatest value as lattice_value_blocks gives
+    them.  The qags fill writes these into its vector in flat order:
+    with the transposed write that a block of another layout needs (the
+    earlier last-axis-major one), that fill was slower at m = 2, 4, 32
+    and 256 (faster at 8 and 16) than with the flat sum."""
+    return _value_blocks(kind, lower, upper, points_per_dim, shift, BLOCK_STATES, _accumulate)
 
 
 def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
@@ -385,12 +387,11 @@ def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
     operand, or an entry that overflows, makes one of them non-finite,
     and each is an entry, so they are finite exactly when the block is.
     The Rosenbrock pair tables couple the digits of adjacent axes, so
-    those blocks give the extremes of their own entries (block_extremes).
+    those blocks give the extremes of their own entries, read off the
+    block.
     """
     limit = BLOCK_STATES + BLOCK_STATES // 4
-    return _value_blocks(
-        kind, lower, upper, points_per_dim, shift, limit, _reversed_sums, True
-    )
+    return _value_blocks(kind, lower, upper, points_per_dim, shift, limit, _reversed_sums)
 
 
 def block_flat_indices(start, shape, positions):
@@ -449,6 +450,7 @@ def coordinate_blocks(lower, upper, m):
         coords[:, :, :p] = lattice_points(lower[:p], upper[:p], m, np.arange(k0, k1))[:, None, :]
         coords[:, :, p:] = trailing
         yield k0 * tail + r0, coords.reshape(-1, d)
+        del coords  # a consumer that drops the block frees it before the next
 
 
 def lattice_points(lower, upper, m, flats):

@@ -1,11 +1,12 @@
 """Simulated quantum measurement distribution over a qubit grid.
 
 Both methods evaluate their lattices through one stream, which picks
-the lattice kernel or the objective's evaluate_batch: the qags driver
-fills its value vector from its flat runs (``grid_values``, which checks
-each run for finiteness as it lands), and the classical baseline reduces
-over its blocks in the kernel's digit-reversed layout, each given with
-its least and greatest value (``lattice_blocks``).  A qags run holds one
+the lattice kernel or the objective's evaluate_batch, gives each block
+with its least and greatest value, and by those refuses a value that is
+not finite, naming the first such state in flat order: the qags driver
+fills its value vector from its flat runs (``grid_values``), and the
+classical baseline reduces over its blocks in the kernel's
+digit-reversed layout (``lattice_blocks``).  A qags run holds one
 vector of 8 B per state: the values are encoded into probabilities in
 place (``encode_in_place``), and a finite-shot draw writes its cdf over
 them (``draw_in_place``).
@@ -40,13 +41,14 @@ exist.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import EvaluationError, InvalidInputError
-from .grid import GridSpec, decode, decode_many  # noqa: F401  (decode_many: re-exported)
+from .grid import GridSpec, decode_many  # noqa: F401  (re-exported)
 
 
 class EncodingLaw(enum.Enum):
@@ -127,8 +129,7 @@ def lattice_blocks(objective, box, points_per_dim):
     digit-reversed layout, or flat runs of at most 2^16 coordinates
     (2^16 / d states, rounded down to a power of two) from
     evaluate_batch.  low and high are the block's least and greatest
-    value, bit for bit, and NaN if a value is; a block holds a
-    non-finite value exactly when one of them is not finite.
+    value, bit for bit.
 
     A block is a C-ordered array of shape (m,) * T + (K,) whose entry
     [j_{d-1}, ..., j_{d-T}, k] is the value at flat index
@@ -142,27 +143,38 @@ def lattice_blocks(objective, box, points_per_dim):
     block); otherwise calls evaluate_batch on the block's coordinate
     rows, so no full (m^d, d) matrix ever exists, and reads low and high
     off each run.  Either way the objective's evaluation counter
-    advances by m^d.  The values are not checked for finiteness here:
-    low and high tell the consumer whether to look.
+    advances by m^d, and a value that is not finite raises
+    EvaluationError at the first such state in flat order.
     """
-    return _evaluated(objective, box, points_per_dim, kernels.lattice_value_blocks, True)
+    return _evaluated(objective, box, points_per_dim, kernels.lattice_value_blocks)
 
 
-def _evaluated(objective, box, points_per_dim, kernel_stream, extremes=False):
-    """The one place that picks the lattice kernel or evaluate_batch:
-    kernel_stream's blocks, or flat runs of evaluate_batch, given with
-    their least and greatest value when extremes is set."""
-    if objective.kernel_kind is not None:
-        objective.count_evaluations(points_per_dim**box.dimension)
-        yield from kernel_stream(
-            objective.kernel_kind, box.lower, box.upper, points_per_dim, objective.shift
-        )
+def _evaluated(objective, box, m, kernel_stream):
+    """The one place that picks the lattice kernel or evaluate_batch, and
+    refuses a value that is not finite: kernel_stream's blocks, whose
+    low or high then is not finite, or flat runs of evaluate_batch,
+    which refuses its own; each given as (start, block, low, high)."""
+    if objective.kernel_kind is None:
+        for start, coords in kernels.coordinate_blocks(box.lower, box.upper, m):
+            values = objective.evaluate_batch(coords)
+            del coords  # freed before the stream builds the next one
+            yield kernels.block_extremes(start, values)
+            del values
         return
-    for start, coords in kernels.coordinate_blocks(box.lower, box.upper, points_per_dim):
-        if extremes:
-            yield kernels.block_extremes(start, objective.evaluate_batch(coords))
-        else:
-            yield start, objective.evaluate_batch(coords)
+    objective.count_evaluations(m**box.dimension)
+    for start, block, low, high in kernel_stream(
+        objective.kernel_kind, box.lower, box.upper, m, objective.shift
+    ):
+        if not (math.isfinite(low) and math.isfinite(high)):
+            bad = np.flatnonzero(~np.isfinite(block))
+            flats = kernels.block_flat_indices(start, block.shape, bad)
+            first = int(np.argmin(flats))
+            raise EvaluationError(
+                f"{objective.name} returned {block.flat[bad[first]]} on the grid",
+                point=kernels.lattice_points(box.lower, box.upper, m, flats[first])[0],
+            )
+        yield start, block, low, high
+        del block
 
 
 def grid_values(objective, spec, out=None):
@@ -171,22 +183,15 @@ def grid_values(objective, spec, out=None):
     entries, new when None), which is returned; on success the
     evaluation counter advances by 2^(n*d).  The runs are the lattice
     kernel's of at most 2^16 states (kernels.lattice_value_runs), or
-    those of evaluate_batch that ``lattice_blocks`` gives.  Each run is
-    checked for finiteness as it lands, while it is still in cache: a
-    non-finite value raises EvaluationError naming the first grid point
-    that gave one, and the runs after it are not evaluated."""
+    those of evaluate_batch that ``lattice_blocks`` gives, and a value
+    that is not finite raises as there, before the runs after it are
+    evaluated."""
     if objective.arity != spec.dimension:
         raise InvalidInputError("objective arity does not match grid dimension")
     values = np.empty(spec.total_points) if out is None else out
     runs = _evaluated(objective, spec.bounds, spec.points_per_dim, kernels.lattice_value_runs)
-    for start, run in runs:
+    for start, run, _, _ in runs:
         values[start:start + run.size] = run
-        if not np.isfinite(run).all():
-            idx = start + int(np.argmin(np.isfinite(run)))
-            raise EvaluationError(
-                f"{objective.name} returned {values[idx]} on the grid",
-                point=decode(spec, idx),
-            )
         del run  # freed before the stream builds the next one
     return values
 

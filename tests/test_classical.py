@@ -539,10 +539,11 @@ class TestLastAxisMajor:
                 _assert_extremes(block, low, high)
                 got.add(block.shape)
             assert got == shapes, m
-            for _, run in itertools.islice(
+            for _, run, low, high in itertools.islice(
                 kernels.lattice_value_runs(kernels.KIND_SPHERE, box.lower, box.upper, m), 4
             ):
                 assert run.ndim == 1 and run.size <= kernels.BLOCK_STATES
+                _assert_extremes(run, low, high)
 
     # NumPy (2.4) buffers a broadcast sum whose inner loop is shorter than
     # about 8192 / 3 entries, at about four times the cost per state
@@ -587,7 +588,6 @@ class TestLastAxisMajor:
         # and the blocks are larger than BLOCK_STATES, by up to a quarter
         assert blocks * 81_920 >= m**d > blocks * 65_536
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_error_point_is_the_first_non_finite_state_in_flat_order(self):
         # m = 200 keeps the lattice in one 40,000-state block, entry
         # [j_1, j_0, 0] at flat index 200 * j_0 + j_1.
@@ -651,9 +651,11 @@ class TestLastAxisMajor:
 
 
 class TestBlockExtremesErrors:
-    """run_ags tests a block's least and greatest value for finiteness,
-    as the stream gives them, and still names the first non-finite
-    state in flat order, as the whole-lattice kernel gives it."""
+    """The stream that run_ags reduces refuses a block by the least and
+    greatest value it gives with it, and still names the first
+    non-finite state in flat order, as the whole-lattice kernel gives
+    it (the qags twin: tests/test_quantum.py::
+    TestStreamRefusesNonFiniteValues)."""
 
     @staticmethod
     def _first_bad_point(box, m, values):
@@ -689,8 +691,9 @@ class TestBlockExtremesErrors:
         assert err.value.point.tobytes() == self._first_bad_point(box, m, values).tobytes()
 
     def test_batch_nan_in_a_later_block_names_its_point(self):
-        # a batch-only objective has no term tables: the blocks' own
-        # extremes find its NaN, in the fourth block of 2^15 rows
+        # a batch-only objective has no term tables: evaluate_batch
+        # refuses its NaN, at the first such row of the fourth block of
+        # 2^15 rows
         d, m = 2, 400
         box = SearchBox.cube(d, 0.0, float(m - 1))
 

@@ -128,6 +128,20 @@ class TestOptimize:
         assert (code, out) == (2, "")
         assert err == "error: the values' spread overflows float64, or a value is not finite\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["optimize", "--function", "sphere", "--dim", "2", "--qubits", "3"],
+            ["compare", "--dims", "2", "--no-timing"],
+        ],
+    )
+    def test_non_finite_lattice_value_is_an_evaluation_error(self, capsys, args):
+        # sphere terms overflow past 1.34e154; the stream refuses the first
+        # inf without a NumPy warning, which pytest would turn into an error
+        code, out, err = run_main(capsys, *args, "--bounds=0,1e200")
+        assert (code, out) == (1, "")
+        assert err == "error: sphere returned inf on the grid\n"
+
     def test_shift_on_non_sphere(self, capsys):
         code, _, err = run_main(
             capsys,

@@ -349,18 +349,29 @@ def _flat(blocks, m=None):
 
 
 def _assert_extremes(block, low, high):
-    """low and high, as a lattice_value_blocks block comes with them, are
-    its min() and max(), bit for bit."""
+    """low and high, as a block or run of the lattice streams comes with
+    them, are its min() and max(), bit for bit."""
     assert np.float64(low).tobytes() == block.min().tobytes()
     assert np.float64(high).tobytes() == block.max().tobytes()
+
+
+def _checked(stream):
+    """A stream of (start, block, low, high) as (start, block), each
+    block's extremes checked."""
+    for start, block, low, high in stream:
+        _assert_extremes(block, low, high)
+        yield start, block
 
 
 def _checked_value_blocks(*args):
     """lattice_value_blocks as (start, block), each block's extremes
     checked."""
-    for start, block, low, high in kernels.lattice_value_blocks(*args):
-        _assert_extremes(block, low, high)
-        yield start, block
+    return _checked(kernels.lattice_value_blocks(*args))
+
+
+def _checked_value_runs(*args):
+    """lattice_value_runs as (start, run), each run's extremes checked."""
+    return _checked(kernels.lattice_value_runs(*args))
 
 
 def _joined(blocks, limit=None):
@@ -399,7 +410,7 @@ def _check_blocks_join(monkeypatch, kind, m, block, reversed_layout):
             hi[1] = lo[1]  # degenerate axis
         ref = kernels.lattice_values(kind, lo, hi, m, shift)
         if not reversed_layout:
-            runs = list(kernels.lattice_value_runs(kind, lo, hi, m, shift))
+            runs = list(_checked_value_runs(kind, lo, hi, m, shift))
             assert all(run.ndim == 1 for _, run in runs), (d, m)
             got, _ = _joined(_flat(runs), limit)
             assert got.tobytes() == ref.tobytes(), (d, m)
@@ -433,7 +444,7 @@ def test_lattice_value_runs_join_to_lattice_values(monkeypatch, kind, name, m, b
 
 def test_lattice_value_blocks_span_several_blocks():
     lo, hi, shift = _lattice_case(4, 32, 5)
-    runs = list(kernels.lattice_value_runs(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
+    runs = list(_checked_value_runs(kernels.KIND_ROSENBROCK, lo, hi, 32, shift))
     assert len(runs) == 16
     assert all(v.shape == (kernels.BLOCK_STATES,) == (1 << 16,) for _, v in runs)
     # at most 81,920 states: three trailing axes under two prefixes
@@ -480,7 +491,7 @@ def test_axis_wider_than_a_block_is_split_across_blocks(kind, name, m):
     limits = [kernels.BLOCK_STATES, _reversed_limit()]
     if kind != kernels.KIND_ROSENBROCK:
         ref = kernels.lattice_values(kind, lo[:1], hi[:1], m, shift[:1])
-        for stream, limit in zip([kernels.lattice_value_runs, _checked_value_blocks], limits):
+        for stream, limit in zip([_checked_value_runs, _checked_value_blocks], limits):
             blocks = stream(kind, lo[:1], hi[:1], m, shift[:1])
             got, starts = _joined(_flat(blocks, m), limit)
             assert got.tobytes() == ref.tobytes()
@@ -489,7 +500,7 @@ def test_axis_wider_than_a_block_is_split_across_blocks(kind, name, m):
         assert coords[:, 0].tobytes() == kernels.lattice_axes(lo[:1], hi[:1], m)[0].tobytes()
     # d = 2 has m^2 states: check the blocks of the first two rows
     ref = np.concatenate([_row_reference(kind, lo, hi, m, shift, k) for k in (0, 1)])
-    for stream, limit in zip([kernels.lattice_value_runs, _checked_value_blocks], limits):
+    for stream, limit in zip([_checked_value_runs, _checked_value_blocks], limits):
         per_row = -(-m // limit)
         blocks = itertools.islice(stream(kind, lo, hi, m, shift), 2 * per_row)
         got, starts = _joined(_flat(blocks, m), limit)
@@ -512,8 +523,8 @@ def test_axis_wider_than_a_block_streams_in_block_sized_memory():
     m = 1 << 22
     tracemalloc.start()
     try:
-        for _ in kernels.lattice_value_runs(kernels.KIND_SPHERE, [-1.0], [2.0], m):
-            pass
+        for _, run, low, high in kernels.lattice_value_runs(kernels.KIND_SPHERE, [-1.0], [2.0], m):
+            _assert_extremes(run, low, high)
         for _, block, low, high in kernels.lattice_value_blocks(
             kernels.KIND_SPHERE, [-1.0], [2.0], m
         ):
@@ -524,6 +535,24 @@ def test_axis_wider_than_a_block_streams_in_block_sized_memory():
     finally:
         tracemalloc.stop()
     assert peak < 100 * kernels.BLOCK_STATES
+
+
+def test_coordinate_blocks_hold_one_block_at_a_time():
+    # d = 5, m = 16: blocks of 8,192 rows, 327,680 B each, beside the
+    # trailing axes' 98,304 B of coordinates.  The stream drops each
+    # block before it builds the next, so a consumer that drops it too
+    # peaks at about one block (holding two peaked at 756,437 B)
+    d, m = 5, 16
+    block_bytes = 8 * d * _coordinate_rows(d)
+    assert block_bytes == 327_680
+    tracemalloc.start()
+    try:
+        for _, coords in kernels.coordinate_blocks(np.full(d, -1.0), np.full(d, 2.0), m):
+            del coords
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
@@ -549,7 +578,7 @@ def test_coordinate_blocks_equal_meshgrid_lattice(monkeypatch, m, block):
         rows = _coordinate_rows(d)
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "BLOCK_STATES", rows)
-            value_starts = [s for s, _ in kernels.lattice_value_runs(0, lo, hi, m, shift)]
+            value_starts = [s for s, _ in _checked_value_runs(0, lo, hi, m, shift)]
         assert starts == value_starts, (d, m)
 
 

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qags.classical import AgsConfig, run_ags
+from qags.driver import QagsConfig, run
 from qags.errors import EvaluationError, InvalidInputError
 from qags import kernels
 from qags.grid import GridSpec, SearchBox, decode, decode_many
@@ -28,6 +30,7 @@ from qags.quantum import (
     encode_in_place,
     entropy_fraction,
     grid_values,
+    lattice_blocks,
     probabilities_in_place,
     sample,
 )
@@ -420,6 +423,22 @@ class TestGridValuesBatchBlocks:
         assert seen == [1 << 15] * 8
         assert obj.eval_count == sum(seen) == s.total_points
 
+    def test_stream_holds_one_coordinate_block_at_a_time(self):
+        # d = 5, m = 16: coordinate blocks of 8,192 rows, 327,680 B each.
+        # The stream drops each block, and its values once given, before
+        # it builds the next (holding two peaked at 760,092 B)
+        obj = ObjectiveFunction(
+            name="sum", arity=5, fn=lambda x: float(np.sum(x)), batch_fn=lambda pts: np.sum(pts, axis=1)
+        )
+        tracemalloc.start()
+        try:
+            for _, block, _, _ in lattice_blocks(obj, SearchBox.cube(5, -1.0, 2.0), 16):
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 327_680
+
     def test_non_finite_in_later_block_names_its_point(self):
         obj = self.recording(lambda pts: np.where(pts[:, 0] >= 300.0, np.inf, 0.0), [])
         # step 1: coordinates are the integers 0..511; the first bad flat
@@ -428,6 +447,51 @@ class TestGridValuesBatchBlocks:
         with pytest.raises(EvaluationError) as err:
             grid_values(obj, s)
         assert err.value.point.tolist() == [300.0, 0.0]
+
+
+class TestStreamRefusesNonFiniteValues:
+    """The qags twin of tests/test_classical.py::TestBlockExtremesErrors:
+    the stream refuses a run of the fill by the least and greatest value
+    it gives with it, names the first non-finite state in flat order, as
+    the whole-lattice kernel gives it, raises no NumPy warning on the
+    way, and says what run_ags says on the same lattice."""
+
+    D, Q = 4, 4  # m = 16: one run of 65,536 states
+
+    @pytest.mark.parametrize("name", ["sphere", "rastrigin", "styblinski_tang", "rosenbrock"])
+    @pytest.mark.parametrize(
+        "label,lower,upper",
+        [
+            # the sphere and rastrigin terms are finite, and only the
+            # sums near the upper corner overflow: the maximum alone
+            ("maximum", -1e100, 1e154),
+            # the terms overflow at both ends of every axis
+            ("both", -1e155, 1e155),
+        ],
+    )
+    def test_overflow_names_the_first_non_finite_state(self, name, label, lower, upper):
+        d, m = self.D, 1 << self.Q
+        box = SearchBox.cube(d, lower, upper)
+        spec = GridSpec(d, self.Q, box)
+        obj = get_objective(name, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = kernels.lattice_values(obj.kernel_kind, box.lower, box.upper, m, obj.shift)
+        if (name, label) == ("sphere", "maximum"):
+            assert np.isfinite(values.min()) and not np.isfinite(values.max())
+            for xs in kernels.lattice_axes(box.lower, box.upper, m):
+                assert np.isfinite(xs * xs).all()
+        first = int(np.flatnonzero(~np.isfinite(values))[0])
+        point = kernels.lattice_points(box.lower, box.upper, m, first)[0]
+        message = f"{name} returned {values[first]} on the grid"
+        for call in [
+            lambda: grid_values(obj, spec),
+            lambda: run(obj, box, QagsConfig(qubits_per_dim=self.Q)),
+            lambda: run_ags(obj, box, AgsConfig(points_per_dim=m, budget_points=m**d)),
+        ]:
+            with pytest.raises(EvaluationError) as err:
+                call()
+            assert err.value.point.tobytes() == point.tobytes()
+            assert str(err.value) == message
 
 
 class TestEntropy:
