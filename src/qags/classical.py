@@ -34,9 +34,8 @@ from .refine import RefinerConfig
 class AgsConfig:
     """The baseline's settings.  The lattice has points_per_dim points
     per axis, lowered to the largest m with m**d <= budget_points but
-    never below 2 (points_per_dim_for): past d = log2(budget_points) the
-    lattice of 2**d points exceeds the budget, and its evaluations grow
-    as 2**d per iteration."""
+    never below 2 (points_per_dim_for); run_ags refuses a dimension
+    whose lattice of 2**d points exceeds the budget."""
 
     points_per_dim: int = 32
     budget_points: int = 10**6
@@ -75,13 +74,9 @@ def _integer_root(budget, d):
 
 def points_per_dim_for(cfg, dimension):
     """Grid resolution for one run: the configured per-dimension count,
-    lowered so the full lattice fits the point budget, floored at 2.
-
-    The floor wins past d = log2(budget_points): the lattice then has
-    2**d points, more than the budget.  At budget_points = 10**4, d = 20
-    makes 2**20 = 1,048,576 points an iteration (10,485,781 evaluations
-    over a run of sphere), and at d = 40 a lattice of 2**40 points is
-    not finished in any useful time."""
+    lowered so the full lattice fits the point budget, floored at 2, the
+    fewest points that span an axis.  Past d = log2(budget_points) the
+    floor wins, and run_ags refuses the lattice of 2**d points."""
     return max(2, min(cfg.points_per_dim, _integer_root(cfg.budget_points, dimension)))
 
 
@@ -119,10 +114,18 @@ def run_ags(f, initial_bounds, cfg=None):
     """Run the classical baseline and return the same report shape as the
     quantum driver (entropy_fraction is None, selected_count is 1).  An
     iteration is a pure function of its box, so one that leaves the box
-    unchanged is a fixed point; it never concentrates."""
+    unchanged is a fixed point; it never concentrates.  A lattice of
+    more than budget_points points, 2**d past d = log2(budget_points),
+    raises InvalidInputError before anything is evaluated."""
     if cfg is None:
         cfg = AgsConfig()
     m = points_per_dim_for(cfg, f.arity)
+    points = m**f.arity
+    if points > cfg.budget_points:
+        raise InvalidInputError(
+            f"run_ags at d = {f.arity} needs a lattice of {points} points,"
+            f" more than budget_points = {cfg.budget_points}"
+        )
 
     def step(box, k):
         index, value = _lattice_argmin(f, box, m)
@@ -137,5 +140,5 @@ def run_ags(f, initial_bounds, cfg=None):
     policy = TerminationPolicy(delta=cfg.delta, k_max=cfg.max_iterations)
     return search(
         "ags", f, initial_bounds, step, policy, True,
-        cfg.refiner, m**f.arity, CLASSICAL_BYTES_PER_POINT,
+        cfg.refiner, points, CLASSICAL_BYTES_PER_POINT,
     )

@@ -37,8 +37,9 @@ for T trailing axes under K prefixes, the last axis major, so that every
 sum loops over the partial sums before it and the large ones pass
 NumPy's buffered threshold; ``block_flat_indices`` decodes its entries,
 and a flat run is its T = 0 case.  Every block comes with its least
-and greatest value, for the separable kinds sums of the operands'
-extremes, which are finite exactly when the block is: so both methods
+and greatest value, for the separable kinds on a lattice of several
+blocks sums of the operands' extremes, else read off the block, which
+are finite exactly when the block is: so both methods
 refuse a value that is not finite, with no NumPy warning, and the
 baseline reads a block only when it improves.  A coordinate block holds
 at most BLOCK_STATES coordinates, so a batch function's temporaries do
@@ -311,8 +312,11 @@ def _value_blocks(kind, lower, upper, points_per_dim, shift, limit, accumulate):
         tables = _term_tables(kind, axes, shift)
         head = _accumulate(np.zeros(1), 0, tables[:p])
         trailing = tables[p:]
-        ends = None  # a pair table trails: the block gives its own extremes
-        if all(table.shape[0] == 1 for table in trailing):
+        # a pair table trails, or the lattice is one run (p = 0), whose
+        # two reductions cost less than folding 2(d + 1) table extremes:
+        # the block gives its own extremes
+        ends = None
+        if p and all(table.shape[0] == 1 for table in trailing):
             ends = [_extremes(table) for table in trailing]
     quiet = split or ends is None or not all(map(math.isfinite, _fold(head, ends)))
     for k0, k1, r0, r1 in _block_ranges(p, tail, m, limit):
@@ -388,7 +392,8 @@ def lattice_value_blocks(kind, lower, upper, points_per_dim, shift=None):
     and each is an entry, so they are finite exactly when the block is.
     The Rosenbrock pair tables couple the digits of adjacent axes, so
     those blocks give the extremes of their own entries, read off the
-    block.
+    block, as does a lattice of one block, for which the fold's 2(d + 1)
+    small reductions cost more than two over the block.
     """
     limit = BLOCK_STATES + BLOCK_STATES // 4
     return _value_blocks(kind, lower, upper, points_per_dim, shift, limit, _reversed_sums)

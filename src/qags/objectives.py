@@ -16,6 +16,7 @@ building them from these functions would move lattice values by ulps.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -86,6 +87,14 @@ class ObjectiveFunction:
     lattice kernels can evaluate without materializing point coordinates.
     The evaluation counter is a plain int with no lock: an instance shared
     between threads needs the caller's own locking.
+
+    ``evaluate`` and ``evaluate_batch`` check their input, then take the
+    internal path (``_evaluate_point``, ``_evaluate_rows``), which counts
+    and checks the result's shape and finiteness with the same messages.
+    The refiner calls the internal path directly: its points are float64
+    arrays of the right arity (checked once, at its entry) inside a
+    validated SearchBox, so the input checks cannot fail there, and on
+    its d-entry vectors they cost about as much as the objective.
     """
 
     name: str
@@ -110,12 +119,7 @@ class ObjectiveFunction:
         return x
 
     def evaluate(self, x):
-        x = self._check_point(x)
-        value = float(self.fn(x))
-        self._count += 1
-        if not np.isfinite(value):
-            raise EvaluationError(f"{self.name} returned {value}", point=x)
-        return value
+        return self._evaluate_point(self._check_point(x))
 
     def evaluate_batch(self, points):
         """Evaluate an (N, d) matrix of points; returns an (N,) array.  A
@@ -125,6 +129,16 @@ class ObjectiveFunction:
             raise InvalidInputError("expected an (N, d) matrix of points")
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError(f"{self.name} received a non-finite point")
+        return self._evaluate_rows(pts)
+
+    def _evaluate_point(self, x):
+        value = float(self.fn(x))
+        self._count += 1
+        if not math.isfinite(value):
+            raise EvaluationError(f"{self.name} returned {value}", point=x)
+        return value
+
+    def _evaluate_rows(self, pts):
         if self.batch_fn is not None:
             values = np.asarray(self.batch_fn(pts), dtype=np.float64)
         else:
@@ -135,9 +149,9 @@ class ObjectiveFunction:
                 f" expected ({pts.shape[0]},)"
             )
         self._count += pts.shape[0]
-        bad = ~np.isfinite(values)
-        if bad.any():
-            idx = int(np.argmax(bad))
+        finite = np.isfinite(values)
+        if not finite.all():
+            idx = int(np.argmin(finite))
             raise EvaluationError(
                 f"{self.name} returned {values[idx]}", point=pts[idx].copy()
             )

@@ -8,10 +8,23 @@ by construction.  The refiner stops at the finite-difference noise floor:
 when three accepted steps in a row leave f unchanged, further steps only
 spend evaluations.  It is deterministic and uses only objective
 evaluations.
+
+Each iteration works on vectors of d entries, so its cost is the number
+of NumPy calls, not their size.  The refiner evaluates through the
+objective's internal path, which skips the public checks of the input
+(an array of d finite float64 coordinates): it checks the clipped start
+once, and every later point is projected into the validated, finite box
+or is a stencil row inside it.  The stencil's rows are x repeated with
+one scatter, the box bounds are fetched once, and each history pair
+keeps the s.y and y.y of its curvature test for the two-loop's scaling.
+Every dot product is one BLAS ddot of two vectors, whose rounding the
+iterates' bits rest on, so none is merged into a matrix product or
+written in Python floats.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -57,6 +70,11 @@ class RefinerConfig:
 
 
 class _BudgetedObjective:
+    """The objective behind a budget, on its internal evaluation path:
+    every point the refiner evaluates is a float64 array clipped into a
+    validated SearchBox, so finite and of the objective's arity (checked
+    once, at refine's entry)."""
+
     def __init__(self, objective, limit):
         self.objective = objective
         self.limit = limit
@@ -66,7 +84,7 @@ class _BudgetedObjective:
         if self.used >= self.limit:
             raise _OutOfEvals
         self.used += 1
-        return self.objective.evaluate(x)
+        return self.objective._evaluate_point(x)
 
     def batch(self, points):
         """Values of an (N, d) matrix of points.  When fewer than N
@@ -76,10 +94,15 @@ class _BudgetedObjective:
         if room < len(points):
             self.used = self.limit
             if room:
-                self.objective.evaluate_batch(points[:room])
+                self.objective._evaluate_rows(points[:room])
             raise _OutOfEvals
         self.used += len(points)
-        return self.objective.evaluate_batch(points)
+        return self.objective._evaluate_rows(points)
+
+
+# The two rows of an axis's stencil, x + h and x - h: x - h is x + (-h),
+# bit for bit.
+_SIDES = np.array([[1.0], [-1.0]])
 
 
 def _fd_gradient(ev_batch, x, fx, box, scale, free):
@@ -89,56 +112,73 @@ def _fd_gradient(ev_batch, x, fx, box, scale, free):
     order a loop over the axes would evaluate it: per free axis the
     forward row, then the backward row, whichever of them fit in the box.
     Degenerate dimensions (zero width) get gradient 0 and are never
-    perturbed.  Trial points stay inside the box by construction.
+    perturbed.  Trial points stay inside the box by construction.  The
+    2d rows are x repeated, x_i + h_i written into row 2i and x_i - h_i
+    into row 2i + 1: flat positions i(2d + 1) and d + i(2d + 1), two
+    strided slices.  In the interior case, both rows on every axis, they
+    all go, and the values pair up as (forward, backward) per axis.
     """
-    h = np.minimum(scale * np.maximum(1.0, np.abs(x)), (box.upper - box.lower) / 2.0)
-    can_up = free & (x + h <= box.upper)
-    can_down = free & (x - h >= box.lower)
-    up = np.where(can_up, x + h, x)
-    down = np.where(can_down, x - h, x)
-    # (axis, side) of each row, side 0 forward and 1 backward, axis-major
-    axis, side = np.nonzero(np.stack([can_up, can_down], axis=1))
-    g = np.zeros(x.size)
-    if axis.size == 0:
+    lower, upper = box.lower, box.upper
+    h = np.minimum(scale * np.maximum(1.0, np.abs(x)), (upper - lower) / 2.0)
+    sides = x + h * _SIDES  # rows x + h and x - h
+    fits = (sides <= upper) & (sides >= lower) & free
+    d = x.size
+    rows = np.empty((2 * d, d))
+    rows[...] = x
+    flat = rows.reshape(-1)
+    flat[::2 * d + 1] = sides[0]
+    flat[d::2 * d + 1] = sides[1]
+    if fits.all():
+        f = ev_batch(rows)
+        return (f[0::2] - f[1::2]) / (sides[0] - sides[1])
+    taken = fits.T.ravel()  # the rows' (axis, side) order
+    g = np.zeros(d)
+    if not taken.any():
         return g
-    rows = np.tile(x, (axis.size, 1))
-    rows[np.arange(axis.size), axis] = np.stack([up, down], axis=1)[axis, side]
-    f_sides = np.full((x.size, 2), fx)
-    f_sides[axis, side] = ev_batch(rows)
-    moved = can_up | can_down
-    g[moved] = (f_sides[moved, 0] - f_sides[moved, 1]) / (up - down)[moved]
+    f = np.full(taken.size, fx)
+    f[taken] = ev_batch(rows[taken])
+    up = np.where(fits[0], sides[0], x)
+    down = np.where(fits[1], sides[1], x)
+    moved = fits[0] | fits[1]
+    g[moved] = (f[0::2] - f[1::2])[moved] / (up - down)[moved]
     return g
 
 
 def _two_loop(g, history):
-    """Standard two-loop recursion over the (s, y, rho) history, oldest
-    first: returns the quasi-Newton step -H*g."""
+    """Standard two-loop recursion over the (s, y, rho, sy, yy) history,
+    oldest first, with sy = s.y and yy = y.y as the curvature test took
+    them: returns the quasi-Newton step -H*g.  Each product a * y or
+    (a - b) * s goes through one scratch vector, and ndarray.dot is
+    np.dot without its dispatch: the same BLAS ddot on the same
+    operands."""
     q = -g
+    t = np.empty_like(q)
     alphas = []
-    for s, y, rho in reversed(history):
-        a = rho * np.dot(s, q)
+    for s, y, rho, _, _ in reversed(history):
+        a = rho * float(s.dot(q))
         alphas.append(a)
-        q -= a * y
+        np.subtract(q, np.multiply(a, y, t), q)
     if history:
-        s, y, _ = history[-1]
-        q *= np.dot(s, y) / np.dot(y, y)
-    for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * np.dot(y, q)
-        q += (a - b) * s
+        _, _, _, sy, yy = history[-1]
+        q *= sy / yy
+    for (s, y, rho, _, _), a in zip(history, reversed(alphas)):
+        b = rho * float(y.dot(q))
+        np.add(q, np.multiply(a - b, s, t), q)
     return q
 
 
-def _line_search(ev, box, x, fx, g, d, alpha):
+def _line_search(ev, lower, upper, x, fx, g, d, alpha):
     """Armijo backtracking along d from step alpha, each trial point
-    projected onto the box.  Returns (xt, ft) of the first accepted
-    point, or None when the projected step vanishes or every halving
-    fails."""
+    projected onto the box [lower, upper] (np.minimum of np.maximum is
+    np.clip, bit for bit, without its Python wrapper).  Returns (xt, ft)
+    of the first accepted point, or None when the projected step
+    vanishes or every halving fails."""
     for _ in range(_MAX_BACKTRACKS):
-        xt = box.clip(x + alpha * d)
+        xt = np.minimum(np.maximum(x + alpha * d, lower), upper)
         step = xt - x
         if not step.any():
             return None
-        slope = float(np.dot(g, step))
+        slope = float(g.dot(step))
         if slope < 0.0:
             ft = ev(xt)
             if ft <= fx + _ARMIJO_C1 * slope:
@@ -147,8 +187,8 @@ def _line_search(ev, box, x, fx, g, d, alpha):
     return None
 
 
-def _projected_gradient_norm(x, g, box):
-    return float(np.abs(np.clip(x - g, box.lower, box.upper) - x).max())
+def _projected_gradient_norm(x, g, lower, upper):
+    return float(np.abs(np.minimum(np.maximum(x - g, lower), upper) - x).max())
 
 
 def refine(f, box, start, cfg=None):
@@ -167,9 +207,15 @@ def refine(f, box, start, cfg=None):
     start = np.asarray(start, dtype=np.float64)
     if start.shape != (box.dimension,):
         raise InvalidInputError("start arity does not match box")
-    x = box.clip(start)
+    # The one check of the points: the objective's arity, and a NaN
+    # start, which clipping keeps.  Every later point is clipped into
+    # the finite box, or steps inside it, so it is finite.
+    x = f._check_point(box.clip(start))
+    lower, upper = box.lower, box.upper
     ev = _BudgetedObjective(f, cfg.max_evals)
+    scale = cfg.gradient_step_scale
     free = box.width > 0.0
+    fixed = ~free
 
     try:
         fx = ev(x)
@@ -182,25 +228,25 @@ def refine(f, box, start, cfg=None):
 
     history = deque(maxlen=int(cfg.history_size))  # deque takes no NumPy int
     try:
-        g = _fd_gradient(ev.batch, x, fx, box, cfg.gradient_step_scale, free)
+        g = _fd_gradient(ev.batch, x, fx, box, scale, free)
         # Backtracking starts at 1 / max|g| (capped at 1) on the first
         # step and at 1 after it.
         alpha = min(1.0, 1.0 / max(1e-12, float(np.abs(g).max())))
         flat_steps = 0
         while True:
-            if _projected_gradient_norm(x, g, box) < cfg.convergence_tol:
+            if _projected_gradient_norm(x, g, lower, upper) < cfg.convergence_tol:
                 break
             # Active bounds: moving further into the bound is blocked.
-            active = ((x <= box.lower) & (g > 0)) | ((x >= box.upper) & (g < 0))
-            blocked = active | ~free
+            active = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
+            blocked = active | fixed
             quasi_newton = _two_loop(g, history)
             quasi_newton[blocked] = 0.0
             steepest = -g
             steepest[blocked] = 0.0
             # The quasi-Newton direction goes first when it descends.
-            descends = quasi_newton.any() and not (np.dot(quasi_newton, g) >= 0.0)
+            descends = quasi_newton.any() and not (quasi_newton.dot(g) >= 0.0)
             for d in [quasi_newton, steepest] if descends else [steepest]:
-                trial = _line_search(ev, box, x, fx, g, d, alpha)
+                trial = _line_search(ev, lower, upper, x, fx, g, d, alpha)
                 if trial is not None:
                     break
             else:
@@ -212,12 +258,14 @@ def refine(f, box, start, cfg=None):
             if flat_steps == _STALL_STEPS:
                 break
 
-            g_new = _fd_gradient(ev.batch, xt, ft, box, cfg.gradient_step_scale, free)
+            g_new = _fd_gradient(ev.batch, xt, ft, box, scale, free)
             s = xt - x
             y = g_new - g
-            sy = float(np.dot(s, y))
-            if sy > _CURVATURE_EPS * float(np.linalg.norm(s) * np.linalg.norm(y)):
-                history.append((s, y, 1.0 / sy))
+            # the dot products of the curvature test, kept for _two_loop:
+            # np.linalg.norm(v) of a float64 vector is sqrt(v.dot(v))
+            sy, yy = float(s.dot(y)), float(y.dot(y))
+            if sy > _CURVATURE_EPS * (math.sqrt(float(s.dot(s))) * math.sqrt(yy)):
+                history.append((s, y, 1.0 / sy, sy, yy))
             x, fx, g = xt, ft, g_new
             alpha = 1.0
             if fx < best_f:

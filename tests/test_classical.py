@@ -54,6 +54,32 @@ class TestIntegerRoot:
         assert points_per_dim_for(cfg, 3) == 2
 
 
+class TestBudget:
+    """Past d = log2(budget_points) the floor of two points per axis makes
+    a lattice of 2**d points, more than the budget: run_ags refuses it
+    before it evaluates anything."""
+
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_lattice_of_exactly_the_budget_runs(self, d):
+        obj = make_sphere(d)
+        report = run_ags(obj, SearchBox.cube(d, -1.0, 2.0), AgsConfig(budget_points=2**d))
+        assert report.grid_points_per_iteration == 2**d
+        assert report.total_f_evals == obj.eval_count > 0
+
+    @pytest.mark.parametrize("d", [2, 6, 20, 40])
+    def test_lattice_over_the_budget_is_refused(self, d):
+        obj = make_sphere(d)
+        cfg = AgsConfig(budget_points=2**d - 1)
+        assert points_per_dim_for(cfg, d) == 2
+        with pytest.raises(InvalidInputError) as err:
+            run_ags(obj, SearchBox.cube(d, -1.0, 2.0), cfg)
+        assert str(err.value) == (
+            f"run_ags at d = {d} needs a lattice of {2**d} points,"
+            f" more than budget_points = {2**d - 1}"
+        )
+        assert obj.eval_count == 0
+
+
 class TestRunAgs:
     def test_sphere_converges(self):
         report = run_ags(make_sphere(3), SearchBox.cube(3, -5.0, 5.0))

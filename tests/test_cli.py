@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from qags import cli
 from qags.classical import AgsConfig, run_ags
 from qags.cli import main
 from qags.driver import QagsConfig, run
@@ -329,6 +330,14 @@ class TestCompare:
         )
         assert (code, out) == (2, "")
         assert "width" in err
+
+    def test_baseline_over_its_budget_is_usage_error(self, capsys, monkeypatch):
+        # the compare budget of 10^7 allows d <= 23; at 3 points even d = 2
+        # needs more (2^2 = 4, the fewest that span the box)
+        monkeypatch.setattr(cli, "_COMPARE_AGS_BUDGET", 3)
+        code, out, err = run_main(capsys, "compare", "--dims", "2", "--bounds=-5,5", "--no-timing")
+        assert (code, out) == (2, "")
+        assert "run_ags at d = 2 needs a lattice of 4 points, more than budget_points = 3" in err
 
     def test_duplicate_dims_collapse(self, capsys):
         code, out, _ = run_main(

@@ -517,6 +517,32 @@ def test_axis_wider_than_a_block_is_split_across_blocks(kind, name, m):
     ).tobytes()
 
 
+@pytest.mark.parametrize("d,q", [(2, 5), (3, 4), (5, 3), (8, 2)])
+@pytest.mark.parametrize("kind,name", KINDS)
+def test_one_run_lattice_reads_its_extremes_off_the_run(monkeypatch, kind, name, d, q):
+    # a lattice of at most 2^16 states, every bench table row's, is one
+    # run, whose two reductions cost less than folding 2(d + 1) table
+    # extremes; a lattice of several blocks still folds them
+    def no_fold(acc, ends):
+        raise AssertionError("a one-run lattice folded its table extremes")
+
+    m = 1 << q
+    lo, hi, shift = _lattice_case(d, m, 7 * d + kind)
+    ref = kernels.lattice_values(kind, lo, hi, m, shift)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_fold", no_fold)
+        for stream in [_checked_value_runs, _checked_value_blocks]:
+            (start, block), = stream(kind, lo, hi, m, shift)
+            assert start == 0
+            assert block.T.ravel().tobytes() == ref.tobytes()
+    if kind != kernels.KIND_ROSENBROCK:
+        with pytest.raises(AssertionError, match="folded"):
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_fold", no_fold)
+                several = int(2.0 ** (16 / d)) + 1  # points per axis
+                next(kernels.lattice_value_runs(kind, lo, hi, several, shift))
+
+
 def test_axis_wider_than_a_block_streams_in_block_sized_memory():
     # 2^22 points on one axis, whose table alone would take 32 MB: each
     # block's temporaries take 41-56 B per state, and nothing else stays

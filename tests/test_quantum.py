@@ -470,28 +470,44 @@ class TestStreamRefusesNonFiniteValues:
         ],
     )
     def test_overflow_names_the_first_non_finite_state(self, name, label, lower, upper):
-        d, m = self.D, 1 << self.Q
+        values = self._assert_refused(name, self.D, self.Q, lower, upper)
+        if (name, label) == ("sphere", "maximum"):
+            assert np.isfinite(values.min()) and not np.isfinite(values.max())
+            box = SearchBox.cube(self.D, lower, upper)
+            for xs in kernels.lattice_axes(box.lower, box.upper, 1 << self.Q):
+                assert np.isfinite(xs * xs).all()
+
+    # a lattice of at most 2^16 states is one run, which gives the
+    # extremes read off itself: the bench table rows' lattices
+    @pytest.mark.parametrize("d,q", [(2, 5), (3, 4), (5, 3), (8, 2)])
+    @pytest.mark.parametrize("name", ["sphere", "rastrigin", "styblinski_tang", "rosenbrock"])
+    @pytest.mark.parametrize("lower,upper", [(-1e100, 1e154), (-1e155, 1e155)])
+    def test_one_run_lattice_is_refused(self, name, d, q, lower, upper):
+        assert (1 << q) ** d <= kernels.BLOCK_STATES
+        self._assert_refused(name, d, q, lower, upper)
+
+    @staticmethod
+    def _assert_refused(name, d, q, lower, upper):
+        """grid_values, run and run_ags all raise the error of the first
+        non-finite state of the lattice; returns its values."""
+        m = 1 << q
         box = SearchBox.cube(d, lower, upper)
-        spec = GridSpec(d, self.Q, box)
         obj = get_objective(name, d)
         with np.errstate(over="ignore", invalid="ignore"):
             values = kernels.lattice_values(obj.kernel_kind, box.lower, box.upper, m, obj.shift)
-        if (name, label) == ("sphere", "maximum"):
-            assert np.isfinite(values.min()) and not np.isfinite(values.max())
-            for xs in kernels.lattice_axes(box.lower, box.upper, m):
-                assert np.isfinite(xs * xs).all()
         first = int(np.flatnonzero(~np.isfinite(values))[0])
         point = kernels.lattice_points(box.lower, box.upper, m, first)[0]
         message = f"{name} returned {values[first]} on the grid"
         for call in [
-            lambda: grid_values(obj, spec),
-            lambda: run(obj, box, QagsConfig(qubits_per_dim=self.Q)),
+            lambda: grid_values(obj, GridSpec(d, q, box)),
+            lambda: run(obj, box, QagsConfig(qubits_per_dim=q)),
             lambda: run_ags(obj, box, AgsConfig(points_per_dim=m, budget_points=m**d)),
         ]:
             with pytest.raises(EvaluationError) as err:
                 call()
             assert err.value.point.tobytes() == point.tobytes()
             assert str(err.value) == message
+        return values
 
 
 class TestEntropy:
