@@ -15,11 +15,12 @@ objective's internal path, which skips the public checks of the input
 (an array of d finite float64 coordinates): it checks the clipped start
 once, and every later point is projected into the validated, finite box
 or is a stencil row inside it.  The stencil's rows are x repeated with
-one scatter, the box bounds are fetched once, and each history pair
-keeps the s.y and y.y of its curvature test for the two-loop's scaling.
-Every dot product is one BLAS ddot of two vectors, whose rounding the
-iterates' bits rest on, so none is merged into a matrix product or
-written in Python floats.
+two strided writes, and the curvature test's s.y and y.y give the
+two-loop's scaling.  Every dot product is one BLAS ddot of two vectors,
+whose rounding the iterates' bits rest on, so none is merged into a
+matrix product or written in Python floats.  Projection stays np.clip:
+np.minimum of np.maximum may pick the other zero when a coordinate and
+a bound are zeros of opposite sign.
 """
 
 from __future__ import annotations
@@ -115,8 +116,7 @@ def _fd_gradient(ev_batch, x, fx, box, scale, free):
     perturbed.  Trial points stay inside the box by construction.  The
     2d rows are x repeated, x_i + h_i written into row 2i and x_i - h_i
     into row 2i + 1: flat positions i(2d + 1) and d + i(2d + 1), two
-    strided slices.  In the interior case, both rows on every axis, they
-    all go, and the values pair up as (forward, backward) per axis.
+    strided slices.
     """
     lower, upper = box.lower, box.upper
     h = np.minimum(scale * np.maximum(1.0, np.abs(x)), (upper - lower) / 2.0)
@@ -128,9 +128,6 @@ def _fd_gradient(ev_batch, x, fx, box, scale, free):
     flat = rows.reshape(-1)
     flat[::2 * d + 1] = sides[0]
     flat[d::2 * d + 1] = sides[1]
-    if fits.all():
-        f = ev_batch(rows)
-        return (f[0::2] - f[1::2]) / (sides[0] - sides[1])
     taken = fits.T.ravel()  # the rows' (axis, side) order
     g = np.zeros(d)
     if not taken.any():
@@ -144,37 +141,35 @@ def _fd_gradient(ev_batch, x, fx, box, scale, free):
     return g
 
 
-def _two_loop(g, history):
-    """Standard two-loop recursion over the (s, y, rho, sy, yy) history,
-    oldest first, with sy = s.y and yy = y.y as the curvature test took
-    them: returns the quasi-Newton step -H*g.  Each product a * y or
-    (a - b) * s goes through one scratch vector, and ndarray.dot is
-    np.dot without its dispatch: the same BLAS ddot on the same
+def _two_loop(g, history, gamma):
+    """Standard two-loop recursion over the (s, y, rho) history, oldest
+    first, with the initial Hessian gamma * I (gamma = s.y / y.y of the
+    newest pair): returns the quasi-Newton step -H*g.  Each product
+    a * y or (a - b) * s goes through one scratch vector, and ndarray.dot
+    is np.dot without its dispatch: the same BLAS ddot on the same
     operands."""
     q = -g
     t = np.empty_like(q)
     alphas = []
-    for s, y, rho, _, _ in reversed(history):
+    for s, y, rho in reversed(history):
         a = rho * float(s.dot(q))
         alphas.append(a)
         np.subtract(q, np.multiply(a, y, t), q)
     if history:
-        _, _, _, sy, yy = history[-1]
-        q *= sy / yy
-    for (s, y, rho, _, _), a in zip(history, reversed(alphas)):
+        q *= gamma
+    for (s, y, rho), a in zip(history, reversed(alphas)):
         b = rho * float(y.dot(q))
         np.add(q, np.multiply(a - b, s, t), q)
     return q
 
 
-def _line_search(ev, lower, upper, x, fx, g, d, alpha):
+def _line_search(ev, box, x, fx, g, d, alpha):
     """Armijo backtracking along d from step alpha, each trial point
-    projected onto the box [lower, upper] (np.minimum of np.maximum is
-    np.clip, bit for bit, without its Python wrapper).  Returns (xt, ft)
-    of the first accepted point, or None when the projected step
-    vanishes or every halving fails."""
+    projected onto the box.  Returns (xt, ft) of the first accepted
+    point, or None when the projected step vanishes or every halving
+    fails."""
     for _ in range(_MAX_BACKTRACKS):
-        xt = np.minimum(np.maximum(x + alpha * d, lower), upper)
+        xt = box.clip(x + alpha * d)
         step = xt - x
         if not step.any():
             return None
@@ -187,8 +182,8 @@ def _line_search(ev, lower, upper, x, fx, g, d, alpha):
     return None
 
 
-def _projected_gradient_norm(x, g, lower, upper):
-    return float(np.abs(np.minimum(np.maximum(x - g, lower), upper) - x).max())
+def _projected_gradient_norm(x, g, box):
+    return float(np.abs(np.clip(x - g, box.lower, box.upper) - x).max())
 
 
 def refine(f, box, start, cfg=None):
@@ -201,6 +196,11 @@ def refine(f, box, start, cfg=None):
     line search that finds no decrease, or three consecutive accepted
     steps that leave f unchanged (both are the finite-difference noise
     floor).
+
+    f must be an ObjectiveFunction (or a subclass that keeps its internal
+    path): the refiner evaluates through _evaluate_point and
+    _evaluate_rows, not through evaluate and evaluate_batch, so an
+    override of those two is not called here.
     """
     if cfg is None:
         cfg = RefinerConfig()
@@ -227,6 +227,7 @@ def refine(f, box, start, cfg=None):
         return best_x, best_f, ev.used
 
     history = deque(maxlen=int(cfg.history_size))  # deque takes no NumPy int
+    gamma = None  # the two-loop's scaling, s.y / y.y of the newest pair
     try:
         g = _fd_gradient(ev.batch, x, fx, box, scale, free)
         # Backtracking starts at 1 / max|g| (capped at 1) on the first
@@ -234,19 +235,19 @@ def refine(f, box, start, cfg=None):
         alpha = min(1.0, 1.0 / max(1e-12, float(np.abs(g).max())))
         flat_steps = 0
         while True:
-            if _projected_gradient_norm(x, g, lower, upper) < cfg.convergence_tol:
+            if _projected_gradient_norm(x, g, box) < cfg.convergence_tol:
                 break
             # Active bounds: moving further into the bound is blocked.
             active = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
             blocked = active | fixed
-            quasi_newton = _two_loop(g, history)
+            quasi_newton = _two_loop(g, history, gamma)
             quasi_newton[blocked] = 0.0
             steepest = -g
             steepest[blocked] = 0.0
             # The quasi-Newton direction goes first when it descends.
             descends = quasi_newton.any() and not (quasi_newton.dot(g) >= 0.0)
             for d in [quasi_newton, steepest] if descends else [steepest]:
-                trial = _line_search(ev, lower, upper, x, fx, g, d, alpha)
+                trial = _line_search(ev, box, x, fx, g, d, alpha)
                 if trial is not None:
                     break
             else:
@@ -261,11 +262,12 @@ def refine(f, box, start, cfg=None):
             g_new = _fd_gradient(ev.batch, xt, ft, box, scale, free)
             s = xt - x
             y = g_new - g
-            # the dot products of the curvature test, kept for _two_loop:
-            # np.linalg.norm(v) of a float64 vector is sqrt(v.dot(v))
+            # np.linalg.norm(v) of a float64 vector is sqrt(v.dot(v)), so
+            # the curvature test's y.y also gives the two-loop's scaling
             sy, yy = float(s.dot(y)), float(y.dot(y))
             if sy > _CURVATURE_EPS * (math.sqrt(float(s.dot(s))) * math.sqrt(yy)):
-                history.append((s, y, 1.0 / sy, sy, yy))
+                history.append((s, y, 1.0 / sy))
+                gamma = sy / yy
             x, fx, g = xt, ft, g_new
             alpha = 1.0
             if fx < best_f:

@@ -172,6 +172,35 @@ class TestContract:
         with pytest.raises(InvalidInputError, match="start arity"):
             refine(make_sphere(2), SearchBox.cube(2, 0.0, 1.0), start)
 
+    # (objective, lower, upper, start, point bytes, value, evaluations) on
+    # boxes with a zero bound of either sign, where projection meets
+    # coordinates of the other zero; recorded while the projection was
+    # np.clip, before the per-iteration overhead was cut.
+    SIGNED_ZEROS = [
+        ("sphere", [-0.0, -0.0], [1.0, 1.0], [-0.0, 0.5],
+         "00000000000000800000000000000080", 0.0, 7),
+        ("sphere", [-0.0, -0.0], [1.0, 1.0], [0.0, 0.5],
+         "00000000000000800000000000000080", 0.0, 7),
+        ("sphere", [-1.0, -1.0], [0.0, 0.0], [-0.0, -0.5],
+         "00000000000000000000000000000000", 0.0, 7),
+        ("sphere", [-0.0] * 8, [1.0] * 8, [-0.0] * 4 + [0.5] * 4,
+         "0000000000000080" * 8, 0.0, 22),
+        ("sphere", [-1.0] * 8, [-0.0] * 8, [0.0] * 4 + [-0.5] * 4,
+         "0000000000000080" * 8, 0.0, 22),
+        ("rosenbrock", [-0.0, -0.0], [2.0, 2.0], [-0.0, 0.5],
+         "081110fcffffef3ff32120f8ffffef3f", float.fromhex("0x1.f00f3c446b188p-55"), 149),
+        ("rastrigin", [-0.0] * 3, [1.0] * 3, [-0.0, 0.3, 0.0],
+         "0000000000000080" * 3, 0.0, 9),
+    ]
+
+    @pytest.mark.parametrize("case", SIGNED_ZEROS)
+    def test_signed_zero_bounds_keep_their_bits(self, case):
+        name, lower, upper, start, point, value, evals = case
+        box = SearchBox(np.array(lower), np.array(upper))
+        x, fx, used = refine(get_objective(name, len(lower)), box, np.array(start))
+        assert x.tobytes().hex() == point
+        assert (fx, used) == (value, evals)
+
 
 class TestRefinerConfig:
     def test_defaults(self):
