@@ -6,8 +6,11 @@ interpolated empirical quantile, ``kernels.linear_quantile``, which
 equals np.quantile bit for bit without copying the vector).
 Zero-probability states are never selected: a measurement cannot land
 on them, and including them would re-inflate the bounds the moment
-weights underflow.  ``select_support`` makes the same selection from a
-finite-shot draw's support and frequencies, without the dense vector.
+weights underflow.  A vector whose zeros cover both ranks the quantile
+interpolates between gets the threshold 0.0 from the same rule, and
+then every positive state is selected.  ``select_support`` makes the
+same selection from a finite-shot draw's support and frequencies,
+without the dense vector.
 The contracted box is the tight axis-aligned hull of the selected
 points, clamped to the current bounds: a running min and max of each
 axis's digits gives its lowest and highest selected digit.
@@ -81,19 +84,9 @@ class TerminationPolicy:
 
 def _threshold(probs, quantile):
     """select_region's threshold: np.quantile's (linear) to the bit,
-    found by kernels.linear_quantile, or 0.0 without a partition when
-    the vector has enough zeros."""
+    found by kernels.linear_quantile."""
     if not 0.0 < quantile < 1.0:
         raise InvalidInputError("quantile must lie strictly inside (0, 1)")
-    # min() costs a third of a zero count, and exact-readout weights
-    # seldom underflow
-    zeros = 0 if probs.min() > 0.0 else probs.size - np.count_nonzero(probs)
-    if zeros >= quantile * probs.size + 2:
-        # the linear quantile interpolates between the order statistics
-        # of ranks floor((N-1)q) and floor((N-1)q) + 1, counted from 0;
-        # with at least qN + 2 zeros both are zeros, so the threshold is
-        # exactly 0.0 and only the positivity clause selects
-        return 0.0
     return float(kernels.linear_quantile(probs, quantile))
 
 
@@ -124,10 +117,9 @@ def select_region(dist, quantile=0.75):
 
     The distribution's maximal entry (f_min_index) always satisfies the
     threshold and is force-included, so the selection is never empty.
-    A vector with enough zeros, such as a finite-shot draw on a large
-    grid, skips the quantile's partition: its threshold is 0.0.  The
-    threshold is np.quantile's (linear) to the bit, found by
-    ``kernels.linear_quantile``.
+    The threshold is np.quantile's (linear) to the bit, found by
+    ``kernels.linear_quantile``; when both ranks it interpolates between
+    fall on zeros, it is 0.0 and every positive state is selected.
     """
     threshold = _threshold(dist.probabilities, quantile)
     return RegionSelection(
@@ -220,13 +212,14 @@ def _mask_index_blocks(spec, masks):
     the high axes.  At the end, the codes L and H marked by all such
     slices yield one small block, (H[0] << g) | L beside
     (H << g) | L[0], whose digits on each axis are those of L or of H.
-    Any other slice yields its indices.
+    Any other slice yields its indices, and at g = 0 every slice does, so
+    no row is marked and no mark of the lattice's size is made.
     """
     n = spec.qubits_per_dim
     g = n * min(HULL_ROW_BITS // n, spec.dimension)
     row = 1 << g
     low = np.zeros(row, dtype=bool)
-    high = np.zeros(spec.total_points >> g, dtype=bool)
+    high = np.zeros(spec.total_points >> g if g else 0, dtype=bool)
     for start, mask in masks:
         if g and start % row == 0 and mask.size % row == 0:
             rows = mask.reshape(-1, row)

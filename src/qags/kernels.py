@@ -20,7 +20,8 @@ and that they sum to 1, and a sigma that is not finite raises.  A reader
 that needs only the probabilities skips the entropy's last products and
 sum.  ``linear_quantile`` equals np.quantile's linear threshold bit for
 bit; it partitions only the entries that a strided sample brackets, not
-a copy of the whole vector, and a bracket of one value it only counts.
+a copy of the whole vector, and the entries equal to the bracket's low
+end, such as a run of zeros, it only counts.
 ``padded_quantile`` gives the same threshold for a vector of zeros and a
 few positive entries, such as a finite-shot draw, from the positive
 entries alone.
@@ -614,17 +615,17 @@ QUANTILE_STRIDE = 251
 
 
 def _rank_bracket(p, i, j):
-    """(below, run): run holds, in some order, the entries of p of ranks
-    below, below + 1, ..., among them the ranks i <= j.
+    """(first, run): once partitioned, run holds the order statistics of
+    p of ranks i <= j at positions i - first and j - first.
 
-    A sorted strided sample gives two values around the ranks.  When
-    they differ, run is a new array of the entries that lie between
-    them and below counts the entries under that range.  When they are
-    one value, each block is only counted, below it and equal to it: if
-    ranks i and j fall among the equal entries, both order statistics
-    are that value, and run is it for ranks i to j alone, below = i, so
-    nothing is copied.  When the counts show the range misses a rank,
-    the sample misled, and the run is a copy of all of p, with below = 0.
+    A sorted strided sample gives two values lo <= hi around the ranks.
+    One pass counts, per block, the entries below lo and those up to lo,
+    and copies only those in (lo, hi].  The entries equal to lo are
+    counted, not copied: of the ranks i to j, those that fall among them
+    are lo, and at most two such copies of lo go ahead of the copied
+    entries, so when lo == hi nothing is copied at all.  When the counts
+    show the range misses a rank, the sample misled, and the run is a
+    copy of all of p, with first = 0.
     """
     n = p.size
     sample = np.sort(p[::QUANTILE_STRIDE])
@@ -632,25 +633,21 @@ def _rank_bracket(p, i, j):
     gap = 2 * math.isqrt(sample.size) + 1
     lo = sample[max(at - gap, 0)]
     hi = sample[min(at + gap, sample.size - 1)]
-    one_value = lo == hi
-    below, inside, parts = 0, 0, []
+    below, through, inside, parts = 0, 0, 0, []
     for start in range(0, n, BLOCK_STATES):
         block = p[start:start + BLOCK_STATES]
-        if one_value:
-            below += np.count_nonzero(block < lo)
-            inside += np.count_nonzero(block == lo)
-        else:
-            under = block < lo
-            below += np.count_nonzero(under)
-            keep = block <= hi
-            keep ^= under
-            parts.append(block[keep])
-            inside += parts[-1].size
-    if not below <= i or not j < below + inside:
+        below += np.count_nonzero(block < lo)
+        upto = block <= lo
+        through += np.count_nonzero(upto)
+        keep = block <= hi
+        keep ^= upto
+        parts.append(block[keep])
+        inside += parts[-1].size
+    if not below <= i or not j < through + inside:
         return 0, p.copy()
-    if one_value:
-        return i, np.full(j - i + 1, lo)
-    return below, np.concatenate(parts)
+    # the ranks from below to through - 1 hold lo
+    first = min(i, through)
+    return first, np.concatenate([np.full(min(through, j + 1) - first, lo)] + parts)
 
 
 def _quantile_ranks(n, q):
@@ -678,14 +675,15 @@ def linear_quantile(p, q):
 
     The order statistics at ranks floor((n - 1) q) and the next one are
     found Floyd-Rivest style: a sorted strided sample gives a value range
-    around the ranks, one pass counts the entries below it and extracts
-    those inside, and only that run is partitioned.  NumPy's _lerp then
-    interpolates between the two.
+    around the ranks, one pass counts the entries below it and at its low
+    end and extracts those above that end, and only that run is
+    partitioned (_rank_bracket).  NumPy's _lerp then interpolates between
+    the two.
     """
     virtual, i, j = _quantile_ranks(p.size, q)
-    below, run = _rank_bracket(p, i, j)
-    run.partition((i - below, j - below))
-    return _lerp(run[i - below], run[j - below], virtual - i)
+    first, run = _rank_bracket(p, i, j)
+    run.partition((i - first, j - first))
+    return _lerp(run[i - first], run[j - first], virtual - i)
 
 
 def padded_quantile(positive, zeros, q):

@@ -106,22 +106,24 @@ class _BudgetedObjective:
 _SIDES = np.array([[1.0], [-1.0]])
 
 
-def _fd_gradient(ev_batch, x, fx, box, scale, free):
+def _fd_gradient(ev_batch, x, fx, box, scale):
     """Central-difference gradient, one-sided where the box interferes.
 
     The whole stencil goes to ev_batch as one (rows, d) matrix, in the
-    order a loop over the axes would evaluate it: per free axis the
-    forward row, then the backward row, whichever of them fit in the box.
-    Degenerate dimensions (zero width) get gradient 0 and are never
-    perturbed.  Trial points stay inside the box by construction.  The
-    2d rows are x repeated, x_i + h_i written into row 2i and x_i - h_i
-    into row 2i + 1: flat positions i(2d + 1) and d + i(2d + 1), two
-    strided slices.
+    order a loop over the axes would evaluate it: per axis the forward
+    row, then the backward row, whichever of them fit in the box.  A row
+    whose coordinate rounds back to x does not fit: an axis of zero width
+    (h = 0) gets gradient 0 and costs no evaluation, as does an axis so
+    narrow that both its rows round back, which would divide 0 by 0.
+    Trial points stay inside the box by construction.  The 2d rows are
+    x repeated, x_i + h_i written into row 2i and x_i - h_i into row
+    2i + 1: flat positions i(2d + 1) and d + i(2d + 1), two strided
+    slices.
     """
     lower, upper = box.lower, box.upper
     h = np.minimum(scale * np.maximum(1.0, np.abs(x)), (upper - lower) / 2.0)
     sides = x + h * _SIDES  # rows x + h and x - h
-    fits = (sides <= upper) & (sides >= lower) & free
+    fits = (sides <= upper) & (sides >= lower) & (sides != x)
     d = x.size
     rows = np.empty((2 * d, d))
     rows[...] = x
@@ -229,7 +231,7 @@ def refine(f, box, start, cfg=None):
     history = deque(maxlen=int(cfg.history_size))  # deque takes no NumPy int
     gamma = None  # the two-loop's scaling, s.y / y.y of the newest pair
     try:
-        g = _fd_gradient(ev.batch, x, fx, box, scale, free)
+        g = _fd_gradient(ev.batch, x, fx, box, scale)
         # Backtracking starts at 1 / max|g| (capped at 1) on the first
         # step and at 1 after it.
         alpha = min(1.0, 1.0 / max(1e-12, float(np.abs(g).max())))
@@ -259,7 +261,7 @@ def refine(f, box, start, cfg=None):
             if flat_steps == _STALL_STEPS:
                 break
 
-            g_new = _fd_gradient(ev.batch, xt, ft, box, scale, free)
+            g_new = _fd_gradient(ev.batch, xt, ft, box, scale)
             s = xt - x
             y = g_new - g
             # np.linalg.norm(v) of a float64 vector is sqrt(v.dot(v)), so

@@ -383,7 +383,6 @@ def test_criterion_6_finite_difference_gradients(data):
         objective.evaluate(point),
         box,
         RefinerConfig().gradient_step_scale,
-        np.ones(d, dtype=bool),
     )
     analytic = GRADIENTS[name](point)
     scale = max(1.0, float(np.max(np.abs(analytic))))

@@ -89,7 +89,7 @@ class TestSelectRegion:
 
 
 def quantile_reference(dist, quantile):
-    """select_region as a plain np.quantile threshold, no zero-run test."""
+    """select_region as a plain np.quantile threshold on the dense vector."""
     probs = dist.probabilities
     threshold = float(np.quantile(probs, quantile))
     mask = (probs >= threshold) & (probs > 0.0)
@@ -98,7 +98,9 @@ def quantile_reference(dist, quantile):
 
 
 def _sparse_cases():
-    """Random vectors whose zero count sweeps quantile * N +- 3."""
+    """Random vectors whose zero count sweeps quantile * N +- 3, and
+    2^20-entry ones whose zero run ends 1% below, or 1% or 3% above,
+    rank quantile * N, where the quantile's bracket starts on the zeros."""
     rng = np.random.default_rng(11)
     cases = []
     for size in (4, 16, 1024):
@@ -116,10 +118,21 @@ def _sparse_cases():
                             probs / probs.sum(), quantile, id=f"N{size}-q{quantile}-z{zeros}-{shape}"
                         )
                     )
+    size, quantile = 1 << 20, 0.75
+    for offset in (-0.01, 0.01, 0.03):
+        zeros = round((quantile + offset) * size)
+        probs = rng.uniform(0.0, 1.0, size)
+        probs[rng.choice(size, zeros, replace=False)] = 0.0
+        cases.append(
+            pytest.param(probs / probs.sum(), quantile, id=f"N{size}-q{quantile}-z{zeros}-uniform")
+        )
     return cases
 
 
-def _takes_zero_shortcut(probs, quantile):
+def _zero_threshold(probs, quantile):
+    """Whether both ranks the quantile interpolates between fall on
+    zeros, which at least quantile * N + 2 zeros guarantee, so that the
+    threshold is 0.0 and every positive state is selected."""
     return probs.size - np.count_nonzero(probs) >= quantile * probs.size + 2
 
 
@@ -139,7 +152,9 @@ def _underflow_distributions():
 
 
 class TestSelectionParity:
-    """The zero-run shortcut selects exactly what np.quantile would."""
+    """On vectors with runs of zeros, on either side of the count that
+    makes the threshold 0.0, the selection is exactly what np.quantile
+    gives."""
 
     @pytest.mark.parametrize("probs,quantile", _sparse_cases())
     def test_sparse_vector_matches_quantile_reference(self, probs, quantile):
@@ -150,7 +165,7 @@ class TestSelectionParity:
         assert np.array_equal(sel.selected_indices, selected)
 
     def test_sweep_takes_both_branches(self):
-        taken = [_takes_zero_shortcut(*case.values) for case in _sparse_cases()]
+        taken = [_zero_threshold(*case.values) for case in _sparse_cases()]
         assert any(taken) and not all(taken)
 
     def test_underflowed_exact_readout_matches_quantile_reference(self):
@@ -165,7 +180,7 @@ class TestSelectionParity:
                     np.float64(threshold).tobytes()
                 )
                 assert np.array_equal(sel.selected_indices, selected)
-                assert _takes_zero_shortcut(dist.probabilities, quantile) == (dist is low)
+                assert _zero_threshold(dist.probabilities, quantile) == (dist is low)
 
 
 class TestContractBounds:
@@ -390,6 +405,23 @@ class TestContractRegion:
         assert count == sel.selected_indices.size
         assert box == contract_bounds(spec, sel)
         assert peak < 4 * contraction.kernels.BLOCK_STATES
+
+    def test_axis_wider_than_a_row_marks_no_rows(self):
+        # at d = 1, q = 20 the axis is wider than HULL_ROW_BITS, so no
+        # slice is reduced as rows; a row mark per state, which nothing
+        # writes, raised the peak from about 1.6 to 2.6 B/state
+        spec = GridSpec(1, 20, SearchBox.cube(1, -5.0, 5.0))
+        dist = distribution_from_values(spec, grid_values(make_sphere(1), spec))
+        tracemalloc.start()
+        try:
+            box, count = contract_region(dist, 0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sel = select_region(dist, 0.75)
+        assert count == sel.selected_indices.size
+        assert box == contract_bounds(spec, sel)
+        assert peak < 2 * spec.total_points
 
     def test_threshold_zero_keeps_only_positive_states(self, monkeypatch):
         monkeypatch.setattr(contraction.kernels, "BLOCK_STATES", 4)

@@ -3,10 +3,10 @@
 Each iteration k measures with ``sample(dist, shots, seed + k - 1)``; the
 driver, which reads the draw off its support instead, must report
 exactly what the layers give when chained by hand on the dense
-empirical vector.  The cases cover both selection branches: a 2^8-state
-grid where the draw leaves few zero states (``np.quantile`` threshold),
-and grids with N >= 4 * shots where most states are never drawn
-(zero-run shortcut).
+empirical vector.  The cases cover both kinds of threshold: a 2^8-state
+grid where the draw leaves few zero states (a positive threshold), and
+grids with N >= 4 * shots where most states are never drawn, so that
+both ranks of the quantile fall on zeros (threshold 0.0).
 """
 
 import hashlib
@@ -41,9 +41,9 @@ from qags.refine import refine
 
 def reference_run(f, box, cfg):
     """The sampled loop by hand; also counts the iterations whose drawn
-    vector has enough zeros for select_region's zero-run shortcut."""
+    vector has enough zeros (quantile * N + 2) that its threshold is 0.0."""
     evals_at_start = f.eval_count
-    records, shortcuts = [], 0
+    records, zero_thresholds = [], 0
     best_value, best_point = np.inf, None
     for k in range(1, cfg.termination.k_max + 1):
         spec = GridSpec(f.arity, cfg.qubits_per_dim, box)
@@ -54,7 +54,7 @@ def reference_run(f, box, cfg):
             best_point = decode(spec, dist.f_min_index)
         dist = sample(dist, cfg.shots, cfg.seed + k - 1)
         probs = dist.probabilities
-        shortcuts += probs.size - np.count_nonzero(probs) >= cfg.quantile * probs.size + 2
+        zero_thresholds += probs.size - np.count_nonzero(probs) >= cfg.quantile * probs.size + 2
         selection = select_region(dist, cfg.quantile)
         box_next = contract_bounds(spec, selection)
         verdict = should_terminate(box, box_next, entropy_fraction(dist), k, cfg.termination)
@@ -78,7 +78,7 @@ def reference_run(f, box, cfg):
     point, value, _ = refine(f, box, box.clip(best_point), cfg.refiner)
     if best_value < value:
         point, value = best_point.copy(), best_value
-    return records, point, value, f.eval_count - evals_at_start, shortcuts
+    return records, point, value, f.eval_count - evals_at_start, zero_thresholds
 
 
 def report_records(report):
@@ -100,7 +100,7 @@ def report_records(report):
 
 
 CASES = [
-    # (objective, dim, box half-width, qubits, shots, zero-run shortcut taken)
+    # (objective, dim, box half-width, qubits, shots, threshold 0.0 throughout)
     pytest.param("sphere", 2, 5.0, 4, 4096, False, id="sphere-d2-q4-2^8-states"),
     pytest.param("rastrigin", 2, 5.12, 4, 1024, False, id="rastrigin-d2-q4-2^8-states"),
     pytest.param("sphere", 3, 5.0, 4, 256, True, id="sphere-d3-q4-2^12-states"),
@@ -109,22 +109,22 @@ CASES = [
 
 
 @pytest.mark.parametrize("law", list(EncodingLaw), ids=lambda law: law.value)
-@pytest.mark.parametrize("name,dim,half,qubits,shots,shortcut", CASES)
-def test_run_equals_reference_loop(name, dim, half, qubits, shots, shortcut, law):
+@pytest.mark.parametrize("name,dim,half,qubits,shots,zero_threshold", CASES)
+def test_run_equals_reference_loop(name, dim, half, qubits, shots, zero_threshold, law):
     box = SearchBox.cube(dim, -half, half)
     cfg = QagsConfig(qubits_per_dim=qubits, law=law, shots=shots, seed=3)
     f = get_objective(name, dim)
-    ref_records, ref_point, ref_value, ref_evals, shortcuts = reference_run(f, box, cfg)
+    ref_records, ref_point, ref_value, ref_evals, zero_thresholds = reference_run(f, box, cfg)
     report = run(get_objective(name, dim), box, cfg)
 
     assert report_records(report) == ref_records
     assert report.found_point.tobytes() == np.asarray(ref_point, dtype=np.float64).tobytes()
     assert report.found_value == ref_value
     assert report.total_f_evals == ref_evals
-    if shortcut:
-        assert shortcuts == len(ref_records)
+    if zero_threshold:
+        assert zero_thresholds == len(ref_records)
     else:
-        assert shortcuts == 0
+        assert zero_thresholds == 0
 
 
 # --- the draw and its sparse readout ------------------------------------------
@@ -150,7 +150,7 @@ def _dense_reference(emp, quantile):
 
 # (zero count - quantile * N) of the drawn vector on a 2^8-state grid at
 # quantile 0.75: ranks 191 and 192 straddle the zero run at -0, both
-# fall on zeros from +1, and the zero-run shortcut applies from +2.
+# fall on zeros from +1, and quantile * N + 2 zeros guarantee it from +2.
 @pytest.mark.parametrize("offset", [0, 1, 2, 3])
 def test_sparse_readout_equals_dense_quantile(offset):
     spec = GridSpec(2, 4, SearchBox.cube(2, -1.0, 1.0))

@@ -268,8 +268,8 @@ def test_linear_quantile_partitions_everything_when_the_sample_misleads():
     p = rng.random(1 << 18) * 0.5
     p[:: kernels.QUANTILE_STRIDE] = 1.0 + rng.random(p[:: kernels.QUANTILE_STRIDE].size)
     i = int((p.size - 1) * 0.75)
-    below, run = kernels._rank_bracket(p, i, i + 1)
-    assert below == 0 and run.size == p.size
+    first, run = kernels._rank_bracket(p, i, i + 1)
+    assert first == 0 and run.size == p.size
     assert np.float64(kernels.linear_quantile(p, 0.75)).tobytes() == np.quantile(p, 0.75).tobytes()
 
 
@@ -287,8 +287,8 @@ def _one_value_bracket():
 def test_one_value_bracket_is_counted_not_copied(q):
     p = _one_value_bracket()
     _, i, j = kernels._quantile_ranks(p.size, q)
-    below, run = kernels._rank_bracket(p, i, j)
-    assert below == i and run.tolist() == [0.25] * (j - i + 1)
+    first, run = kernels._rank_bracket(p, i, j)
+    assert first == i and run.tolist() == [0.25] * (j - i + 1)
     tracemalloc.start()
     try:
         got = kernels.linear_quantile(p, q)
@@ -300,13 +300,33 @@ def test_one_value_bracket_is_counted_not_copied(q):
     assert peak < kernels.BLOCK_STATES * 8
 
 
+@pytest.mark.parametrize("offset", [-0.01, 0.01, 0.03])
+def test_zero_plateau_is_counted_not_copied(offset):
+    # a run of zeros, as underflowed weights leave, ends 1% below or 1%
+    # or 3% above rank qN: the bracket's low end falls on the zeros
+    q = 0.75
+    rng = np.random.default_rng(9)
+    p = rng.random(1 << 20)
+    p[rng.choice(p.size, round((q + offset) * p.size), replace=False)] = 0.0
+    p /= p.sum()
+    tracemalloc.start()
+    try:
+        got = kernels.linear_quantile(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.float64(got).tobytes() == np.quantile(p, q).tobytes()
+    # copying the zeros inside the bracket took about 12.7 B/state
+    assert peak < p.size
+
+
 def test_one_value_sample_that_misleads_partitions_everything():
     # every sampled entry is one value larger than every other entry
     p = np.random.default_rng(4).random(1 << 18) * 0.5
     p[:: kernels.QUANTILE_STRIDE] = 2.0
     i = int((p.size - 1) * 0.75)
-    below, run = kernels._rank_bracket(p, i, i + 1)
-    assert below == 0 and run.size == p.size
+    first, run = kernels._rank_bracket(p, i, i + 1)
+    assert first == 0 and run.size == p.size
     assert np.float64(kernels.linear_quantile(p, 0.75)).tobytes() == np.quantile(p, 0.75).tobytes()
 
 

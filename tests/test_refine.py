@@ -108,6 +108,18 @@ class TestContract:
         assert abs(x[1]) < 1e-6
         assert fx == pytest.approx(4.0, abs=1e-9)
 
+    @pytest.mark.parametrize("start, evals", [("lower", 1), ("upper", 3)])
+    def test_ulp_wide_box_divides_no_zero_by_zero(self, start, evals):
+        # h, half the width, rounds x + h and x - h back to x at the lower
+        # bound: neither row fits, so the axis gets gradient 0 and no
+        # evaluation, with no NaN (warnings are errors in this suite).
+        # From the upper bound, x - h ties to the even lower bound.
+        box = SearchBox([1e10], [np.nextafter(1e10, np.inf)])
+        f = make_sphere(1)
+        x, fx, used = refine(f, box, getattr(box, start))
+        assert x.tobytes() == np.array([1e10]).tobytes()
+        assert (fx, used, f.eval_count) == (1e20, evals, evals)
+
     def test_failing_start_raises(self):
         bad = ObjectiveFunction(
             name="nan",
@@ -374,8 +386,9 @@ def scalar_loop_gradient(f, x, fx, box, scale, free):
         half_width = (box.upper[i] - box.lower[i]) / 2.0
         if h > half_width:
             h = half_width
-        can_up = x[i] + h <= box.upper[i]
-        can_down = x[i] - h >= box.lower[i]
+        # a row that rounds back to x does not fit
+        can_up = x[i] < x[i] + h <= box.upper[i]
+        can_down = box.lower[i] <= x[i] - h < x[i]
         if can_up and can_down:
             xp = x.copy()
             xp[i] += h
@@ -449,7 +462,7 @@ def stencil_rows(name, x, box):
         batches.append(rows.copy())
         return objective.evaluate_batch(rows)
 
-    g = _fd_gradient(ev_batch, x, fx, box, scale, free)
+    g = _fd_gradient(ev_batch, x, fx, box, scale)
     assert g.tobytes() == expected.tobytes()
     assert len(batches) == 1
     assert batches[0].tolist() == [p.tolist() for p in points]
