@@ -2,11 +2,13 @@
 
 ``lattice_values`` evaluates a built-in objective over the whole uniform
 lattice without materializing point coordinates; ``_coordinates`` is the
-one coordinate rule.  Each axis contributes a term table indexed
-[j_{i-1}, j_i]: one row for the separable kinds, and for Rosenbrock the
-pair (x_{i-1}, x_i) (zeros on axis 0).  One accumulation rule adds the
-axes one at a time, by outer sums or row broadcasts, which keep the
-per-element left-to-right order 0 + t_0 + t_1 + ... for every kind.
+one coordinate rule, and ``axis_terms`` and ``rosenbrock_pair`` are the
+only copy of each built-in formula.  Each axis contributes a term table
+indexed [j_{i-1}, j_i]: one row for the separable kinds, and for
+Rosenbrock the pair (x_{i-1}, x_i) (zeros on axis 0).  One accumulation
+rule adds the axes one at a time, by outer sums or row broadcasts, which
+keep the per-element left-to-right order 0 + t_0 + t_1 + ... for every
+kind.
 ``boltzmann`` encodes a value vector in place, overwriting the values
 with the probabilities, and takes its entropy from a closed form instead
 of a log2 pass over them.  It works through the vector in BLOCK_STATES
@@ -89,7 +91,11 @@ def _coordinates(lower, upper, m, j):
     return x
 
 
-def _axis_terms(kind, xs, shift_i):
+def axis_terms(kind, xs, shift_i):
+    """The term of each coordinate xs of a separable kind, elementwise:
+    the only place the sphere, Rastrigin and Styblinski-Tang formulas
+    are written.  shift_i (broadcast against xs) moves the sphere's
+    centre; the other kinds ignore it."""
     if kind == KIND_SPHERE:
         t = xs - shift_i
         return t * t
@@ -117,7 +123,9 @@ def _outer_sum(left, right):
     return out.reshape(-1)
 
 
-def _rosenbrock_pair(a, b):
+def rosenbrock_pair(a, b):
+    """The Rosenbrock term of the consecutive coordinates (a, b),
+    elementwise: the only place its formula is written."""
     return 100.0 * (b - a**2) ** 2 + (1.0 - a) ** 2
 
 
@@ -144,7 +152,7 @@ def _term_table(kind, prev, xs, s):
     for every later Rosenbrock axis, whose rows are computed when
     indexed."""
     if kind != KIND_ROSENBROCK:
-        return _axis_terms(kind, xs, s)[None, :]
+        return axis_terms(kind, xs, s)[None, :]
     if prev is None:
         return np.zeros((1, xs.size))
     return _PairRows(prev, xs)
@@ -169,7 +177,7 @@ class _PairRows:
         self.a, self.b, self.shape = a, b, (a.size, b.size)
 
     def __getitem__(self, rows):
-        return _rosenbrock_pair(self.a[rows, None], self.b[None, :])
+        return rosenbrock_pair(self.a[rows, None], self.b[None, :])
 
 
 def _extend(acc, first, table):

@@ -1,16 +1,13 @@
 """Benchmark objective functions and the objective-function wrapper.
 
-Each benchmark is written once, as a plain NumPy function that reduces
-over the last axis: it takes one point (d,) or a batch of points (N, d).
-The factories below pass that one function as both the scalar ``fn``
-and the ``batch_fn`` of an :class:`ObjectiveFunction`, which validates
-inputs, counts evaluations, and records the known optimum when one
-exists in closed form.
-
-The lattice kernels (``kernels._axis_terms``, ``kernels._rosenbrock_pair``)
-keep their own forms of the same formulas: they add the per-axis terms
-in a fixed left-to-right order instead of NumPy's pairwise sum, and
-building them from these functions would move lattice values by ulps.
+Each benchmark is the lattice kernel's per-axis terms
+(``kernels.axis_terms``, ``kernels.rosenbrock_pair``) added left to
+right over the last axis, so it takes one point (d,) or a batch of
+points (N, d), and its value at a decoded lattice point equals the
+kernel's lattice value there bit for bit.  The factories below pass that
+one function as both the scalar ``fn`` and the ``batch_fn`` of an
+:class:`ObjectiveFunction`, which validates inputs, counts evaluations,
+and records the known optimum when one exists in closed form.
 """
 
 from __future__ import annotations
@@ -27,6 +24,8 @@ from .kernels import (
     KIND_ROSENBROCK,
     KIND_SPHERE,
     KIND_STYBLINSKI_TANG,
+    axis_terms,
+    rosenbrock_pair,
 )
 from .errors import EvaluationError, InvalidInputError
 from .grid import SearchBox
@@ -38,41 +37,44 @@ STYBLINSKI_TANG_OPT_X = -2.903534027771177
 STYBLINSKI_TANG_OPT_F = -39.16616570377141
 
 
+def _left_to_right(terms):
+    """terms[..., 0] + terms[..., 1] + ..., added in that order, as the
+    lattice kernel adds its axes."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 def rastrigin(x):
-    """Rastrigin: 10*d + sum(x_i^2 - 10*cos(2*pi*x_i)).
+    """Rastrigin: sum(x_i^2 - 10*cos(2*pi*x_i) + 10).
 
     Global minimum f(0, ..., 0) = 0; highly multimodal.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+    return _left_to_right(axis_terms(KIND_RASTRIGIN, np.asarray(x, dtype=np.float64), None))
 
 
 def styblinski_tang(x):
-    """Styblinski-Tang: 0.5 * sum(x_i^4 - 16*x_i^2 + 5*x_i).
+    """Styblinski-Tang: sum(0.5 * (x_i^4 - 16*x_i^2 + 5*x_i)).
 
     Global minimum ~= -39.16617*d at x_i ~= -2.9035340.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * np.sum(x ** 4 - 16.0 * x * x + 5.0 * x, axis=-1)
+    return _left_to_right(
+        axis_terms(KIND_STYBLINSKI_TANG, np.asarray(x, dtype=np.float64), None)
+    )
 
 
 def rosenbrock(x):
-    """Rosenbrock: sum over i of 100*(x_{i+1} - x_i^2)^2 + (1 - x_i)^2.
+    """Rosenbrock: sum over i of 100*(x_{i+1} - x_i^2)^2 + (1 - x_i)^2,
+    for points of at least two coordinates.
 
     Global minimum f(1, ..., 1) = 0 along a narrow curved valley.
     """
     x = np.asarray(x, dtype=np.float64)
-    return np.sum(
-        100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (1.0 - x[..., :-1]) ** 2, axis=-1
-    )
+    return _left_to_right(rosenbrock_pair(x[..., :-1], x[..., 1:]))
 
 
 def sphere(x, shift=None):
     """Shifted sphere: sum((x_i - c_i)^2) with optimum at the shift c."""
-    x = np.asarray(x, dtype=np.float64)
-    if shift is not None:
-        x = x - np.asarray(shift, dtype=np.float64)
-    return np.sum(x * x, axis=-1)
+    shift = 0.0 if shift is None else np.asarray(shift, dtype=np.float64)
+    return _left_to_right(axis_terms(KIND_SPHERE, np.asarray(x, dtype=np.float64), shift))
 
 
 @dataclass

@@ -32,10 +32,10 @@ def _broadcast_reference(kind, lower, upper, m, shift):
         shape = [1] * d
         shape[i] = m
         if kind != kernels.KIND_ROSENBROCK:
-            term = kernels._axis_terms(kind, axes[i], shift[i])
+            term = kernels.axis_terms(kind, axes[i], shift[i])
         elif i > 0:
             shape[i - 1] = m
-            term = kernels._rosenbrock_pair(axes[i - 1][:, None], axes[i][None, :])
+            term = kernels.rosenbrock_pair(axes[i - 1][:, None], axes[i][None, :])
         else:
             continue
         total += term.reshape(shape)
@@ -493,10 +493,10 @@ def _row_reference(kind, lo, hi, m, shift, k):
     axes = kernels.lattice_axes(lo, hi, m)
     row = np.zeros(m)
     if kind == kernels.KIND_ROSENBROCK:
-        row += kernels._rosenbrock_pair(axes[0][k], axes[1])
+        row += kernels.rosenbrock_pair(axes[0][k], axes[1])
     else:
-        row += kernels._axis_terms(kind, axes[0][k:k + 1], shift[0])
-        row += kernels._axis_terms(kind, axes[1], shift[1])
+        row += kernels.axis_terms(kind, axes[0][k:k + 1], shift[0])
+        row += kernels.axis_terms(kind, axes[1], shift[1])
     return row
 
 

@@ -271,23 +271,28 @@ def recording(objective):
 class TestStallExit:
     # Final box, refiner start, refined (point, value) and evaluation
     # count of bench presets (seed 0), each coordinate one number for
-    # every axis or a list.  The first three were recorded before the
-    # stall exit existed; styblinski_tang d=5 q=3 used its whole
-    # 10,000-evaluation budget for this result.  The Rosenbrock rows,
-    # where the refiner takes most of a run's time, were recorded before
-    # its per-iteration overhead was cut.
+    # every axis or a list.  The first three were recorded when the
+    # objectives became the kernel's per-axis terms added left to right.
+    # The Rosenbrock rows, where the refiner takes most of a run's time,
+    # were recorded before its per-iteration overhead was cut.
     PRESETS = {
         "t2 d=5 q=3": (
             "styblinski_tang", 5, -3.7755102040816326, 3.571428571428571,
-            -2.7259475218658893, -2.9035340276204025, -195.83082851885712, 124,
+            -2.7259475218658893,
+            [-2.9035340276426713] * 3 + [-2.9035340276204025] * 2,
+            -195.8308285188571, 95,
         ),
         "t2 d=2 q=5": (
             "styblinski_tang", 2, -3.7905743345305627, 3.4599375650364204,
-            -2.8550244120057906, -2.9035340277230075, -78.33233140754285, 39,
+            -2.8550244120057906, -2.9035340281562325, -78.33233140754282, 40,
         ),
         "t1 d=8 q=2": (
             "rastrigin", 8, -5.12, 5.12,
-            1.706666666666667, 1.9899122336986945, 31.838649524432697, 171,
+            1.706666666666667,
+            [1.9899122336990056] * 3
+            + [1.9899122336990103, 1.9899122336987816, 1.989912233698707,
+               1.9899122336989035, 1.9899122336987767],
+            31.838649524432697, 210,
         ),
         "t3 d=2 q=5": (
             "rosenbrock", 2,
@@ -345,10 +350,10 @@ class TestStallExit:
         # resets the count.
         obj, log = recording(make_styblinski_tang(2))
         box = SearchBox(
-            np.array([-2.9037328396519957, -2.903754711664822]),
-            np.array([-2.9033430342537647, -2.903302623736227]),
+            np.array([-2.903652186644868, -2.903647282939708]),
+            np.array([-2.9033905424804516, -2.903391273878751]),
         )
-        start = np.array([-2.903530130999521, -2.9035454547157795])
+        start = np.array([-2.903429900078971, -2.9035205249884544])
         _, fx, evals = refine(obj, box, start)
         # each stencil (None) follows the step it was taken at; the run
         # stops on an accepted step, before that step's stencil
