@@ -199,27 +199,46 @@ def _digit_ranges(spec, index_blocks):
     return lows, highs
 
 
+def _row_bits(spec):
+    """g, the bits of as many whole axes as fit in HULL_ROW_BITS (0 when
+    one axis is wider), and at most the register's: a row of 2^g states
+    holds every code of the g low bits, those of the low axes."""
+    n = spec.qubits_per_dim
+    return n * min(HULL_ROW_BITS // n, spec.dimension)
+
+
+def _row_marks(spec, g):
+    """Empty marks of the codes of the low axes (the g low bits) and of
+    the rows, the codes of the high axes; no row at g = 0."""
+    return np.zeros(1 << g, dtype=bool), np.zeros(spec.total_points >> g if g else 0, dtype=bool)
+
+
+def _corner_block(g, low, high):
+    """The one small block of the codes L and H marked by low and high,
+    (H[0] << g) | L beside (H << g) | L[0], whose digits on each axis
+    are those of L or of H; empty when nothing is marked."""
+    highs = np.flatnonzero(high)
+    if not highs.size:
+        return highs
+    lows = np.flatnonzero(low)
+    return np.concatenate(((highs[0] << g) | lows, (highs << g) | lows[0]))
+
+
 def _mask_index_blocks(spec, masks):
     """A stream of index blocks for _digit_ranges with the same digits
     on every axis as the states selected by the stream masks of (start,
     mask) slices.
 
-    A slice of whole rows of 2^g states, g being the bits of as many
-    whole axes as fit in HULL_ROW_BITS (0 when one axis is wider) and
-    at most the register's, is reduced as a (rows, 2^g) array instead
-    of by its indices: any(axis=0) marks the codes of the low axes (the
-    g low bits) that it selects, and any(axis=1) the rows, the codes of
-    the high axes.  At the end, the codes L and H marked by all such
-    slices yield one small block, (H[0] << g) | L beside
-    (H << g) | L[0], whose digits on each axis are those of L or of H.
-    Any other slice yields its indices, and at g = 0 every slice does, so
+    A slice of whole rows of 2^g states (_row_bits) is reduced as a
+    (rows, 2^g) array instead of by its indices: any(axis=0) marks the
+    codes of the low axes that it selects, and any(axis=1) the rows, and
+    at the end all such slices' marks yield one _corner_block.  Any
+    other slice yields its indices, and at g = 0 every slice does, so
     no row is marked and no mark of the lattice's size is made.
     """
-    n = spec.qubits_per_dim
-    g = n * min(HULL_ROW_BITS // n, spec.dimension)
+    g = _row_bits(spec)
     row = 1 << g
-    low = np.zeros(row, dtype=bool)
-    high = np.zeros(spec.total_points >> g if g else 0, dtype=bool)
+    low, high = _row_marks(spec, g)
     for start, mask in masks:
         if g and start % row == 0 and mask.size % row == 0:
             rows = mask.reshape(-1, row)
@@ -229,10 +248,7 @@ def _mask_index_blocks(spec, masks):
             flat = np.flatnonzero(mask)
             flat += start
             yield flat
-    highs = np.flatnonzero(high)
-    if highs.size:
-        lows = np.flatnonzero(low)
-        yield np.concatenate(((highs[0] << g) | lows, (highs << g) | lows[0]))
+    yield _corner_block(g, low, high)
 
 
 def _hull(spec, index_blocks):
@@ -252,9 +268,20 @@ def contract_bounds(spec, selection):
     Grid coordinates never decrease as the per-axis index grows, so the
     hull's corners are the points at each axis's lowest and highest
     selected index, the min and max of its digits; only those two are
-    decoded.
+    decoded.  When whole axes fit in a row of 2^g states (_row_bits),
+    the indices are first marked by their low codes and their rows, and
+    the digits are read off the _corner_block of those marks, which
+    holds the same digits on every axis: two passes over the selection
+    instead of one per axis.
     """
-    return _hull(spec, [selection.selected_indices])
+    flat = selection.selected_indices
+    g = _row_bits(spec)
+    if not g:
+        return _hull(spec, [flat])
+    low, high = _row_marks(spec, g)
+    low[flat & ((1 << g) - 1)] = True
+    high[flat >> g] = True
+    return _hull(spec, [_corner_block(g, low, high)])
 
 
 def should_terminate(box_prev, box_next, entropy, k, policy, repeatable=False):

@@ -93,10 +93,15 @@ class ObjectiveFunction:
     ``evaluate`` and ``evaluate_batch`` check their input, then take the
     internal path (``_evaluate_point``, ``_evaluate_rows``), which counts
     and checks the result's shape and finiteness with the same messages.
-    The refiner calls the internal path directly: its points are float64
-    arrays of the right arity (checked once, at its entry) inside a
-    validated SearchBox, so the input checks cannot fail there, and on
-    its d-entry vectors they cost about as much as the objective.
+    The refiner and the lattice streams call the internal path directly,
+    so a subclass's override of ``evaluate`` or ``evaluate_batch`` is
+    not called there.  The refiner's points are float64 arrays of the
+    right arity (checked once, at its entry) inside a validated
+    SearchBox, so the input checks cannot fail there, and on its
+    d-entry vectors they cost about as much as the objective.  Lattice
+    coordinates are finite by construction, and testing each of them
+    took 2.0-2.7 ms of a d = 5, q = 4 fill whose rotated-ellipsoid
+    batch function took 20-25 ms.
     """
 
     name: str

@@ -1,7 +1,7 @@
 """Simulated quantum measurement distribution over a qubit grid.
 
 Both methods evaluate their lattices through one stream, which picks
-the lattice kernel or the objective's evaluate_batch, gives each block
+the lattice kernel or the objective's batch function, gives each block
 with its least and greatest value, and by those refuses a value that is
 not finite, naming the first such state in flat order: the qags driver
 fills its value vector from its flat runs (``grid_values``), and the
@@ -127,9 +127,9 @@ def lattice_blocks(objective, box, points_per_dim):
     contiguous flat-index blocks, for a consumer that reads each block in
     any order: of at most 81,920 states in the lattice kernel's
     digit-reversed layout, or flat runs of at most 2^16 coordinates
-    (2^16 / d states, rounded down to a power of two) from
-    evaluate_batch.  low and high are the block's least and greatest
-    value, bit for bit.
+    (2^16 / d states, rounded down to a power of two) from the
+    objective's batch function.  low and high are the block's least and
+    greatest value, bit for bit.
 
     A block is a C-ordered array of shape (m,) * T + (K,) whose entry
     [j_{d-1}, ..., j_{d-T}, k] is the value at flat index
@@ -140,23 +140,28 @@ def lattice_blocks(objective, box, points_per_dim):
     Uses the lattice kernel when the objective advertises one (no point
     coordinates are materialized, and low and high of the separable
     kinds come from the term tables' extremes without a pass over the
-    block); otherwise calls evaluate_batch on the block's coordinate
-    rows, so no full (m^d, d) matrix ever exists, and reads low and high
-    off each run.  Either way the objective's evaluation counter
-    advances by m^d, and a value that is not finite raises
-    EvaluationError at the first such state in flat order.
+    block); otherwise evaluates each block of kernels.coordinate_blocks
+    on the objective's internal path, as evaluate_batch would less its
+    input check (lattice coordinates are finite by construction), so no
+    full (m^d, d) matrix ever exists and an override of evaluate_batch
+    is not called, and reads low and high off each run.  Either way the
+    objective's evaluation counter advances by m^d, and a value that is
+    not finite raises EvaluationError at the first such state in flat
+    order.
     """
     return _evaluated(objective, box, points_per_dim, kernels.lattice_value_blocks)
 
 
 def _evaluated(objective, box, m, kernel_stream):
-    """The one place that picks the lattice kernel or evaluate_batch, and
-    refuses a value that is not finite: kernel_stream's blocks, whose
-    low or high then is not finite, or flat runs of evaluate_batch,
-    which refuses its own; each given as (start, block, low, high)."""
+    """The one place that picks the lattice kernel or the batch function,
+    and refuses a value that is not finite: kernel_stream's blocks, whose
+    low or high then is not finite, or flat runs of the objective's
+    _evaluate_rows on the coordinate blocks, which checks its result's
+    shape and refuses its own; each given as (start, block, low,
+    high)."""
     if objective.kernel_kind is None:
         for start, coords in kernels.coordinate_blocks(box.lower, box.upper, m):
-            values = objective.evaluate_batch(coords)
+            values = objective._evaluate_rows(coords)
             del coords  # freed before the stream builds the next one
             yield kernels.block_extremes(start, values)
             del values
@@ -183,7 +188,7 @@ def grid_values(objective, spec, out=None):
     entries, new when None), which is returned; on success the
     evaluation counter advances by 2^(n*d).  The runs are the lattice
     kernel's of at most 2^16 states (kernels.lattice_value_runs), or
-    those of evaluate_batch that ``lattice_blocks`` gives, and a value
+    those of the batch function that ``lattice_blocks`` gives, and a value
     that is not finite raises as there, before the runs after it are
     evaluated."""
     if objective.arity != spec.dimension:

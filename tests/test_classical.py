@@ -722,7 +722,7 @@ class TestBlockExtremesErrors:
         assert err.value.point.tobytes() == self._first_bad_point(box, m, values).tobytes()
 
     def test_batch_nan_in_a_later_block_names_its_point(self):
-        # a batch-only objective has no term tables: evaluate_batch
+        # a batch-only objective has no term tables: its batch path
         # refuses its NaN, at the first such row of the fourth block of
         # 2^15 rows
         d, m = 2, 400

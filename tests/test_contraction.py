@@ -304,6 +304,34 @@ def test_hull_equals_digit_extremes(d, n):
         assert box.upper.tobytes() == np.minimum(spec.bounds.upper, corners[1]).tobytes()
 
 
+@pytest.mark.parametrize("d,n", [(10, 2), (3, 5), (1, 13)])
+def test_dense_selection_reaches_the_digits_as_a_corner_block(monkeypatch, d, n):
+    # half of the register selected, as a 10^6-shot draw on sphere d = 10,
+    # q = 2 selects: its digits are read off one block of the low codes
+    # beside the rows (g = 12 bits of whole axes at d = 10, n = 2, and
+    # 10 at n = 5), not off every index; at n = 13 no axis fits a row
+    rng = np.random.default_rng(d * n)
+    spec = GridSpec(d, n, SearchBox.cube(d, -5.0, 5.0))
+    total = spec.total_points
+    flat = np.unique(rng.integers(0, total, total // 2))
+    sizes = []
+    digit_ranges = contraction._digit_ranges
+
+    def recorded(spec, blocks):
+        blocks = list(blocks)
+        sizes.extend(b.size for b in blocks)
+        return digit_ranges(spec, blocks)
+
+    monkeypatch.setattr(contraction, "_digit_ranges", recorded)
+    box = contract_bounds(spec, RegionSelection(0.75, flat, 0.0))
+    g = contraction._row_bits(spec)
+    assert sizes == ([(1 << g) + (total >> g)] if g else [flat.size])
+    lows, highs = _digit_extremes(spec, flat)
+    corners = decode_many(spec, [pack_indices(spec, lows), pack_indices(spec, highs)])
+    assert box.lower.tobytes() == corners[0].tobytes()
+    assert box.upper.tobytes() == corners[1].tobytes()
+
+
 def _region_probabilities(kind, total, block, rng):
     """(probabilities, f_min_index) of one contract_region case."""
     if kind == "random":

@@ -14,7 +14,7 @@ from qags.driver import IterationRecord, QagsConfig, RunReport, run, trace_boxes
 from qags.errors import InvalidInputError
 from qags.grid import GridSpec, SearchBox, decode
 from qags.objectives import ObjectiveFunction, get_objective, make_sphere
-from qags.quantum import EncodingLaw
+from qags.quantum import EncodingLaw, grid_values
 from qags.refine import RefinerConfig
 
 
@@ -371,9 +371,10 @@ class TestBatchOnlyBlocks:
     makes temporaries of its block's size."""
 
     @staticmethod
-    def ellipsoid(d, seen=None):
+    def ellipsoid(d, seen=None, in_place=False):
         # the rotated ellipsoid: a seeded orthogonal rotation, so the
-        # batch function is two matrix products over its block
+        # batch function is two matrix products over its block; in_place
+        # subtracts the centre from the block it is given
         rng = np.random.default_rng([1, d])
         q, r = np.linalg.qr(rng.standard_normal((d, d)))
         rotation = q * np.sign(np.diag(r))[None, :]
@@ -383,11 +384,16 @@ class TestBatchOnlyBlocks:
         def batch(pts):
             if seen is not None:
                 seen.append(len(pts))
-            z = (pts - centre[None, :]) @ rotation.T
+            if in_place:
+                pts -= centre[None, :]
+                z = pts @ rotation.T
+            else:
+                z = (pts - centre[None, :]) @ rotation.T
             return (z * z) @ weights
 
+        # fn passes a copy: the refiner's point is not a block to write
         return ObjectiveFunction(
-            name="ellipsoid", arity=d, fn=lambda x: float(batch(x[None, :])[0]), batch_fn=batch
+            name="ellipsoid", arity=d, fn=lambda x: float(batch(x[None, :].copy())[0]), batch_fn=batch
         )
 
     def reports(self, monkeypatch, block):
@@ -436,6 +442,48 @@ class TestBatchOnlyBlocks:
             got, lattice_rows = self.reports(monkeypatch, block)
             assert lattice_rows == rows
             assert json.dumps(got) == json.dumps(ref), block
+
+    def test_a_batch_function_may_write_its_block(self, monkeypatch):
+        # every block is a new array, so a batch function that subtracts
+        # the centre in place gives the pure one's bits: on the d = 5,
+        # q = 4 lattice, whose blocks are two slices of the same 4,096
+        # trailing states, and in both methods' runs on blocks of 32
+        # rows, three or four slices of 8 or 9 trailing states each
+        spec = GridSpec(5, 4, SearchBox.cube(5, -5.0, 5.0))
+        pure = grid_values(self.ellipsoid(5), spec)
+        assert grid_values(self.ellipsoid(5, in_place=True), spec).tobytes() == pure.tobytes()
+        box = SearchBox.cube(3, -5.0, 5.0)
+        reports = []
+        for in_place in (False, True):
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "BLOCK_STATES", 100)
+                qags = run(self.ellipsoid(3, in_place=in_place), box, QagsConfig(qubits_per_dim=3))
+                ags = run_ags(
+                    self.ellipsoid(3, in_place=in_place), box,
+                    AgsConfig(points_per_dim=9, budget_points=9**3),
+                )
+            reports.append(json.dumps([qags.to_dict(), ags.to_dict()]))
+        assert reports[0] == reports[1]
+
+    def test_lattices_never_call_the_public_batch_method(self, monkeypatch):
+        # the lattice streams call the objective's internal path, whose
+        # result checks stay; its coordinates are finite by construction
+        box = SearchBox.cube(3, -5.0, 5.0)
+
+        def reports():
+            obj = self.ellipsoid(3)
+            qags = run(obj, box, QagsConfig(qubits_per_dim=3))
+            ags = run_ags(obj, box, AgsConfig(points_per_dim=9, budget_points=9**3))
+            return json.dumps([qags.to_dict(), ags.to_dict(), obj.eval_count])
+
+        expected = reports()
+
+        def public(*args):
+            raise AssertionError("a lattice called a public evaluation method")
+
+        monkeypatch.setattr(ObjectiveFunction, "evaluate", public)
+        monkeypatch.setattr(ObjectiveFunction, "evaluate_batch", public)
+        assert reports() == expected
 
     def test_batch_only_run_peaks_near_its_vector(self):
         # d = 5, q = 4: 2^20 states in blocks of 8,192 rows of 5

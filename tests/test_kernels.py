@@ -641,6 +641,29 @@ def test_coordinate_blocks_equal_decode_many(monkeypatch, d, n, block):
     assert np.array_equal(got, decode_many(spec, np.arange(spec.total_points)))
 
 
+# d = 1-8 and 20 at several m: blocks of one prefix or several, runs of
+# leading and trailing columns written one column at a time or as one
+# broadcast, and under the small block sizes a last axis split across
+# blocks
+@pytest.mark.parametrize("block", [None, 40, 2])
+@pytest.mark.parametrize("m", [3, 4, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 20])
+def test_coordinate_blocks_are_new_arrays_of_lattice_points(monkeypatch, d, m, block):
+    if block is not None:
+        monkeypatch.setattr(kernels, "BLOCK_STATES", block)
+    lo, hi, _ = _lattice_case(d, m, 3 * d + m)
+    at, previous = 0, np.empty(0)
+    for start, coords in itertools.islice(kernels.coordinate_blocks(lo, hi, m), 64):
+        assert start == at
+        ref = kernels.lattice_points(lo, hi, m, np.arange(start, start + len(coords)))
+        assert coords.dtype == np.float64 and coords.flags.c_contiguous
+        assert coords.tobytes() == ref.tobytes(), (start, d, m)
+        assert not np.shares_memory(coords, previous)
+        # a consumer may write its block: no later block shows it
+        coords[...] = np.nan
+        at, previous = at + len(coords), coords
+
+
 def test_one_axis_table():
     from qags.grid import GridSpec, SearchBox
 
