@@ -50,9 +50,10 @@ not grow with d.  An axis with more points than a block is split across
 blocks, so a pass over any lattice holds about one block beyond the
 leading axes' partial sums.  ``lattice_points`` is the one decoder of
 flat indices to points: it evaluates the rule at the decoded digits, so no
-decoder builds an axis table.  A coordinate block is filled with long
-inner loops: its first slice of trailing states column by column where
-rows are short, the others as whole-row copies of it.
+decoder builds an axis table, and it decodes the leading columns of
+every coordinate block too.  A coordinate block is filled with long
+inner loops: its first slice of trailing states column by column, the
+others as whole-row copies of it.
 """
 
 from __future__ import annotations
@@ -428,42 +429,13 @@ def _trailing_coordinates(lower, upper, m, r0, r1):
     lattice, or every state of a lattice of more axes."""
     d = lower.size
     if d == 1:
-        return _coordinates(lower[0], upper[0], m, np.arange(r0, r1)).reshape(-1, 1)
+        return _coordinates(lower[0], upper[0], m, np.arange(r0, r1))[:, None]
     grid = np.empty((m,) * d + (d,))
     for j, xs in enumerate(lattice_axes(lower, upper, m)):
         shape = [1] * d
         shape[j] = m
         grid[..., j] = xs.reshape(shape)
     return grid.reshape(-1, d)
-
-
-def _prefix_coordinates(tables, m, k0, k1):
-    """The (k1 - k0, p) leading coordinates of the prefixes [k0, k1) of
-    the p leading axes, read off their coordinate tables."""
-    ks = np.arange(k0, k1)
-    lead = np.empty((ks.size, len(tables)))
-    for i in range(len(tables) - 1, -1, -1):
-        ks, digit = np.divmod(ks, m)
-        lead[:, i] = tables[i][digit]
-    return lead
-
-
-# NumPy's inner loop runs along the last axis of an assignment, so
-# writing a row run of at most this many coordinates one column at a time
-# (an inner loop down the rows) is faster than as one broadcast: into
-# 4,096 rows of 5, 7.8 against 20 us for the 2 leading columns and 13
-# against 21 us for the 3 trailing ones; runs of 5 or more were faster
-# as one broadcast (2-vCPU VM)
-_COLUMN_RUN = 4
-
-
-def _assign(dst, src):
-    """dst[...] = src, one column at a time when dst's rows are short."""
-    if dst.shape[-1] > _COLUMN_RUN:
-        dst[...] = src
-        return
-    for j in range(dst.shape[-1]):
-        dst[..., j] = src[..., j]
 
 
 def coordinate_blocks(lower, upper, m):
@@ -481,40 +453,29 @@ def coordinate_blocks(lower, upper, m):
     trailing axes' states.  Its first slice gets the trailing states'
     coordinates, built once when every block spans them all and per
     block when the last axis is split, and its prefix's leading
-    coordinates, read off those axes' tables; the other slices are
-    copies of it, as whole rows, whose leading columns are then
-    rewritten.  A run of at most _COLUMN_RUN columns is written one
-    column at a time, so NumPy's inner loops run down the rows, not
-    along a few coordinates.  A lattice with no leading axis is one
-    slice: its block is the trailing coordinates themselves.
+    coordinates, decoded by lattice_points; the other slices are copies
+    of it, as whole rows, whose leading columns are then rewritten.
+    Each column is written on its own, so NumPy's inner loops run down
+    the rows, not along a row's few coordinates.
     """
     lower, upper, _ = _lattice_args(lower, upper, None)
     d = lower.size
     limit = 1 << max(0, (BLOCK_STATES // d).bit_length() - 1)
     p, tail = _block_layout(d, m, limit)
-    # a split last axis has more points than a block, and so has each
-    # leading axis: those get no tables, and each block's one prefix is
-    # decoded by lattice_points
-    split = tail > limit
-    tables = None if split else lattice_axes(lower[:p], upper[:p], m)
     window = None
     for k0, k1, r0, r1 in _block_ranges(p, tail, m, limit):
-        if not p:  # one prefix, so each window is a block of its own
-            coords = _trailing_coordinates(lower, upper, m, r0, r1)
-        else:
-            if window != (r0, r1):
-                window = (r0, r1)
-                trailing = _trailing_coordinates(lower[p:], upper[p:], m, r0, r1)
-            if split:
-                lead = lattice_points(lower[:p], upper[:p], m, k0)
-            else:
-                lead = _prefix_coordinates(tables, m, k0, k1)
-            coords = np.empty((k1 - k0, r1 - r0, d))
-            _assign(coords[0, :, :p], lead[0])
-            _assign(coords[0, :, p:], trailing)
-            if k1 > k0 + 1:
-                coords[1:] = coords[0]
-                _assign(coords[1:, :, :p], lead[1:, None, :])
+        if window != (r0, r1):
+            window = (r0, r1)
+            trailing = _trailing_coordinates(lower[p:], upper[p:], m, r0, r1)
+        lead = lattice_points(lower[:p], upper[:p], m, np.arange(k0, k1))
+        coords = np.empty((k1 - k0, r1 - r0, d))
+        for j in range(p):
+            coords[0, :, j] = lead[0, j]
+        for j in range(d - p):
+            coords[0, :, p + j] = trailing[:, j]
+        coords[1:] = coords[0]
+        for j in range(p):
+            coords[1:, :, j] = lead[1:, j, None]
         yield k0 * tail + r0, coords.reshape(-1, d)
         del coords  # a consumer that drops the block frees it before the next
 

@@ -147,29 +147,31 @@ def lattice_blocks(objective, box, points_per_dim):
     is not called, and reads low and high off each run.  Either way the
     objective's evaluation counter advances by m^d, and a value that is
     not finite raises EvaluationError at the first such state in flat
-    order.
+    order, naming its lattice point.
     """
     return _evaluated(objective, box, points_per_dim, kernels.lattice_value_blocks)
 
 
+def _batch_blocks(objective, box, m):
+    """Flat runs of the objective's batch function on the coordinate
+    blocks, counted and of checked shape, as (start, run, low, high)."""
+    for start, coords in kernels.coordinate_blocks(box.lower, box.upper, m):
+        values = objective._batch_values(coords)
+        del coords  # freed before the stream builds the next one
+        yield kernels.block_extremes(start, values)
+        del values
+
+
 def _evaluated(objective, box, m, kernel_stream):
     """The one place that picks the lattice kernel or the batch function,
-    and refuses a value that is not finite: kernel_stream's blocks, whose
-    low or high then is not finite, or flat runs of the objective's
-    _evaluate_rows on the coordinate blocks, which checks its result's
-    shape and refuses its own; each given as (start, block, low,
-    high)."""
+    and refuses a value that is not finite: a block, given as (start,
+    block, low, high), whose low or high then is not finite."""
     if objective.kernel_kind is None:
-        for start, coords in kernels.coordinate_blocks(box.lower, box.upper, m):
-            values = objective._evaluate_rows(coords)
-            del coords  # freed before the stream builds the next one
-            yield kernels.block_extremes(start, values)
-            del values
-        return
-    objective.count_evaluations(m**box.dimension)
-    for start, block, low, high in kernel_stream(
-        objective.kernel_kind, box.lower, box.upper, m, objective.shift
-    ):
+        blocks = _batch_blocks(objective, box, m)
+    else:
+        objective.count_evaluations(m**box.dimension)
+        blocks = kernel_stream(objective.kernel_kind, box.lower, box.upper, m, objective.shift)
+    for start, block, low, high in blocks:
         if not (math.isfinite(low) and math.isfinite(high)):
             bad = np.flatnonzero(~np.isfinite(block))
             flats = kernels.block_flat_indices(start, block.shape, bad)

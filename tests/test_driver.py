@@ -11,7 +11,7 @@ from qags import driver, kernels
 from qags.classical import AgsConfig, run_ags
 from qags.contraction import TerminationPolicy, Verdict
 from qags.driver import IterationRecord, QagsConfig, RunReport, run, trace_boxes
-from qags.errors import InvalidInputError
+from qags.errors import EvaluationError, InvalidInputError
 from qags.grid import GridSpec, SearchBox, decode
 from qags.objectives import ObjectiveFunction, get_objective, make_sphere
 from qags.quantum import EncodingLaw, grid_values
@@ -464,6 +464,24 @@ class TestBatchOnlyBlocks:
                 )
             reports.append(json.dumps([qags.to_dict(), ags.to_dict()]))
         assert reports[0] == reports[1]
+
+    def test_a_writing_batch_function_is_refused_at_its_lattice_point(self):
+        # the batch function shifts its block by -1 before it returns NaN
+        # where the lattice's x_0 is 3: the error names the lattice
+        # point, not the row the batch function left behind
+        def batch(pts):
+            pts -= 1.0
+            return np.where(pts[:, 0] >= 2.0, np.nan, pts[:, 1])
+
+        obj = ObjectiveFunction(name="shifted", arity=2, fn=lambda x: 0.0, batch_fn=batch)
+        box = SearchBox.cube(2, 0.0, 3.0)
+        for call in [
+            lambda: grid_values(obj, GridSpec(2, 2, box)),
+            lambda: run_ags(obj, box, AgsConfig(points_per_dim=4, budget_points=16)),
+        ]:
+            with pytest.raises(EvaluationError, match=r"^shifted returned nan on the grid$") as err:
+                call()
+            assert err.value.point.tolist() == [3.0, 0.0]
 
     def test_lattices_never_call_the_public_batch_method(self, monkeypatch):
         # the lattice streams call the objective's internal path, whose

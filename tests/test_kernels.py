@@ -641,10 +641,9 @@ def test_coordinate_blocks_equal_decode_many(monkeypatch, d, n, block):
     assert np.array_equal(got, decode_many(spec, np.arange(spec.total_points)))
 
 
-# d = 1-8 and 20 at several m: blocks of one prefix or several, runs of
-# leading and trailing columns written one column at a time or as one
-# broadcast, and under the small block sizes a last axis split across
-# blocks
+# d = 1-8 and 20 at several m: blocks of one prefix or several, with
+# no leading axis or some, and under the small block sizes a last axis
+# split across blocks
 @pytest.mark.parametrize("block", [None, 40, 2])
 @pytest.mark.parametrize("m", [3, 4, 6])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 20])
