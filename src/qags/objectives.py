@@ -4,16 +4,20 @@ Each benchmark is the lattice kernel's per-axis terms
 (``kernels.axis_terms``, ``kernels.rosenbrock_pair``) added left to
 right over the last axis, so it takes one point (d,) or a batch of
 points (N, d), and its value at a decoded lattice point equals the
-kernel's lattice value there bit for bit.  The factories below pass that
-one function as both the scalar ``fn`` and the ``batch_fn`` of an
-:class:`ObjectiveFunction`, which validates inputs, counts evaluations,
-and records the known optimum when one exists in closed form.
+kernel's lattice value there bit for bit.  One table, ``_BUILTINS``,
+holds each built-in's formula, kernel kind, fewest coordinates, canonical
+domain and optimum, and one function, :func:`get_objective`, makes an
+:class:`ObjectiveFunction` from a row, passing the formula as both the
+scalar ``fn`` and the ``batch_fn``.  The wrapper validates inputs, counts
+evaluations, and records the known optimum.  ``REGISTRY`` and the
+``make_<name>`` functions are ``get_objective`` with the name bound.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -85,8 +89,12 @@ class ObjectiveFunction:
     batch evaluation falls back to a row-by-row loop.  Lattice evaluation
     calls it on row blocks of at most 65,536 rows and the refiner on its
     finite-difference stencils, so it must be row-wise: each output value
-    depends on its own row only.  ``kernel_kind`` tags objectives the
-    lattice kernels can evaluate without materializing point coordinates.
+    depends on its own row only.  It may write its matrix, since every
+    lattice block and stencil is a new array.  ``fn`` must not write its
+    argument: the refiner passes its own iterate, uncopied (a copy would
+    cost an allocation per evaluation), so a write would move the
+    search.  ``kernel_kind`` tags objectives the lattice kernels can
+    evaluate without materializing point coordinates.
     The evaluation counter is a plain int with no lock: an instance shared
     between threads needs the caller's own locking.
 
@@ -187,91 +195,60 @@ class ObjectiveFunction:
         self._count = 0
 
 
-def make_rastrigin(dimension):
-    if dimension < 1:
-        raise InvalidInputError("rastrigin needs dimension >= 1")
-    return ObjectiveFunction(
-        name="rastrigin",
-        arity=dimension,
-        fn=rastrigin,
-        batch_fn=rastrigin,
-        kernel_kind=KIND_RASTRIGIN,
-        canonical_domain=SearchBox.cube(dimension, -5.12, 5.12),
-        known_minimum_point=np.zeros(dimension),
-        known_minimum_value=0.0,
-    )
-
-
-def make_styblinski_tang(dimension):
-    if dimension < 1:
-        raise InvalidInputError("styblinski_tang needs dimension >= 1")
-    return ObjectiveFunction(
-        name="styblinski_tang",
-        arity=dimension,
-        fn=styblinski_tang,
-        batch_fn=styblinski_tang,
-        kernel_kind=KIND_STYBLINSKI_TANG,
-        canonical_domain=SearchBox.cube(dimension, -5.0, 5.0),
-        known_minimum_point=np.full(dimension, STYBLINSKI_TANG_OPT_X),
-        known_minimum_value=STYBLINSKI_TANG_OPT_F * dimension,
-    )
-
-
-def make_rosenbrock(dimension):
-    if dimension < 2:
-        raise InvalidInputError("rosenbrock needs dimension >= 2")
-    return ObjectiveFunction(
-        name="rosenbrock",
-        arity=dimension,
-        fn=rosenbrock,
-        batch_fn=rosenbrock,
-        kernel_kind=KIND_ROSENBROCK,
-        known_minimum_point=np.ones(dimension),
-        known_minimum_value=0.0,
-    )
-
-
-def make_sphere(dimension, shift=None):
-    if dimension < 1:
-        raise InvalidInputError("sphere needs dimension >= 1")
-    if shift is None:
-        shift_arr = np.zeros(dimension)
-    else:
-        shift_arr = np.asarray(shift, dtype=np.float64)
-        if shift_arr.shape != (dimension,):
-            raise InvalidInputError("sphere shift arity mismatch")
-        if not np.all(np.isfinite(shift_arr)):
-            raise InvalidInputError("sphere shift must be finite")
-    centred = functools.partial(sphere, shift=shift_arr)
-    return ObjectiveFunction(
-        name="sphere",
-        arity=dimension,
-        fn=centred,
-        batch_fn=centred,
-        kernel_kind=KIND_SPHERE,
-        shift=shift_arr,
-        known_minimum_point=shift_arr.copy(),
-        known_minimum_value=0.0,
-    )
-
-
-REGISTRY = {
-    "rastrigin": make_rastrigin,
-    "styblinski_tang": make_styblinski_tang,
-    "rosenbrock": make_rosenbrock,
-    "sphere": make_sphere,
+# One row per built-in: (formula, lattice kernel kind, fewest coordinates,
+# canonical domain per axis or None, optimum coordinate, optimum value per
+# axis).  Sphere's optimum is its shift, zero unless given.
+_BUILTINS = {
+    "rastrigin": (rastrigin, KIND_RASTRIGIN, 1, (-5.12, 5.12), 0.0, 0.0),
+    "styblinski_tang": (
+        styblinski_tang, KIND_STYBLINSKI_TANG, 1, (-5.0, 5.0),
+        STYBLINSKI_TANG_OPT_X, STYBLINSKI_TANG_OPT_F,
+    ),
+    "rosenbrock": (rosenbrock, KIND_ROSENBROCK, 2, None, 1.0, 0.0),
+    "sphere": (sphere, KIND_SPHERE, 1, None, None, 0.0),
 }
 
 
 def get_objective(name, dimension, shift=None):
-    """Instantiate a registered benchmark by name.
+    """Instantiate a built-in objective by name.
 
-    Raises KeyError for unknown names; shift applies to sphere only.
+    Raises KeyError for unknown names, and InvalidInputError for a
+    dimension that is not an integer of at least the objective's fewest
+    coordinates; shift applies to sphere only.
     """
-    if name not in REGISTRY:
-        raise KeyError(name)
-    if name == "sphere":
-        return make_sphere(dimension, shift)
-    if shift is not None:
+    formula, kind, least, domain, optimum_x, optimum_f = _BUILTINS[name]
+    if shift is not None and name != "sphere":
         raise InvalidInputError(f"{name} does not take a shift")
-    return REGISTRY[name](dimension)
+    if not isinstance(dimension, numbers.Integral) or dimension < least:
+        raise InvalidInputError(f"{name} needs dimension >= {least}")
+    if name == "sphere":
+        if shift is None:
+            shift = np.zeros(dimension)
+        else:
+            shift = np.asarray(shift, dtype=np.float64)
+            if shift.shape != (dimension,):
+                raise InvalidInputError("sphere shift arity mismatch")
+            if not np.all(np.isfinite(shift)):
+                raise InvalidInputError("sphere shift must be finite")
+        optimum = shift.copy()
+        formula = functools.partial(sphere, shift=shift)
+    else:
+        optimum = np.full(dimension, optimum_x)
+    return ObjectiveFunction(
+        name=name,
+        arity=dimension,
+        fn=formula,
+        batch_fn=formula,
+        kernel_kind=kind,
+        shift=shift,
+        canonical_domain=None if domain is None else SearchBox.cube(dimension, *domain),
+        known_minimum_point=optimum,
+        known_minimum_value=optimum_f * dimension,
+    )
+
+
+REGISTRY = {name: functools.partial(get_objective, name) for name in _BUILTINS}
+make_rastrigin = REGISTRY["rastrigin"]
+make_styblinski_tang = REGISTRY["styblinski_tang"]
+make_rosenbrock = REGISTRY["rosenbrock"]
+make_sphere = REGISTRY["sphere"]

@@ -1,11 +1,14 @@
 """Benchmark objective functions and the evaluation-counting wrapper."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from qags.classical import run_ags
 from qags.errors import EvaluationError, InvalidInputError
 from qags.grid import GridSpec, SearchBox
+from qags.kernels import KIND_RASTRIGIN, KIND_ROSENBROCK, KIND_SPHERE, KIND_STYBLINSKI_TANG
 from qags.objectives import (
     REGISTRY,
     STYBLINSKI_TANG_OPT_F,
@@ -96,6 +99,127 @@ class TestRegistry:
         assert get_objective("rastrigin", 2).canonical_domain == SearchBox.cube(2, -5.12, 5.12)
         assert get_objective("styblinski_tang", 2).canonical_domain == SearchBox.cube(2, -5.0, 5.0)
         assert get_objective("rosenbrock", 2).canonical_domain is None
+
+
+LEAST_DIMENSION = {"rastrigin": 1, "styblinski_tang": 1, "rosenbrock": 2, "sphere": 1}
+MAKERS = {
+    "rastrigin": make_rastrigin,
+    "styblinski_tang": make_styblinski_tang,
+    "rosenbrock": make_rosenbrock,
+    "sphere": make_sphere,
+}
+
+
+def _built(name, shifted):
+    """(dimension, make_<name> args) for every dimension from the least to 10."""
+    for dim in range(LEAST_DIMENSION[name], 11):
+        # the shift's first entry is -0.0, whose sign must survive
+        yield dim, ((dim, np.arange(dim) * -0.5) if shifted else (dim,))
+
+
+def _field_bytes(obj):
+    box = obj.canonical_domain
+    return b"|".join([
+        obj.name.encode(),
+        str(obj.arity).encode(),
+        str(obj.kernel_kind).encode(),
+        b"None" if box is None else box.lower.tobytes() + box.upper.tobytes(),
+        obj.known_minimum_point.tobytes(),
+        np.float64(obj.known_minimum_value).tobytes(),
+        b"None" if obj.shift is None else obj.shift.tobytes(),
+    ])
+
+
+class TestBuiltinTable:
+    """Every built-in keeps the fields it had when each had its own factory."""
+
+    # SHA-256 over _field_bytes at each dimension from the least to 10,
+    # recorded from the four per-objective factories this table replaced
+    FIELD_DIGESTS = {
+        ("rastrigin", False): "e7886ade492ef59097406c6429011cc4d8bb1882c48cb8a0c31db7af7498eb54",
+        ("styblinski_tang", False): "812687302b2443c2baa2bd2e0e677f9099beaa9f791701fd59e35257ea872654",
+        ("rosenbrock", False): "e11318cea48db1f9fbef5cffb5ec1b1341108caf19bd74152205b91a3cb984c4",
+        ("sphere", False): "1f0b0dbe5035e4270062b88d81edae00e93d1ebb9c1c20487e6e4d63be4e1cc9",
+        ("sphere", True): "b4a5d051819e11199b2692e3e71bae9871e039856efd16737ff1602d0a7cefab",
+    }
+    KINDS = {
+        "rastrigin": KIND_RASTRIGIN,
+        "styblinski_tang": KIND_STYBLINSKI_TANG,
+        "rosenbrock": KIND_ROSENBROCK,
+        "sphere": KIND_SPHERE,
+    }
+    DOMAINS = {"rastrigin": (-5.12, 5.12), "styblinski_tang": (-5.0, 5.0)}
+    OPTIMA = {
+        "rastrigin": (0.0, 0.0),
+        "styblinski_tang": (STYBLINSKI_TANG_OPT_X, STYBLINSKI_TANG_OPT_F),
+        "rosenbrock": (1.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("name, shifted", sorted(FIELD_DIGESTS))
+    def test_field_bytes(self, name, shifted):
+        digest = hashlib.sha256()
+        for dim, args in _built(name, shifted):
+            obj = MAKERS[name](*args)
+            assert obj.kernel_kind == self.KINDS[name]
+            assert obj.arity == dim and type(obj.arity) is int
+            domain = self.DOMAINS.get(name)
+            if domain is None:
+                assert obj.canonical_domain is None
+            else:
+                assert obj.canonical_domain == SearchBox.cube(dim, *domain)
+            if name == "sphere":
+                assert obj.shift.tobytes() == (args[1] if shifted else np.zeros(dim)).tobytes()
+                assert obj.known_minimum_point.tobytes() == obj.shift.tobytes()
+                assert obj.known_minimum_point is not obj.shift
+                assert obj.known_minimum_value == 0.0
+            else:
+                x, f = self.OPTIMA[name]
+                assert obj.shift is None
+                assert obj.known_minimum_point.tobytes() == np.full(dim, x).tobytes()
+                assert obj.known_minimum_value == f * dim
+            digest.update(_field_bytes(obj))
+        assert digest.hexdigest() == self.FIELD_DIGESTS[name, shifted]
+
+    @pytest.mark.parametrize("name, shifted", sorted(FIELD_DIGESTS))
+    def test_factory_registry_and_builder_agree(self, name, shifted):
+        x = np.linspace(-1.5, 2.5, 10)
+        for dim, args in _built(name, shifted):
+            shift = {"shift": args[1]} if shifted else {}
+            built = [MAKERS[name](*args), REGISTRY[name](*args), get_objective(name, dim, **shift)]
+            assert len({_field_bytes(obj) for obj in built}) == 1
+            for obj in built:
+                assert obj.fn is obj.batch_fn
+                if name == "sphere":
+                    assert obj.fn.func is sphere and obj.fn.keywords["shift"] is obj.shift
+                else:
+                    assert obj.fn is {"rastrigin": rastrigin, "styblinski_tang": styblinski_tang,
+                                      "rosenbrock": rosenbrock}[name]
+            values = {obj.batch_fn(np.stack([x[:dim], -x[:dim]])).tobytes() for obj in built}
+            assert len(values) == 1
+
+    @pytest.mark.parametrize("dim", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("name", sorted(LEAST_DIMENSION))
+    def test_dimension_must_be_an_integer(self, name, dim):
+        message = f"^{name} needs dimension >= {LEAST_DIMENSION[name]}$"
+        for build in (MAKERS[name], REGISTRY[name], lambda d: get_objective(name, d)):
+            with pytest.raises(InvalidInputError, match=message):
+                build(dim)
+
+    @pytest.mark.parametrize("name", sorted(LEAST_DIMENSION))
+    def test_too_few_coordinates(self, name):
+        least = LEAST_DIMENSION[name]
+        with pytest.raises(InvalidInputError, match=f"^{name} needs dimension >= {least}$"):
+            get_objective(name, least - 1)
+
+    @pytest.mark.parametrize("name", sorted(LEAST_DIMENSION))
+    def test_numpy_integer_dimension(self, name):
+        obj = get_objective(name, np.int64(3))
+        assert obj.arity == 3
+        assert _field_bytes(obj) == _field_bytes(get_objective(name, 3))
+
+    def test_shift_refused_before_dimension(self):
+        with pytest.raises(InvalidInputError, match="^rosenbrock does not take a shift$"):
+            get_objective("rosenbrock", 1, shift=(1.0,))
 
 
 class TestEvaluation:
