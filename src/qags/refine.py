@@ -5,9 +5,14 @@ boundary), each stencil evaluated as one batch; search directions come
 from the standard two-loop recursion over a short (s, y) history, and
 every trial point is projected onto the box, so all iterates are feasible
 by construction.  The refiner stops at the finite-difference noise floor:
-when three accepted steps in a row leave f unchanged, further steps only
-spend evaluations.  It is deterministic and uses only objective
-evaluations.
+when three accepted steps in a row are flat, further steps only spend
+evaluations.  A step is flat when its decrease is at most _FTOL times
+max(|f_k|, |f_k+1|, 1), L-BFGS-B's relative reduction test (Byrd, Lu,
+Nocedal & Zhu 1995) at SciPy's default factr = 1e7, so the stop does not
+rest on f's last bits.  A line search ends, with no step, once two
+trials in a row return f unchanged: on a flat line, halving the step
+further only spends evaluations.  It is deterministic and uses only
+objective evaluations.
 
 Each iteration works on vectors of d entries, so its cost is the number
 of NumPy calls, not their size.  The refiner evaluates through the
@@ -16,11 +21,13 @@ objective's internal path, which skips the public checks of the input
 once, and every later point is projected into the validated, finite box
 or is a stencil row inside it.  The stencil's rows are x repeated with
 two strided writes, and the curvature test's s.y and y.y give the
-two-loop's scaling.  Every dot product is one BLAS ddot of two vectors,
-whose rounding the iterates' bits rest on, so none is merged into a
-matrix product or written in Python floats.  Projection stays np.clip:
-np.minimum of np.maximum may pick the other zero when a coordinate and
-a bound are zeros of opposite sign.
+two-loop's scaling.  The iterates' bits rest on the rounding of every
+dot product, so each is _dot: the products added left to right in
+Python floats, the same bits on every CPU.  A BLAS ddot picks its
+summation order by the CPU's kernel, and at the refiner's few entries
+the Python loop costs little more than a ddot call.  Projection stays
+np.clip: np.minimum of np.maximum may pick the other zero when a
+coordinate and a bound are zeros of opposite sign.
 """
 
 from __future__ import annotations
@@ -38,6 +45,22 @@ _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
 _STALL_STEPS = 3
 _CURVATURE_EPS = 1e-10
+# A step is flat when f falls by at most _FTOL * max(|f_k|, |f_k+1|, 1).
+_FTOL = 1e7 * float(np.finfo(np.float64).eps)
+# A line search whose trials return f unchanged this many times in a
+# row is on a flat line, and ends.  One is not enough: a long step can
+# land where f rounds to fx on the far side of the minimum.
+_FLAT_TRIALS = 2
+
+
+def _dot(a, b):
+    """a . b of two float64 vectors: the products added left to right in
+    Python floats, whose bits do not depend on the CPU.  Not builtin
+    sum(), which compensates float sums from Python 3.12 on."""
+    total = 0.0
+    for u, v in zip(a.tolist(), b.tolist()):
+        total += u * v
+    return total
 
 
 class _OutOfEvals(Exception):
@@ -147,20 +170,18 @@ def _two_loop(g, history, gamma):
     """Standard two-loop recursion over the (s, y, rho) history, oldest
     first, with the initial Hessian gamma * I (gamma = s.y / y.y of the
     newest pair): returns the quasi-Newton step -H*g.  Each product
-    a * y or (a - b) * s goes through one scratch vector, and ndarray.dot
-    is np.dot without its dispatch: the same BLAS ddot on the same
-    operands."""
+    a * y or (a - b) * s goes through one scratch vector."""
     q = -g
     t = np.empty_like(q)
     alphas = []
     for s, y, rho in reversed(history):
-        a = rho * float(s.dot(q))
+        a = rho * _dot(s, q)
         alphas.append(a)
         np.subtract(q, np.multiply(a, y, t), q)
     if history:
         q *= gamma
     for (s, y, rho), a in zip(history, reversed(alphas)):
-        b = rho * float(y.dot(q))
+        b = rho * _dot(y, q)
         np.add(q, np.multiply(a - b, s, t), q)
     return q
 
@@ -168,18 +189,22 @@ def _two_loop(g, history, gamma):
 def _line_search(ev, box, x, fx, g, d, alpha):
     """Armijo backtracking along d from step alpha, each trial point
     projected onto the box.  Returns (xt, ft) of the first accepted
-    point, or None when the projected step vanishes or every halving
-    fails."""
+    point, or None when the projected step vanishes, _FLAT_TRIALS trials
+    in a row return fx, or every halving fails."""
+    equal = 0
     for _ in range(_MAX_BACKTRACKS):
         xt = box.clip(x + alpha * d)
         step = xt - x
         if not step.any():
             return None
-        slope = float(g.dot(step))
+        slope = _dot(g, step)
         if slope < 0.0:
             ft = ev(xt)
             if ft <= fx + _ARMIJO_C1 * slope:
                 return xt, ft
+            equal = equal + 1 if ft == fx else 0
+            if equal == _FLAT_TRIALS:
+                return None
         alpha *= 0.5
     return None
 
@@ -192,12 +217,16 @@ def refine(f, box, start, cfg=None):
     """Minimize f over the box starting from start (clamped inside).
 
     Returns (point, value, evals).  The point is feasible to the bound
-    arithmetic exactly, and f(point) <= f(start).  Stops on projected
+    arithmetic exactly, and f(point) <= f(start): it is the first accepted
+    point of the lowest value, the step that ends the run or whose
+    stencil spends the budget included.  Stops on projected
     gradient below cfg.convergence_tol, the evaluation budget (exactly
     cfg.max_evals evaluations, even when it runs out inside a stencil), a
-    line search that finds no decrease, or three consecutive accepted
-    steps that leave f unchanged (both are the finite-difference noise
-    floor).
+    line search that finds no decrease, or three consecutive flat steps
+    (both are the finite-difference noise floor).  A step is flat when f
+    falls by at most 1e7 * eps * max(|f_k|, |f_k+1|, 1), L-BFGS-B's
+    relative reduction test; a line search finds no decrease when every
+    halving fails, or when two trials in a row return f unchanged.
 
     f must be an ObjectiveFunction (or a subclass that keeps its internal
     path): the refiner evaluates through _evaluate_point and
@@ -247,7 +276,7 @@ def refine(f, box, start, cfg=None):
             steepest = -g
             steepest[blocked] = 0.0
             # The quasi-Newton direction goes first when it descends.
-            descends = quasi_newton.any() and not (quasi_newton.dot(g) >= 0.0)
+            descends = quasi_newton.any() and not (_dot(quasi_newton, g) >= 0.0)
             for d in [quasi_newton, steepest] if descends else [steepest]:
                 trial = _line_search(ev, box, x, fx, g, d, alpha)
                 if trial is not None:
@@ -255,26 +284,28 @@ def refine(f, box, start, cfg=None):
             else:
                 break  # no direction gives an Armijo decrease
             xt, ft = trial
-            # An Armijo step that leaves f unchanged is at the
-            # finite-difference noise floor; a few in a row end the run.
-            flat_steps = 0 if ft < fx else flat_steps + 1
+            # Kept before the stop and the stencil: a flat step can still
+            # lower f, and the budget can run out in the stencil.
+            if ft < best_f:
+                best_x = xt.copy()
+                best_f = ft
+            # An Armijo step whose relative decrease is below _FTOL is at
+            # the finite-difference noise floor; a few in a row end the run.
+            flat = fx - ft <= _FTOL * max(abs(fx), abs(ft), 1.0)
+            flat_steps = flat_steps + 1 if flat else 0
             if flat_steps == _STALL_STEPS:
                 break
 
             g_new = _fd_gradient(ev.batch, xt, ft, box, scale)
             s = xt - x
             y = g_new - g
-            # np.linalg.norm(v) of a float64 vector is sqrt(v.dot(v)), so
             # the curvature test's y.y also gives the two-loop's scaling
-            sy, yy = float(s.dot(y)), float(y.dot(y))
-            if sy > _CURVATURE_EPS * (math.sqrt(float(s.dot(s))) * math.sqrt(yy)):
+            sy, yy = _dot(s, y), _dot(y, y)
+            if sy > _CURVATURE_EPS * (math.sqrt(_dot(s, s)) * math.sqrt(yy)):
                 history.append((s, y, 1.0 / sy))
                 gamma = sy / yy
             x, fx, g = xt, ft, g_new
             alpha = 1.0
-            if fx < best_f:
-                best_x = x.copy()
-                best_f = fx
     except _OutOfEvals:
         pass
     except EvaluationError as exc:

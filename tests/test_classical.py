@@ -637,15 +637,15 @@ class TestLastAxisMajor:
         ("sphere", 7): "7af5c13f209071206b093d941c13207fe07c8b77993c9becf9e19f50023e6670",
         ("sphere", 8): "991cfc876c91c6ab7dc2221a9fe6f0633d399f33871b93c66bfdd6894a9c42f0",
         ("sphere", 10): "42da0713a3535f59b644ca99dd0d804527231f106b45a6a91e807af20a247ed8",
-        ("rastrigin", 3): "4107ae9d3638dcaea04ffa587ff33746538c7292e599c997b2d9d46af9bbd27d",
-        ("rastrigin", 4): "0affb08541ebfbfe279212e4362ba114fdbc16711430561747affb20f865902b",
-        ("rastrigin", 5): "f41970495fd58d034844a3012b23a9afc7ddb1c74ba650096d1de89c12d12b2e",
-        ("styblinski_tang", 3): "526bfbb3bf5df0791680ea4502a18a93b0c3977adce83f6e5930ae2a4bc53019",
-        ("styblinski_tang", 4): "98b46569db7778c4df928f6add3be20ab65e7d3ce3b7399d636b40310ef6aa84",
+        ("rastrigin", 3): "c5d6a62ed23dacd627ce983dcc5729185eedd7ae1d46b7e2ccd4ea434d660910",
+        ("rastrigin", 4): "12fe50ed180867736b2fe4e35463deafa4f38b1c24d636840fdb3a6be9a3f28b",
+        ("rastrigin", 5): "93a2065aa6aaf6b38455418ac651cad2a837012029fb828ef7f5fb3ae4b99b95",
+        ("styblinski_tang", 3): "04d4c7279ae24a0b208272e7db3f52e542db831fa7bfe92180fd2808160b8cd9",
+        ("styblinski_tang", 4): "d1a6cc95713f60969f2458a83d5fc8a6b0893084c727b0a09f83ed33a3f6c5f6",
         ("styblinski_tang", 5): "4d1c2536ed06528b2afa03fd161bb083396e17dcc64f303ff569e3a3241ee99c",
-        ("rosenbrock", 3): "50a20e3c88e26b390314ad63f1ba6a835a96b8879206834c71b6c41f3a279dd6",
-        ("rosenbrock", 4): "29d7a6b72495ad392016d782cefb5667fd744cfee65381143b4e5e849cbdf7cb",
-        ("rosenbrock", 5): "72d9123474d45de213ced5d3076821afcc1b16644542c4e585d1109ee9d7ccd3",
+        ("rosenbrock", 3): "475c5de47dd8637a11a27be75e3f8bd17fc38ee6e38b74440bb6df38175a4859",
+        ("rosenbrock", 4): "732be09fb1128be8e67ea55fb1971ad9015c578ba40229d663be3ab36ac532c0",
+        ("rosenbrock", 5): "33f56ab070c828b0f038870b840acd860c689b331f59fd9622f0a7754e6a2357",
     }
 
     @pytest.mark.parametrize("name,d", sorted(REPORT_DIGESTS))

@@ -4,6 +4,7 @@ the benchmark is absent, as tests/test_call_sites.py does."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,19 @@ def test_entries_and_host(tables):
     assert set(host["active"]) <= set(host["dispatch"])
 
 
+def test_host_names_the_openblas_core(tables):
+    # the kernel set NumPy's bundled OpenBLAS picked, which
+    # OPENBLAS_CORETYPE overrides
+    if tables["host"]["openblas"] is None:
+        pytest.skip("NumPy bundles no OpenBLAS here")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import digests; print(digests._host()['openblas'])", str(TOOL.parent)],
+        capture_output=True, text=True, env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+    )
+    assert done.stdout == "Haswell\n", done.stderr
+
+
 def test_a_run_entry_is_its_report(tables):
     report = qags.run(
         get_objective("rastrigin", 2), SearchBox.cube(2, -5.12, 5.12),
@@ -77,6 +91,11 @@ def test_compare_names_every_entry_that_differs(tables_file, tables, tmp_path):
     same = _tool("--compare", str(tables_file), str(tables_file))
     assert same.returncode == 0, same.stdout
     assert same.stdout.splitlines()[-1] == "33 of 33 entries equal"
+    host = tables["host"]
+    assert same.stdout.splitlines()[:2] == [
+        f"{side}: numpy {host['numpy']}, active {host['active']}, openblas {host['openblas']}"
+        for side in "AB"
+    ]
 
     entries = tables["entries"]
     entries["tables seed=0 t4 rosenbrock d=8 q=2"]["total_f_evals"] += 1

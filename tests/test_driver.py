@@ -266,11 +266,11 @@ class TestReportDigests:
         ("sphere", 2, 10, 4096, "boltzmann-prob"):
             "a87a682907ee77b24802eb0cebc8f08df83037cb3cad909be57021d9d518f706",
         ("rastrigin", 5, 4, 0, "boltzmann-amp"):
-            "ca1f40a541b757074f687330813772967435787d04544f6ae1e87759e00f641b",
+            "43c510e2d8c4d3d0dc1c0e5625b87bcf5c1a4ce12676cc719f16d0aa443f5e8d",
         ("styblinski_tang", 3, 6, 0, "boltzmann-prob"):
-            "8476bd0a1ddde71ac504731e1fb0926061e00d59ac9eecc2da83359de10ff0aa",
+            "aff528bbc992b2782e5162593d9aefa8e61f94a0cc15113267476bd6222753c6",
         ("rosenbrock", 4, 4, 0, "boltzmann-prob"):
-            "571331d0bed341680fe234704c3b4312ed2fd8e22a7547aa945d59db6475daff",
+            "5d80cacdd5f9adcce64fb35c799f4aa199d325f22e1f2537b4015e47fcda36fa",
         # a threshold bracket of one value, counted, and at 4096 shots an
         # encoding without the entropy
         ("sphere", 10, 2, 0, "boltzmann-prob"):

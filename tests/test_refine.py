@@ -15,10 +15,12 @@ from qags.objectives import (
     make_styblinski_tang,
 )
 from qags.refine import (
+    _FTOL,
     _STALL_STEPS,
     RefinerConfig,
     _BudgetedObjective,
     _fd_gradient,
+    _dot,
     _OutOfEvals,
     refine,
 )
@@ -187,7 +189,7 @@ class TestContract:
     # (objective, lower, upper, start, point bytes, value, evaluations) on
     # boxes with a zero bound of either sign, where projection meets
     # coordinates of the other zero; recorded while the projection was
-    # np.clip, before the per-iteration overhead was cut.
+    # np.clip, the Rosenbrock row again with the relative flat test.
     SIGNED_ZEROS = [
         ("sphere", [-0.0, -0.0], [1.0, 1.0], [-0.0, 0.5],
          "00000000000000800000000000000080", 0.0, 7),
@@ -200,7 +202,7 @@ class TestContract:
         ("sphere", [-1.0] * 8, [-0.0] * 8, [0.0] * 4 + [-0.5] * 4,
          "0000000000000080" * 8, 0.0, 22),
         ("rosenbrock", [-0.0, -0.0], [2.0, 2.0], [-0.0, 0.5],
-         "081110fcffffef3ff32120f8ffffef3f", float.fromhex("0x1.f00f3c446b188p-55"), 149),
+         "6c1110fcffffef3fbb2220f8ffffef3f", float.fromhex("0x1.f00ed9d619c28p-55"), 145),
         ("rastrigin", [-0.0] * 3, [1.0] * 3, [-0.0, 0.3, 0.0],
          "0000000000000080" * 3, 0.0, 9),
     ]
@@ -271,44 +273,43 @@ def recording(objective):
 class TestStallExit:
     # Final box, refiner start, refined (point, value) and evaluation
     # count of bench presets (seed 0), each coordinate one number for
-    # every axis or a list.  The first three were recorded when the
-    # objectives became the kernel's per-axis terms added left to right.
-    # The Rosenbrock rows, where the refiner takes most of a run's time,
-    # were recorded before its per-iteration overhead was cut.
+    # every axis or a list.  Recorded when the refiner took the relative
+    # flat test, the flat-line exit and its BLAS-free dot products: they
+    # hold on every BLAS kernel.
     PRESETS = {
         "t2 d=5 q=3": (
             "styblinski_tang", 5, -3.7755102040816326, 3.571428571428571,
             -2.7259475218658893,
             [-2.9035340276426713] * 3 + [-2.9035340276204025] * 2,
-            -195.8308285188571, 95,
+            -195.8308285188571, 80,
         ),
         "t2 d=2 q=5": (
             "styblinski_tang", 2, -3.7905743345305627, 3.4599375650364204,
-            -2.8550244120057906, -2.9035340281562325, -78.33233140754282, 40,
+            -2.8550244120057906, -2.9035340281562325, -78.33233140754282, 35,
         ),
         "t1 d=8 q=2": (
             "rastrigin", 8, -5.12, 5.12,
             1.706666666666667,
-            [1.9899122336990056] * 3
-            + [1.9899122336990103, 1.9899122336987816, 1.989912233698707,
-               1.9899122336989035, 1.9899122336987767],
-            31.838649524432697, 210,
+            [1.9899122337160091] * 3
+            + [1.9899122337161772, 1.9899122337165316, 1.9899122337161588,
+               1.9899122337161588, 1.9899122337161679],
+            31.838649524432704, 138,
         ),
         "t3 d=2 q=5": (
             "rosenbrock", 2,
             [-22.75043014723001, -70.97781209089993],
             [22.750430147229977, 500.0],
             [2.3534927738513645, 5.152562854553395],
-            [0.999999993955871, 0.9999999879058848],
-            3.653492575095123e-17, 319,
+            [0.9999999937829732, 0.999999987485242],
+            3.930274272557362e-17, 217,
         ),
         "t3 d=3 q=4": (
             "rosenbrock", 3,
             [-10.07623901234567, -22.900543209876535, -63.705679012345655],
             [10.076239012345686, 22.90054320987653, 500.0],
             [2.325285925925934, 7.633514403292175, 57.08839506172842],
-            [0.9999999955939057, 0.9999999912024636, 0.9999999824049527],
-            9.683178147174928e-17, 620,
+            [0.9999999955055912, 0.999999991298882, 0.9999999829160269],
+            1.1431539938941036e-16, 609,
         ),
         "t4 d=5 q=3": (
             "rosenbrock", 5,
@@ -317,17 +318,17 @@ class TestStallExit:
             [2.60308204914619, 2.7518295948116855, 2.60308204914619,
              3.644314868804665, 10.0],
             [1.0204081632653068] * 4 + [1.4285714285714288],
-            [0.9999999986782383, 0.9999999973865675, 0.9999999948117745,
-             0.9999999896537063, 0.9999999793074306],
-            1.4287135417530489e-16, 313,
+            [0.999999998540574, 0.9999999972421255, 0.9999999944693276,
+             0.9999999889220658, 0.9999999777702895],
+            1.6623119570759807e-16, 292,
         ),
         "t4 d=8 q=2": (
             "rosenbrock", 8, -10.0, 10.0,
             [3.333333333333334] * 7 + [10.0],
-            [0.9999999998372268, 0.9999999997070682, 0.9999999994627111,
-             0.999999998985108, 0.9999999980303564, 0.9999999961140886,
-             0.9999999922577982, 0.9999999845142018],
-            8.178555968066208e-17, 1680,
+            [0.9999999449158286, 0.999999974097072, 1.0000000449509368,
+             1.0000000220008016, 1.0000000184580835, 1.0000000619065952,
+             1.000000200818241, 1.0000003898283105],
+            2.892640572006567e-12, 1009,
         ),
     }
 
@@ -345,15 +346,20 @@ class TestStallExit:
         assert evals == objective.eval_count == count
 
     def test_stops_on_third_consecutive_flat_step(self):
-        # Accepted steps here go: decrease, decrease, flat, flat,
-        # decrease, flat, flat, flat.  The decrease between the flat runs
-        # resets the count.
-        obj, log = recording(make_styblinski_tang(2))
+        # A step is flat when f falls by at most _FTOL * max(|a|, |b|, 1).
+        # Accepted steps here go: five decreases, flat, flat, decrease,
+        # flat, flat, flat.  The decrease between the flat runs resets the
+        # count.  Every step lowers f, so a stop on f unchanged would not
+        # end this run.
+        obj, log = recording(make_styblinski_tang(4))
         box = SearchBox(
-            np.array([-2.903652186644868, -2.903647282939708]),
-            np.array([-2.9033905424804516, -2.903391273878751]),
+            np.array([-3.7779727446516325, -0.14634113630272916,
+                      0.2270954003679413, -4.119796722029793]),
+            np.array([-0.9180328853435396, 2.7135987230053638,
+                      3.087035259676034, -1.2598568627217008]),
         )
-        start = np.array([-2.903429900078971, -2.9035205249884544])
+        start = np.array([-2.040822652671234, 1.9152088279059618,
+                          2.819795360341598, -2.1932120509858395])
         _, fx, evals = refine(obj, box, start)
         # each stencil (None) follows the step it was taken at; the run
         # stops on an accepted step, before that step's stencil
@@ -361,7 +367,9 @@ class TestStallExit:
         accepted = [log[0]] + [
             log[i - 1] for i in range(2, len(log)) if log[i] is None
         ] + [log[-1]]
-        flat = [b >= a for a, b in zip(accepted, accepted[1:])]
+        assert all(b < a for a, b in zip(accepted, accepted[1:]))
+        flat = [a - b <= _FTOL * max(abs(a), abs(b), 1.0)
+                for a, b in zip(accepted, accepted[1:])]
         run = 0
         for k, is_flat in enumerate(flat):
             run = run + 1 if is_flat else 0
@@ -370,8 +378,51 @@ class TestStallExit:
         # earlier flat steps were cut off by a decrease: a count that is
         # not reset would have stopped before the last run
         assert flat[:-_STALL_STEPS].count(True) >= _STALL_STEPS - 1
-        assert fx == min(accepted)
+        # the last flat step lowered f, and its point is the one returned
+        assert fx == min(accepted) == accepted[-1]
         assert evals == obj.eval_count < RefinerConfig().max_evals
+
+
+class TestFlatLineExit:
+    def test_stops_soon_at_rastrigin_zero_floor(self):
+        # t1 d=3 q=4: from the best lattice point, -1.024 on every axis,
+        # the refiner reaches f = 0 and then spends one stencil and two
+        # equal trials along each of its two directions (163 evaluations
+        # when each line search halved its step 60 times)
+        obj, log = recording(make_rastrigin(3))
+        _, fx, evals = refine(obj, SearchBox.cube(3, -5.12, 5.12), np.full(3, -1.024))
+        assert (fx, evals) == (0.0, 53)
+        assert log[-5] is None and log[-4:] == [0.0] * 4
+        assert log.index(0.0) == len(log) - 6  # the first zero, before the stencil
+
+    def test_one_equal_trial_does_not_end_a_line_search(self):
+        # the refiner's box and start in `optimize sphere d=2 q=5
+        # --bounds=-500,500 --shift 100,100`: the first trial returns f at
+        # the start, the second reaches the optimum.  A line search that
+        # ended on one equal trial would stop at 99.977 on each axis.
+        obj, log = recording(make_sphere(2, shift=[100.0, 100.0]))
+        box = SearchBox(np.full(2, 98.67446136319715), np.full(2, 101.27879043632979))
+        x, fx, evals = refine(obj, box, np.full(2, 99.97662589976346))
+        assert log[1] is None and log[2] == log[0] > log[3]
+        assert x.tolist() == [100.0, 100.0]
+        assert (fx, evals) == (0.0, 11)
+
+
+class TestDot:
+    def test_adds_left_to_right(self):
+        # a compensated sum (builtin sum() from Python 3.12 on) gives 1.0
+        assert _dot(np.array([1e16, 1.0, -1e16]), np.ones(3)) == 0.0
+
+    def test_equals_a_reference_loop(self):
+        rng = np.random.default_rng(3)
+        for d in range(1, 33):
+            for _ in range(20):
+                a = rng.standard_normal(d) * 10.0 ** rng.integers(-8, 9, d)
+                b = rng.standard_normal(d)
+                total = np.float64(0.0)
+                for k in range(d):
+                    total = total + a[k] * b[k]
+                assert np.float64(_dot(a, b)).tobytes() == total.tobytes(), d
 
 
 def scalar_loop_gradient(f, x, fx, box, scale, free):

@@ -12,10 +12,11 @@ presets of this checkout's ``tests/test_acceptance.py`` through
 ``python -m qags.cli`` with ``DIR/src`` first on ``PYTHONPATH``.  Per run
 it records the SHA-256 of the report's ``to_json()``, ``total_f_evals``
 and the advance of the objective's evaluation counter; per preset, the
-exit code and the SHA-256 of stdout.  NumPy's version and its active
-SIMD dispatch targets go beside them, as CI prints them: the last
-digits of ``entropy_fraction`` and of batch functions that call
-``np.exp`` can depend on that path.
+exit code and the SHA-256 of stdout.  NumPy's version, its active
+SIMD dispatch targets and the OpenBLAS core go beside them, as CI prints
+them: the last digits of ``entropy_fraction`` and of batch functions
+that call ``np.exp`` can depend on that path, and those of batch
+functions that call ``@`` on the core (``OPENBLAS_CORETYPE`` picks it).
 
 ``--compare`` names every entry that differs between two such files,
 or that only one of them has, and exits 1 if there is any.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -66,6 +68,18 @@ def _load(tree):
     return workloads, qags
 
 
+def _openblas_core(numpy):
+    """The kernel set NumPy's bundled OpenBLAS picked for this CPU, such as
+    ``SkylakeX`` or ``Haswell``; None when NumPy bundles no such library."""
+    libs = sorted(Path(numpy.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def _host():
     import numpy
 
@@ -74,6 +88,7 @@ def _host():
         "numpy": numpy.__version__,
         "dispatch": list(umath.__cpu_dispatch__),
         "active": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)],
+        "openblas": _openblas_core(numpy),
     }
 
 
@@ -140,7 +155,9 @@ def main(argv=None):
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
         for side, data in zip("AB", (a, b)):
-            print(f"{side}: numpy {data['host']['numpy']}, active {data['host']['active']}")
+            host = data["host"]
+            print(f"{side}: numpy {host['numpy']}, active {host['active']}, "
+                  f"openblas {host.get('openblas')}")
         lines = compare(a, b)
         for line in lines:
             print(line)
