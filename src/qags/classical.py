@@ -16,7 +16,6 @@ selecting a probability region.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import kernels
 from .contraction import TerminationPolicy
 from .driver import CLASSICAL_BYTES_PER_POINT, search
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_integer
 from .grid import SearchBox
 from .quantum import lattice_blocks
 from .refine import RefinerConfig
@@ -45,14 +44,11 @@ class AgsConfig:
     refiner: RefinerConfig = field(default_factory=RefinerConfig)
 
     def __post_init__(self):
-        if not isinstance(self.points_per_dim, numbers.Integral) or self.points_per_dim < 2:
-            raise InvalidInputError("points_per_dim must be an integer >= 2")
-        if not isinstance(self.budget_points, numbers.Integral) or self.budget_points < 2:
-            raise InvalidInputError("budget_points must be an integer >= 2")
+        _check_integer("points_per_dim", self.points_per_dim, 2)
+        _check_integer("budget_points", self.budget_points, 2)
         if not 0.0 < self.shrink_factor < 1.0:
             raise InvalidInputError("shrink_factor must lie strictly inside (0, 1)")
-        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be an integer >= 1")
+        _check_integer("max_iterations", self.max_iterations, 1)
         if not self.delta > 0.0:
             raise InvalidInputError("delta must be positive")
 

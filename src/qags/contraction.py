@@ -14,22 +14,21 @@ without the dense vector.
 The contracted box is the tight axis-aligned hull of the selected
 points, clamped to the current bounds: a running min and max of each
 axis's digits gives its lowest and highest selected digit.
-``contract_region``, the exact-readout path, never lists the selected
-states: it counts each slice's mask and reduces it, as rows of the low
-axes' codes, to the codes each side of the row boundary selects, so the
-min and max run over one small block.
+``contract_region``, the exact-readout path, reads the driver's encoded
+vector and never lists the selected states: it counts each slice's mask
+and reduces it, as rows of the low axes' codes, to the codes each side
+of the row boundary selects, so the min and max run over one small block.
 """
 
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_integer
 from .grid import SearchBox, axis_indices, decode_many, pack_indices
 
 
@@ -76,8 +75,7 @@ class TerminationPolicy:
     def __post_init__(self):
         if not self.delta > 0:
             raise InvalidInputError("delta must be positive")
-        if not isinstance(self.k_max, numbers.Integral) or self.k_max < 1:
-            raise InvalidInputError("k_max must be an integer >= 1")
+        _check_integer("k_max", self.k_max, 1)
         if not 0.0 <= self.entropy_floor < 1.0:
             raise InvalidInputError("entropy_floor must lie in [0, 1)")
 
@@ -90,14 +88,13 @@ def _threshold(probs, quantile):
     return float(kernels.linear_quantile(probs, quantile))
 
 
-def _region_masks(dist, threshold):
-    """The selection of dist as (start, mask) per BLOCK_STATES slice of
-    its probabilities: the states that reach a positive threshold (a
+def _region_masks(probs, top, threshold):
+    """The selection of the probabilities probs as (start, mask) per
+    BLOCK_STATES slice: the states that reach a positive threshold (a
     positive threshold already excludes the zero-probability states),
-    or every positive state when it is 0.0, and always f_min_index.
-    Every mask is written into one buffer, so it holds until the next
-    slice's is yielded."""
-    probs, top = dist.probabilities, dist.f_min_index
+    or every positive state when it is 0.0, and always top, the index
+    of the maximal entry.  Every mask is written into one buffer, so it
+    holds until the next slice's is yielded."""
     buffer = np.empty(min(probs.size, kernels.BLOCK_STATES), dtype=bool)
     for start in range(0, probs.size, kernels.BLOCK_STATES):
         block = probs[start:start + kernels.BLOCK_STATES]
@@ -122,32 +119,32 @@ def select_region(dist, quantile=0.75):
     fall on zeros, it is 0.0 and every positive state is selected.
     """
     threshold = _threshold(dist.probabilities, quantile)
+    masks = _region_masks(dist.probabilities, dist.f_min_index, threshold)
     return RegionSelection(
         quantile=quantile,
-        selected_indices=np.concatenate(
-            [np.flatnonzero(mask) + start for start, mask in _region_masks(dist, threshold)]
-        ),
+        selected_indices=np.concatenate([np.flatnonzero(mask) + start for start, mask in masks]),
         threshold_probability=threshold,
     )
 
 
-def contract_region(dist, quantile=0.75):
-    """contract_bounds(dist.spec, select_region(dist, quantile)) and the
-    selection's size, as (box, selected_count), streamed: each
+def contract_region(spec, probs, top, quantile=0.75):
+    """contract_bounds(spec, select_region(dist, quantile)) and the
+    selection's size, as (box, selected_count), for a dist of the
+    probabilities probs with its maximal entry at top, streamed: each
     BLOCK_STATES slice's mask is counted and reduced to the digits it
     selects (_mask_index_blocks), then dropped, so no mask of the
     lattice's size is made, nor, when the slices are whole rows of the
     hull's low axes, any array of one entry per selected state."""
-    threshold = _threshold(dist.probabilities, quantile)
+    threshold = _threshold(probs, quantile)
     count = 0
 
     def counted():
         nonlocal count
-        for start, mask in _region_masks(dist, threshold):
+        for start, mask in _region_masks(probs, top, threshold):
             count += np.count_nonzero(mask)
             yield start, mask
 
-    box = _hull(dist.spec, _mask_index_blocks(dist.spec, counted()))
+    box = _hull(spec, _mask_index_blocks(spec, counted()))
     return box, count
 
 

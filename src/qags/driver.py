@@ -11,17 +11,17 @@ qubit count, so resolution rises as the volume shrinks), encodes the
 objective into a measurement distribution, selects the high-probability
 region, and contracts the bounds around it, all inside one lattice
 vector that the run's first iteration makes and every later one reuses:
-``grid_values`` fills it, ``quantum.encode_in_place`` turns the values
-into the probabilities, and at exact readout
+``grid_values`` fills it, ``kernels.boltzmann`` turns the values into
+the probabilities, and at exact readout
 ``contraction.contract_region`` streams ``select_region`` and
 ``contract_bounds`` over its blocks.  At shots > 0 the region comes from
 the draw's support and frequencies (``quantum.draw_in_place``, which
 writes the cdf over the probabilities, and
 ``contraction.select_support``): the same selection, threshold and
 entropy as ``select_region`` on ``sample``'s empirical vector, bit for
-bit, without that vector.  On termination a bounded
-quasi-Newton refinement polishes the best grid point seen anywhere in
-the run, clamped into the final box.
+bit, without that vector.  No distribution object is built on the
+way.  On termination a bounded quasi-Newton refinement polishes the
+best grid point seen anywhere in the run, clamped into the final box.
 
 A method whose iteration is a pure function of its box (qags at exact
 readout, shots = 0, and the classical baseline) is ``repeatable``: one
@@ -36,13 +36,13 @@ this way.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
+from . import kernels
 from .contraction import (
     TerminationPolicy,
     Verdict,
@@ -52,19 +52,16 @@ from .contraction import (
     select_support,
     should_terminate,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_integer
 from .grid import GridSpec, SearchBox, decode
 from .quantum import (
     DRAW_BYTES_PER_SHOT,
     EncodingLaw,
-    distribution_from_values,  # noqa: F401  (re-exported: encode_in_place is its step)
+    distribution_from_values,  # noqa: F401  (re-exported: the step encodes its own vector)
     draw_in_place,
-    encode_in_place,
     entropy_bits_of,
-    entropy_fraction,
     frequencies,
     grid_values,
-    probabilities_in_place,
     sample,  # noqa: F401  (re-exported: draw is its finite-shot step)
 )
 from .refine import RefinerConfig, refine
@@ -100,14 +97,11 @@ class QagsConfig:
     refiner: RefinerConfig = field(default_factory=RefinerConfig)
 
     def __post_init__(self):
-        if not isinstance(self.qubits_per_dim, numbers.Integral) or self.qubits_per_dim < 1:
-            raise InvalidInputError("qubits_per_dim must be an integer >= 1")
+        _check_integer("qubits_per_dim", self.qubits_per_dim, 1)
         if not 0.0 < self.quantile < 1.0:
             raise InvalidInputError("quantile must lie strictly inside (0, 1)")
-        if not isinstance(self.shots, numbers.Integral) or self.shots < 0:
-            raise InvalidInputError("shots must be a non-negative integer")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InvalidInputError("seed must be a non-negative integer")
+        _check_integer("shots", self.shots, 0)
+        _check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -257,23 +251,20 @@ def run(f, initial_bounds, cfg):
         spec = GridSpec(f.arity, cfg.qubits_per_dim, box)
         vector = grid_values(f, spec, out=vector)
         # the values become the probabilities; the point is the
-        # first-index grid argmin
+        # first-index grid argmin.  A draw needs only the probabilities:
+        # its entropy comes from its frequencies
+        index, value, _, bits = kernels.boltzmann(vector, cfg.law.exponent_scale, cfg.shots == 0)
         if cfg.shots > 0:
-            # the draw needs only the probabilities: its entropy comes
-            # from its frequencies.  Read it off its support: the same
-            # selection and entropy as sample's empirical vector,
-            # without building it
-            index, value = probabilities_in_place(spec, vector, cfg.law)
+            # read the draw off its support: the same selection and
+            # entropy as sample's empirical vector, without building it
             support, counts = draw_in_place(vector, cfg.shots, cfg.seed + (k - 1))
             freq = frequencies(counts)
             selection = select_support(support, freq, spec.total_points, cfg.quantile)
-            entropy = entropy_bits_of(freq) / (spec.qubits_per_dim * spec.dimension)
+            bits = entropy_bits_of(freq)
             box_next, selected = contract_bounds(spec, selection), selection.selected_indices.size
         else:
-            dist, value = encode_in_place(spec, vector, cfg.law)
-            index = dist.f_min_index
-            box_next, selected = contract_region(dist, cfg.quantile)
-            entropy = entropy_fraction(dist)
+            box_next, selected = contract_region(spec, vector, index, cfg.quantile)
+        entropy = bits / (spec.qubits_per_dim * spec.dimension)
         return decode(spec, index), value, box_next, int(selected), float(entropy)
 
     grid_points = 1 << (cfg.qubits_per_dim * f.arity)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 
 class QagsError(Exception):
     """Base class for all package-specific errors."""
@@ -33,3 +35,11 @@ class RefinementError(QagsError, RuntimeError):
     def __init__(self, message, last_point=None):
         super().__init__(message)
         self.last_point = last_point
+
+
+def _check_integer(name, value, least):
+    """Raise InvalidInputError unless value is an integer
+    (``numbers.Integral``) of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        bound = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise InvalidInputError(f"{name} must be {bound}")

@@ -13,13 +13,12 @@ indices big-endian: dimension 0 occupies the most significant ``n`` bits.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import lattice_points
-from .errors import InvalidInputError, OffGridError
+from .errors import InvalidInputError, OffGridError, _check_integer
 
 DEFAULT_QUBIT_CAP = 30
 
@@ -112,10 +111,8 @@ class GridSpec:
     qubit_cap: int = field(default=DEFAULT_QUBIT_CAP)
 
     def __post_init__(self):
-        if not isinstance(self.dimension, numbers.Integral) or self.dimension < 1:
-            raise InvalidInputError("dimension must be an integer >= 1")
-        if not isinstance(self.qubits_per_dim, numbers.Integral) or self.qubits_per_dim < 1:
-            raise InvalidInputError("qubits_per_dim must be an integer >= 1")
+        _check_integer("dimension", self.dimension, 1)
+        _check_integer("qubits_per_dim", self.qubits_per_dim, 1)
         if self.bounds.dimension != self.dimension:
             raise InvalidInputError("bounds dimension mismatch")
         total = self.dimension * self.qubits_per_dim
@@ -160,7 +157,7 @@ def decode(spec, flat_index):
     most significant qubit group)."""
     if not 0 <= flat_index < spec.total_points:
         raise IndexError(f"flat index {flat_index} out of range")
-    return decode_many(spec, np.array([flat_index], dtype=np.int64))[0]
+    return decode_many(spec, [flat_index])[0]
 
 
 def axis_indices(spec, flat_indices, i):
@@ -192,11 +189,14 @@ def encode(spec, point):
     """Inverse of decode for points lying on the grid.
 
     Raises OffGridError when the point is farther than a round-off
-    tolerance from every lattice site.
+    tolerance from every lattice site, and InvalidInputError when a
+    coordinate is not finite.
     """
     p = np.asarray(point, dtype=np.float64)
     if p.shape != (spec.dimension,):
         raise InvalidInputError("point arity mismatch")
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError("point must be finite")
     m = spec.points_per_dim
     js = []
     for i in range(spec.dimension):

@@ -487,10 +487,16 @@ def lattice_points(lower, upper, m, flats):
     Dimension 0 is the most significant base-m digit, and a zero-axis
     box decodes to (K, 0).  Each coordinate is the rule at its digit, so
     it equals the lattice_axes entry bit for bit and no table is built;
-    an index outside [0, m**d) raises IndexError.
+    an index outside [0, m**d), or one of a non-integer dtype that is
+    not whole, raises IndexError.
     """
     lower, upper, _ = _lattice_args(lower, upper, None)
-    rem = np.array(flats, dtype=np.int64, ndmin=1)
+    rem = np.array(flats, ndmin=1)
+    if rem.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
+            if not np.array_equal(rem.astype(np.int64), rem):
+                raise IndexError("flat index must be an integer")
+    rem = rem.astype(np.int64, copy=False)
     digits = np.empty((rem.size, lower.size), dtype=np.int64)
     for i in range(lower.size - 1, -1, -1):
         rem, digits[:, i] = np.divmod(rem, m)

@@ -7,8 +7,8 @@ not finite, naming the first such state in flat order: the qags driver
 fills its value vector from its flat runs (``grid_values``), and the
 classical baseline reduces over its blocks in the kernel's
 digit-reversed layout (``lattice_blocks``).  A qags run holds one
-vector of 8 B per state: the values are encoded into probabilities in
-place (``encode_in_place``), and a finite-shot draw writes its cdf over
+vector of 8 B per state: ``kernels.boltzmann`` encodes the values into
+probabilities in place, and a finite-shot draw writes its cdf over
 them (``draw_in_place``).
 The encoding, the selection and the hull add only buffers of a block,
 of a bracket of distinct values or of the draw, so a 10-iteration run
@@ -16,12 +16,11 @@ on a 2^20-state lattice peaks under
 ``tracemalloc`` at 8.6 to 9.4 B per state (d = 10, q = 2; d = 2,
 q = 10; rastrigin d = 5, q = 4; exact readout or 4,096 shots; a
 batch-only rotated ellipsoid at d = 5, q = 4), against the register
-model's 16 B.  The encoding proves its own
-probabilities valid (``kernels.boltzmann``), so ``encode_in_place``
-builds its distribution without the public constructor's O(N) check,
-and ``probabilities_in_place`` writes the same probabilities without
-the entropy for a draw.  ``distribution_from_values``, ``draw`` and
-``sample`` encode or draw from a copy, and never change what they are
+model's 16 B.  The driver reads that vector itself and builds no
+distribution, so every ``QuantumDistribution`` passes its
+constructor's check and none is a view of a vector that changes.
+``distribution_from_values`` encodes a copy of its input, and ``draw``
+and ``sample`` draw from a copy, so none of them changes what it is
 given.
 
 Objective values over the full grid are encoded as Boltzmann weights
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import EvaluationError, InvalidInputError
+from .errors import EvaluationError, InvalidInputError, _check_integer
 from .grid import GridSpec, decode_many  # noqa: F401  (re-exported)
 
 
@@ -107,18 +106,6 @@ class QuantumDistribution:
         object.__setattr__(self, "f_min_index", int(self.f_min_index))
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "entropy_bits", float(self.entropy_bits))
-
-    @classmethod
-    def _encoded(cls, spec, probabilities, f_min_index, sigma, entropy_bits):
-        """The distribution of the read-only probabilities that
-        kernels.boltzmann has just made, built without __post_init__'s
-        O(N) check: the encoding proves them valid."""
-        dist = object.__new__(cls)
-        for name, value in [("spec", spec), ("probabilities", probabilities),
-                            ("f_min_index", f_min_index), ("sigma", sigma),
-                            ("entropy_bits", entropy_bits)]:
-            object.__setattr__(dist, name, value)
-        return dist
 
 
 def lattice_blocks(objective, box, points_per_dim):
@@ -203,42 +190,15 @@ def grid_values(objective, spec, out=None):
     return values
 
 
-def _encode(spec, values, law, entropy):
-    if values.dtype != np.float64 or values.shape != (spec.total_points,):
-        raise InvalidInputError("value vector must hold 2^(n*d) float64 entries")
-    return kernels.boltzmann(values, law.exponent_scale, entropy)
-
-
-def encode_in_place(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
-    """Boltzmann-encode the float64 value vector ``values`` (flat-index
-    order) in place: it is overwritten by the probabilities.
-
-    Returns (distribution, f_min): the distribution's probabilities are
-    a read-only view of ``values``, valid until ``values`` is written
-    again, and f_min is the least value, the one at f_min_index.  The
-    encoding itself proves them a distribution (kernels.boltzmann), so
-    they are not checked again; values that cannot be encoded, not
-    finite or too far apart for float64, raise InvalidInputError.
-    """
-    argmin_index, f_min, sigma, entropy = _encode(spec, values, law, True)
-    probs = values[:]  # a view, so values itself stays writable
-    probs.setflags(write=False)
-    return QuantumDistribution._encoded(spec, probs, argmin_index, sigma, entropy), f_min
-
-
-def probabilities_in_place(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
-    """encode_in_place's probabilities alone: ``values`` is overwritten
-    by the same bits, and (f_min_index, f_min) is returned, without the
-    entropy's products and sum or a distribution, for a reader such as
-    a finite-shot draw that takes only these."""
-    argmin_index, f_min, _, _ = _encode(spec, values, law, False)
-    return argmin_index, f_min
-
-
 def distribution_from_values(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
-    """Boltzmann-encode a precomputed value vector (flat-index order);
-    the caller's vector is not changed: a copy is encoded in place."""
-    return encode_in_place(spec, np.array(values, dtype=np.float64), law)[0]
+    """Boltzmann-encode a precomputed value vector (flat-index order) of
+    2^(n*d) entries.  A copy is encoded (kernels.boltzmann), so the
+    caller's vector is not changed, and the distribution owns it."""
+    probs = np.array(values, dtype=np.float64)
+    if probs.shape != (spec.total_points,):
+        raise InvalidInputError("value vector must hold 2^(n*d) entries")
+    index, _, sigma, bits = kernels.boltzmann(probs, law.exponent_scale)
+    return QuantumDistribution(spec, probs, index, sigma, bits)
 
 
 def build_distribution(objective, spec, law=EncodingLaw.BOLTZMANN_PROBABILITY):
@@ -311,6 +271,8 @@ def draw_in_place(probabilities, shots, seed):
 
 def draw(dist, shots, seed):
     """draw_in_place on a copy of dist's probabilities."""
+    _check_integer("shots", shots, 0)
+    _check_integer("seed", seed, 0)
     return draw_in_place(dist.probabilities.copy(), shots, seed)
 
 
@@ -331,10 +293,11 @@ def sample(dist, shots, seed):
     Returns a new distribution of the empirical ``frequencies`` at the
     drawn states and zero elsewhere; its f_min_index is the empirical
     argmax, lowest index on ties.  shots = 0 means exact readout: the
-    input distribution is returned unchanged.
+    input distribution is returned unchanged.  A shots or seed that is
+    not a non-negative integer raises InvalidInputError, as in draw.
     """
-    if shots < 0:
-        raise InvalidInputError("shots must be non-negative")
+    _check_integer("shots", shots, 0)
+    _check_integer("seed", seed, 0)
     if shots == 0:
         return dist
     support, counts = draw(dist, shots, seed)

@@ -33,13 +33,12 @@ coordinate and a bound are zeros of opposite sign.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInputError, RefinementError
+from .errors import EvaluationError, InvalidInputError, RefinementError, _check_integer
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
@@ -83,14 +82,12 @@ class RefinerConfig:
     history_size: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.max_evals, numbers.Integral) or self.max_evals < 1:
-            raise InvalidInputError("max_evals must be an integer >= 1")
+        _check_integer("max_evals", self.max_evals, 1)
         if not self.gradient_step_scale > 0:
             raise InvalidInputError("gradient_step_scale must be positive")
         if not self.convergence_tol > 0:
             raise InvalidInputError("convergence_tol must be positive")
-        if not isinstance(self.history_size, numbers.Integral) or self.history_size < 1:
-            raise InvalidInputError("history_size must be an integer >= 1")
+        _check_integer("history_size", self.history_size, 1)
 
 
 class _BudgetedObjective:

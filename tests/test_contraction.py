@@ -384,7 +384,7 @@ class TestContractRegion:
         assert sel.selected_indices.tobytes() == np.flatnonzero(dense).tobytes()
         assert top in sel.selected_indices
         ref = contract_bounds(spec, sel)
-        box, count = contract_region(dist, quantile)
+        box, count = contract_region(spec, probs, top, quantile)
         assert count == sel.selected_indices.size
         assert box.lower.tobytes() == ref.lower.tobytes()
         assert box.upper.tobytes() == ref.upper.tobytes()
@@ -410,7 +410,7 @@ class TestContractRegion:
             # the dense selection rule, on the whole vector at once
             threshold, selected = quantile_reference(dist, quantile)
             ref = contract_bounds(spec, RegionSelection(quantile, selected, threshold))
-            box, count = contract_region(dist, quantile)
+            box, count = contract_region(spec, probs, top, quantile)
             assert count == selected.size
             assert box.lower.tobytes() == ref.lower.tobytes()
             assert box.upper.tobytes() == ref.upper.tobytes()
@@ -426,7 +426,7 @@ class TestContractRegion:
         assert sel.selected_indices.size > spec.total_points // 4
         tracemalloc.start()
         try:
-            box, count = contract_region(dist, 0.75)
+            box, count = contract_region(spec, dist.probabilities, dist.f_min_index, 0.75)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,7 +442,7 @@ class TestContractRegion:
         dist = distribution_from_values(spec, grid_values(make_sphere(1), spec))
         tracemalloc.start()
         try:
-            box, count = contract_region(dist, 0.75)
+            box, count = contract_region(spec, dist.probabilities, dist.f_min_index, 0.75)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,13 +456,14 @@ class TestContractRegion:
         spec = GridSpec(1, 5, SearchBox.cube(1, 0.0, 31.0))
         probs = np.zeros(32)
         probs[[5, 6, 21]] = [0.25, 0.5, 0.25]
-        box, count = contract_region(make_dist(probs, spec=spec), 0.75)
+        box, count = contract_region(spec, probs, int(np.argmax(probs)), 0.75)
         assert count == 3
         assert (box.lower.tolist(), box.upper.tolist()) == ([5.0], [21.0])
 
     def test_quantile_range_checked(self):
         with pytest.raises(InvalidInputError):
-            contract_region(make_dist([0.5, 0.5]), quantile=1.0)
+            contract_region(GridSpec(1, 1, SearchBox.cube(1, 0.0, 1.0)), np.array([0.5, 0.5]), 0,
+                            quantile=1.0)
 
 
 class TestShouldTerminate:

@@ -157,6 +157,17 @@ class TestCoordinate:
         with pytest.raises(IndexError):
             coordinate(spec, 1, 0)
 
+    @pytest.mark.parametrize("j", [2.5, 0.5, np.float64(1.25), np.nan])
+    def test_non_integral_index(self, j):
+        # was truncated to index 2's (or 0's, or 1's) coordinate
+        spec = GridSpec(1, 2, SearchBox.cube(1, 0.0, 1.0))
+        with pytest.raises(IndexError):
+            coordinate(spec, 0, j)
+
+    def test_integral_floats_and_numpy_ints_are_indices(self):
+        spec = GridSpec(1, 2, SearchBox.cube(1, 0.0, 3.0))
+        assert [coordinate(spec, 0, j) for j in (2.0, np.int64(2), np.uint8(2))] == [2.0] * 3
+
 
 class TestCodec:
     def test_decode_bit_layout(self):
@@ -176,6 +187,30 @@ class TestCodec:
             decode(spec, 16)
         with pytest.raises(IndexError):
             decode(spec, -1)
+
+    @pytest.mark.parametrize("flat", [3.5, 0.25, np.float64(15.5), np.nan, np.inf, 1e30])
+    def test_decode_rejects_a_non_integral_index(self, flat):
+        # 3.5 decoded to point 3, and 0.25 to point 0
+        spec = GridSpec(2, 2, box2())
+        with pytest.raises(IndexError):
+            decode(spec, flat)
+        with pytest.raises(IndexError):
+            decode_many(spec, [flat])
+
+    @pytest.mark.parametrize("flats", [[2.7], [0.0, 2.7, 3.0], np.array([1.0, 2.5]), 5.5,
+                                       [np.nan], [-np.inf]])
+    def test_decode_many_rejects_non_integral_indices(self, flats):
+        spec = GridSpec(2, 2, box2())
+        with pytest.raises(IndexError):
+            decode_many(spec, flats)
+
+    def test_integral_floats_decode_as_their_index(self):
+        spec = GridSpec(2, 2, box2(0.0, 3.0))
+        ref = decode_many(spec, [0, 7, 15])
+        assert decode_many(spec, [0.0, 7.0, 15.0]).tobytes() == ref.tobytes()
+        assert decode_many(spec, np.array([0, 7, 15], dtype=np.uint16)).tobytes() == ref.tobytes()
+        assert decode(spec, 7.0).tobytes() == ref[1].tobytes()
+        assert decode_many(spec, []).shape == (0, 2)
 
     def test_decode_many_matches_decode(self):
         spec = GridSpec(3, 2, SearchBox.cube(3, -2.0, 3.0))
@@ -235,6 +270,16 @@ class TestCodec:
         spec = GridSpec(1, 2, SearchBox.cube(1, 0.0, 3.0))
         with pytest.raises(OffGridError):
             encode(spec, np.array([5.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lower,upper", [([0.0, 0.0], [3.0, 3.0]), ([0.0, 1.0], [3.0, 1.0])])
+    def test_encode_rejects_a_non_finite_coordinate(self, lower, upper, bad):
+        # int(round(nan)) raised ValueError, int(round(inf)) OverflowError,
+        # and a zero-width axis OffGridError
+        spec = GridSpec(2, 2, SearchBox(np.array(lower), np.array(upper)))
+        for point in ([0.0, bad], [bad, 1.0]):
+            with pytest.raises(InvalidInputError, match="point must be finite"):
+                encode(spec, np.array(point))
 
 
 @settings(max_examples=300, deadline=None)

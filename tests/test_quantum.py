@@ -8,7 +8,7 @@ import pytest
 from qags.classical import AgsConfig, run_ags
 from qags.driver import QagsConfig, run
 from qags.errors import EvaluationError, InvalidInputError
-from qags import kernels
+from qags import kernels, quantum
 from qags.grid import GridSpec, SearchBox, decode, decode_many
 from qags.objectives import (
     REGISTRY,
@@ -27,11 +27,9 @@ from qags.quantum import (
     distribution_from_values,
     draw,
     draw_in_place,
-    encode_in_place,
     entropy_fraction,
     grid_values,
     lattice_blocks,
-    probabilities_in_place,
     sample,
 )
 
@@ -124,31 +122,32 @@ class TestDistributionFromValues:
 
 
 class TestInPlaceRoutines:
-    """The driver's routines work inside one vector; the public ones
-    copy their input once and run the same routines on the copy."""
+    """The driver encodes its own vector with kernels.boltzmann; the
+    public routines copy their input once and run the same routines on
+    the copy."""
 
     def _values(self, n=12):
         return np.random.default_rng(n).normal(3.0, 2.0, 1 << n)
 
     @pytest.mark.parametrize("law", list(EncodingLaw))
-    def test_encode_in_place_writes_the_probabilities_over_the_values(self, law):
+    def test_boltzmann_writes_the_probabilities_over_the_values(self, law):
         values = self._values()
         ref = distribution_from_values(spec1(n=12), values, law)
-        dist, f_min = encode_in_place(spec1(n=12), values, law)
+        index, f_min, sigma, bits = kernels.boltzmann(values, law.exponent_scale)
         assert values.tobytes() == ref.probabilities.tobytes()
-        assert np.shares_memory(dist.probabilities, values)
-        assert not dist.probabilities.flags.writeable and values.flags.writeable
-        assert f_min == self._values()[dist.f_min_index] == self._values().min()
-        assert (dist.f_min_index, dist.sigma, dist.entropy_bits) == (
-            ref.f_min_index, ref.sigma, ref.entropy_bits
-        )
+        assert not np.shares_memory(ref.probabilities, values)
+        assert f_min == self._values()[index] == self._values().min()
+        assert (index, sigma, bits) == (ref.f_min_index, ref.sigma, ref.entropy_bits)
 
     @pytest.mark.parametrize("n", [12, 17])
     @pytest.mark.parametrize("law", list(EncodingLaw))
-    def test_probabilities_in_place_writes_the_encodings_bits(self, law, n):
+    def test_probabilities_alone_are_the_encodings_bits(self, law, n):
         values = self._values(n)
-        dist, f_min = encode_in_place(spec1(n=n), values.copy(), law)
-        assert probabilities_in_place(spec1(n=n), values, law) == (dist.f_min_index, f_min)
+        dist = distribution_from_values(spec1(n=n), values, law)
+        index, f_min, sigma, bits = kernels.boltzmann(values, law.exponent_scale, entropy=False)
+        assert (index, f_min, sigma, bits) == (
+            dist.f_min_index, self._values(n).min(), dist.sigma, None
+        )
         assert values.tobytes() == dist.probabilities.tobytes()
 
     @pytest.mark.parametrize("law", list(EncodingLaw))
@@ -159,16 +158,35 @@ class TestInPlaceRoutines:
         np.full(64, 1e300),
         np.repeat(np.random.default_rng(3).normal(0.0, 1e150, 16), 64),
     ], ids=["normal", "underflow", "all but one underflow", "constant", "wide ties"])
-    def test_encoding_passes_the_full_check_it_skips(self, law, values):
+    def test_encoding_passes_the_full_check(self, law, values):
         # a finite sigma proves the check, so it never fails on an encoding
-        dist, _ = encode_in_place(spec1(n=values.size.bit_length() - 1), values.copy(), law)
-        _check_probabilities(dist.probabilities)
+        probs = values.copy()
+        kernels.boltzmann(probs, law.exponent_scale)
+        _check_probabilities(probs)
 
-    def test_encode_in_place_needs_a_float64_vector_of_the_grid(self):
+    def test_distribution_from_values_needs_a_vector_of_the_grid(self):
         with pytest.raises(InvalidInputError):
-            encode_in_place(spec1(n=2), np.zeros(3))
+            distribution_from_values(spec1(n=2), np.zeros(3))
         with pytest.raises(InvalidInputError):
-            encode_in_place(spec1(n=2), np.zeros(4, dtype=np.float32))
+            distribution_from_values(spec1(n=2), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("law", list(EncodingLaw))
+    def test_distribution_from_values_checks_its_own_copy_once(self, monkeypatch, law):
+        # every distribution passes the constructor's check, and none is
+        # a view of the caller's array, which stays writable
+        calls = []
+
+        def counted(probs):
+            calls.append(probs)
+            _check_probabilities(probs)
+
+        monkeypatch.setattr(quantum, "_check_probabilities", counted)
+        values = self._values()
+        dist = distribution_from_values(spec1(n=12), values, law)
+        assert len(calls) == 1 and calls[0] is dist.probabilities
+        assert not np.shares_memory(dist.probabilities, values)
+        assert values.flags.writeable and not dist.probabilities.flags.writeable
+        assert values.tobytes() == self._values().tobytes()
 
     def test_draw_in_place_writes_the_cdf(self):
         dist = distribution_from_values(spec1(n=12), self._values())
@@ -237,7 +255,7 @@ class TestUnencodableValues:
         with pytest.raises(InvalidInputError, match="spread overflows float64"):
             distribution_from_values(spec1(n=3), values, law)
         with pytest.raises(InvalidInputError, match="spread overflows float64"):
-            probabilities_in_place(spec1(n=3), values.copy(), law)
+            kernels.boltzmann(values.copy(), law.exponent_scale, entropy=False)
 
 
 class TestQuantumDistributionValidation:
@@ -544,6 +562,23 @@ class TestSample:
     def test_negative_shots_rejected(self):
         with pytest.raises(InvalidInputError):
             sample(self._dist(), -1, seed=0)
+
+    @pytest.mark.parametrize("routine", [sample, draw])
+    @pytest.mark.parametrize("shots,seed,name", [
+        (2.5, 0, "shots"), (4.0, 0, "shots"), ("4", 0, "shots"), (None, 0, "shots"),
+        (-1, 0, "shots"), (4, 2.5, "seed"), (4, 1.0, "seed"), (4, None, "seed"),
+        (4, -1, "seed"), (0, -1, "seed"), (0, 0.5, "seed"),
+    ])
+    def test_rejects_shots_and_seeds_that_are_not_non_negative_ints(self, routine, shots,
+                                                                    seed, name):
+        # QagsConfig's messages, before NumPy sees the value
+        with pytest.raises(InvalidInputError, match=f"^{name} must be a non-negative integer$"):
+            routine(self._dist(), shots, seed)
+
+    def test_accepts_numpy_ints(self):
+        a = sample(self._dist(), np.int64(500), np.uint32(3))
+        b = sample(self._dist(), 500, 3)
+        assert a.probabilities.tobytes() == b.probabilities.tobytes()
 
     def test_empirical_normalized(self):
         emp = sample(self._dist(), 1000, seed=0)
