@@ -36,51 +36,42 @@ this way.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from . import kernels
+# select_region, distribution_from_values and sample are not used here:
+# perfbench/tracing.py's CALL_SITES wraps them in this module, and
+# tests/test_call_sites.py checks that they resolve
 from .contraction import (
     TerminationPolicy,
     Verdict,
     contract_bounds,
     contract_region,
-    select_region,  # noqa: F401  (re-exported: contract_region streams it)
+    select_region,  # noqa: F401
     select_support,
     should_terminate,
 )
 from .errors import InvalidInputError, _check_integer
 from .grid import GridSpec, SearchBox, decode
 from .quantum import (
-    DRAW_BYTES_PER_SHOT,
+    QUANTUM_BYTES_PER_STATE,
     EncodingLaw,
-    distribution_from_values,  # noqa: F401  (re-exported: the step encodes its own vector)
+    _check_register,
+    distribution_from_values,  # noqa: F401
     draw_in_place,
     entropy_bits_of,
     frequencies,
     grid_values,
-    sample,  # noqa: F401  (re-exported: draw is its finite-shot step)
+    sample,  # noqa: F401
 )
 from .refine import RefinerConfig, refine
 
-# Model-based accounting: 8-byte amplitudes plus 8-byte probabilities per
-# basis state for the quantum model, 8-byte stored values per classical
-# grid point.  Pure functions of configuration, identical on any machine.
-# ``run`` refuses a register whose model bytes, plus a finite-shot draw's
-# DRAW_BYTES_PER_SHOT per shot, exceed physical memory.  The model
-# overstates a qags run, which holds one 8 B/state vector (values, then
-# probabilities in place) and measures about 9.2 B/state under
-# tracemalloc on 2^20 states, so the guard errs on the safe side.
-QUANTUM_BYTES_PER_STATE = 16
+# Model-based accounting of the classical baseline: 8-byte stored values
+# per grid point, as quantum.QUANTUM_BYTES_PER_STATE models the register
 CLASSICAL_BYTES_PER_POINT = 8
-
-
-def physical_memory_bytes():
-    """This machine's physical memory in bytes, from POSIX sysconf."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -240,9 +231,9 @@ def run(f, initial_bounds, cfg):
     iteration that leaves the box unchanged (FIXED_POINT); at shots > 0
     determinism holds for a fixed seed.  The objective's evaluation
     counter advances by exactly total_f_evals.  A register of
-    2^(n*d) states whose QUANTUM_BYTES_PER_STATE bytes each, with a
-    finite-shot draw's DRAW_BYTES_PER_SHOT per shot, exceed physical
-    memory raises InvalidInputError before anything is allocated.
+    2^(n*d) states that the register rule (quantum._check_register)
+    refuses, with a finite-shot draw's bytes, raises InvalidInputError
+    before anything is allocated.
     """
     vector = None  # the run's one lattice vector, made by the first iteration
 
@@ -268,14 +259,7 @@ def run(f, initial_bounds, cfg):
         return decode(spec, index), value, box_next, int(selected), float(entropy)
 
     grid_points = 1 << (cfg.qubits_per_dim * f.arity)
-    needed = grid_points * QUANTUM_BYTES_PER_STATE + cfg.shots * DRAW_BYTES_PER_SHOT
-    memory = physical_memory_bytes()
-    if needed > memory:
-        draw = f" with a {cfg.shots}-shot draw" if cfg.shots else ""
-        raise InvalidInputError(
-            f"a {grid_points}-state register{draw} needs {needed} bytes, more "
-            f"than the {memory} bytes of physical memory"
-        )
+    _check_register(grid_points, cfg.shots)
     return search(
         "qags", f, initial_bounds, step, cfg.termination, cfg.shots == 0,
         cfg.refiner, grid_points, QUANTUM_BYTES_PER_STATE,

@@ -9,10 +9,14 @@ maps to
 and ``j = 2**n - 1`` to exactly the upper bound: ``kernels._coordinates``,
 the one rule of every lattice.  A flat index packs the per-dimension
 indices big-endian: dimension 0 occupies the most significant ``n`` bits.
+``kernels.lattice_points`` is the one check of a grid index, and
+``_axis_points`` of a dimension index: an index outside the grid, beyond
+int64 or not a whole number raises IndexError.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,25 +142,27 @@ class GridSpec:
     def axis_coordinates(self, i):
         """All 2**n grid coordinates along dimension i, endpoint exact: the
         same table the lattice kernels evaluate on."""
-        m, box = self.points_per_dim, self.bounds
-        return lattice_points(box.lower[i:i + 1], box.upper[i:i + 1], m, np.arange(m))[:, 0]
+        return _axis_points(self, i, np.arange(self.points_per_dim))
+
+
+def _axis_points(spec, i, js):
+    """Coordinates of indices js along dimension i, a whole number in [0, d)."""
+    k = int(i) if isinstance(i, numbers.Real) and -np.inf < i < np.inf else -1
+    if k != i or not 0 <= k < spec.dimension:
+        raise IndexError(f"dimension index {i} out of range")
+    box = spec.bounds
+    return lattice_points(box.lower[k:k + 1], box.upper[k:k + 1], spec.points_per_dim, js)[:, 0]
 
 
 def coordinate(spec, i, j):
-    """Coordinate of per-dimension index j along dimension i."""
-    m = spec.points_per_dim
-    if not 0 <= i < spec.dimension:
-        raise IndexError(f"dimension index {i} out of range")
-    if not 0 <= j < m:
-        raise IndexError(f"grid index {j} out of range for {m} points")
-    return float(lattice_points(spec.bounds.lower[i:i + 1], spec.bounds.upper[i:i + 1], m, j)[0, 0])
+    """Coordinate of per-dimension index j along dimension i; an index
+    lattice_points refuses, or an i not whole in [0, d), raises IndexError."""
+    return float(_axis_points(spec, i, [j])[0])
 
 
 def decode(spec, flat_index):
     """Map a flat basis-state index to its grid point (dimension 0 is the
     most significant qubit group)."""
-    if not 0 <= flat_index < spec.total_points:
-        raise IndexError(f"flat index {flat_index} out of range")
     return decode_many(spec, [flat_index])[0]
 
 
@@ -176,40 +182,31 @@ def pack_indices(spec, per_dim_indices):
 
 
 def decode_many(spec, flat_indices):
-    """Vectorized decode: (K,) flat indices -> (K, d) coordinates.
-
-    Each coordinate comes from the one coordinate rule at its digit, so
-    it equals ``coordinate(spec, i, j)`` bit for bit; an index outside
-    the grid raises IndexError.
-    """
+    """Vectorized decode: (K,) flat indices -> (K, d) coordinates, each the
+    coordinate rule at its digit, so equal to ``coordinate(spec, i, j)`` bit
+    for bit.  An index outside the grid, beyond int64 or not whole raises
+    IndexError from lattice_points, the one index check."""
     return lattice_points(spec.bounds.lower, spec.bounds.upper, spec.points_per_dim, flat_indices)
 
 
 def encode(spec, point):
-    """Inverse of decode for points lying on the grid.
-
-    Raises OffGridError when the point is farther than a round-off
-    tolerance from every lattice site, and InvalidInputError when a
-    coordinate is not finite.
-    """
+    """Inverse of decode for on-grid points: each axis rounds half to even
+    and clamps, and the candidate decodes once.  Raises OffGridError at the
+    first axis farther than 1e-9 x width from it, and InvalidInputError
+    when a coordinate is not finite."""
     p = np.asarray(point, dtype=np.float64)
     if p.shape != (spec.dimension,):
         raise InvalidInputError("point arity mismatch")
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("point must be finite")
-    m = spec.points_per_dim
-    js = []
-    for i in range(spec.dimension):
-        width = spec.bounds.width[i]
-        if width == 0.0:
-            j = 0
-            if p[i] != spec.bounds.lower[i]:
-                raise OffGridError(f"coordinate {p[i]} off degenerate axis {i}")
-        else:
-            j = int(round((p[i] - spec.bounds.lower[i]) / spec.step[i]))
-            j = min(max(j, 0), m - 1)
-            tol = 1e-9 * width
-            if abs(coordinate(spec, i, j) - p[i]) > tol:
-                raise OffGridError(f"coordinate {p[i]} not on grid axis {i}")
-        js.append(j)
-    return pack_indices(spec, js)
+    lower, width, step = spec.bounds.lower, spec.bounds.width, spec.step
+    # an offset that overflows clamps to an end, off the point; a zero step's inf or NaN takes 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        js = np.clip(np.rint((p - lower) / step), 0, spec.points_per_dim - 1)
+        flat = pack_indices(spec, np.where(step > 0, js, 0))
+        off = np.abs(decode_many(spec, [flat])[0] - p) > 1e-9 * width
+    if off.any():
+        i = int(np.argmax(off))
+        where = "off degenerate" if width[i] == 0.0 else "not on grid"
+        raise OffGridError(f"coordinate {p[i]} {where} axis {i}")
+    return flat

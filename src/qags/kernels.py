@@ -486,16 +486,16 @@ def lattice_points(lower, upper, m, flats):
 
     Dimension 0 is the most significant base-m digit, and a zero-axis
     box decodes to (K, 0).  Each coordinate is the rule at its digit, so
-    it equals the lattice_axes entry bit for bit and no table is built;
-    an index outside [0, m**d), or one of a non-integer dtype that is
-    not whole, raises IndexError.
+    it equals the lattice_axes entry bit for bit and no table is built.
+    It is the one check of a grid index: one outside [0, m**d), beyond
+    int64, or of a non-integer dtype and not whole raises IndexError.
     """
     lower, upper, _ = _lattice_args(lower, upper, None)
     rem = np.array(flats, ndmin=1)
-    if rem.dtype.kind not in "biu":
+    if rem.dtype.kind not in "biu":  # an int beyond int64 makes an object array
         with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
-            if not np.array_equal(rem.astype(np.int64), rem):
-                raise IndexError("flat index must be an integer")
+            if rem.dtype.kind == "O" or not np.array_equal(rem.astype(np.int64), rem):
+                raise IndexError("flat index must be an integer within int64")
     rem = rem.astype(np.int64, copy=False)
     digits = np.empty((rem.size, lower.size), dtype=np.int64)
     for i in range(lower.size - 1, -1, -1):

@@ -41,13 +41,16 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import EvaluationError, InvalidInputError, _check_integer
-from .grid import GridSpec, decode_many  # noqa: F401  (re-exported)
+# decode_many is not used here: perfbench/tracing.py's CALL_SITES wraps
+# it in this module, and tests/test_call_sites.py checks that it resolves
+from .grid import GridSpec, decode_many  # noqa: F401
 
 
 class EncodingLaw(enum.Enum):
@@ -182,18 +185,21 @@ def grid_values(objective, spec, out=None):
     evaluated."""
     if objective.arity != spec.dimension:
         raise InvalidInputError("objective arity does not match grid dimension")
-    values = np.empty(spec.total_points) if out is None else out
+    if out is None:
+        _check_register(spec.total_points)
+        out = np.empty(spec.total_points)
     runs = _evaluated(objective, spec.bounds, spec.points_per_dim, kernels.lattice_value_runs)
     for start, run, _, _ in runs:
-        values[start:start + run.size] = run
+        out[start:start + run.size] = run
         del run  # freed before the stream builds the next one
-    return values
+    return out
 
 
 def distribution_from_values(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY):
     """Boltzmann-encode a precomputed value vector (flat-index order) of
     2^(n*d) entries.  A copy is encoded (kernels.boltzmann), so the
     caller's vector is not changed, and the distribution owns it."""
+    _check_register(spec.total_points)
     probs = np.array(values, dtype=np.float64)
     if probs.shape != (spec.total_points,):
         raise InvalidInputError("value vector must hold 2^(n*d) entries")
@@ -202,7 +208,8 @@ def distribution_from_values(spec, values, law=EncodingLaw.BOLTZMANN_PROBABILITY
 
 
 def build_distribution(objective, spec, law=EncodingLaw.BOLTZMANN_PROBABILITY):
-    """Evaluate the grid and encode it as a measurement distribution."""
+    """Evaluate the grid and encode it as a measurement distribution;
+    grid_values applies the register rule (_check_register) first."""
     return distribution_from_values(spec, grid_values(objective, spec), law)
 
 
@@ -218,12 +225,41 @@ def entropy_fraction(dist):
     return dist.entropy_bits / (dist.spec.qubits_per_dim * dist.spec.dimension)
 
 
+# Model-based accounting: 8-byte amplitudes plus 8-byte probabilities per
+# basis state for the quantum model, a pure function of configuration,
+# identical on any machine.  The model overstates a qags run, which holds
+# one 8 B/state vector (values, then probabilities in place) and measures
+# about 9.2 B/state under tracemalloc on 2^20 states, so the register
+# rule (_check_register) errs on the safe side.
+QUANTUM_BYTES_PER_STATE = 16
+
 # draw_in_place frees each per-shot buffer once it is spent, so it holds
 # at most three 8 B entries per shot: the drawn indices beside the
 # uniforms, then beside the run starts and their differences, and at the
-# end the support, the run starts and the counts.  The memory guard of
-# driver.run counts them beside the register.
+# end the support, the run starts and the counts.  The register rule
+# counts them beside the register.
 DRAW_BYTES_PER_SHOT = 24
+
+
+def physical_memory_bytes():
+    """This machine's physical memory in bytes, from POSIX sysconf."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_register(states, shots=0):
+    """The register rule: raise InvalidInputError when ``states`` basis
+    states at QUANTUM_BYTES_PER_STATE each, with a ``shots``-shot draw's
+    DRAW_BYTES_PER_SHOT per shot, exceed physical memory.  driver.run,
+    grid_values (with no ``out``), distribution_from_values and draw call
+    it before they allocate."""
+    needed = states * QUANTUM_BYTES_PER_STATE + shots * DRAW_BYTES_PER_SHOT
+    memory = physical_memory_bytes()
+    if needed > memory:
+        draw = f" with a {shots}-shot draw" if shots else ""
+        raise InvalidInputError(
+            f"a {states}-state register{draw} needs {needed} bytes, more "
+            f"than the {memory} bytes of physical memory"
+        )
 
 
 def _cdf_indices(cdf, u):
@@ -270,9 +306,11 @@ def draw_in_place(probabilities, shots, seed):
 
 
 def draw(dist, shots, seed):
-    """draw_in_place on a copy of dist's probabilities."""
+    """draw_in_place on a copy of dist's probabilities, once the register
+    rule (_check_register) allows the copy and the draw."""
     _check_integer("shots", shots, 0)
     _check_integer("seed", seed, 0)
+    _check_register(dist.spec.total_points, shots)
     return draw_in_place(dist.probabilities.copy(), shots, seed)
 
 
@@ -294,7 +332,8 @@ def sample(dist, shots, seed):
     drawn states and zero elsewhere; its f_min_index is the empirical
     argmax, lowest index on ties.  shots = 0 means exact readout: the
     input distribution is returned unchanged.  A shots or seed that is
-    not a non-negative integer raises InvalidInputError, as in draw.
+    not a non-negative integer raises InvalidInputError, as in draw, and
+    so does a draw that the register rule refuses.
     """
     _check_integer("shots", shots, 0)
     _check_integer("seed", seed, 0)

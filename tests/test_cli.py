@@ -91,8 +91,9 @@ class TestOptimize:
 
     def test_register_over_physical_memory(self, capsys, monkeypatch):
         import qags.driver
+        import qags.quantum
 
-        monkeypatch.setattr(qags.driver, "physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(qags.quantum, "physical_memory_bytes", lambda: 1 << 20)
         monkeypatch.setattr(qags.driver, "grid_values", None)  # never reached
         code, out, err = run_main(
             capsys,
@@ -105,8 +106,9 @@ class TestOptimize:
 
     def test_draw_over_physical_memory(self, capsys, monkeypatch):
         import qags.driver
+        import qags.quantum
 
-        monkeypatch.setattr(qags.driver, "physical_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(qags.quantum, "physical_memory_bytes", lambda: 1 << 20)
         monkeypatch.setattr(qags.driver, "grid_values", None)  # never reached
         code, out, err = run_main(
             capsys,

@@ -61,7 +61,7 @@ def test_host_names_the_openblas_core(tables):
         pytest.skip("NumPy bundles no OpenBLAS here")
     done = subprocess.run(
         [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-         "import digests; print(digests._host()['openblas'])", str(TOOL.parent)],
+         "import digests; print(digests.host()['openblas'])", str(TOOL.parent)],
         capture_output=True, text=True, env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
     )
     assert done.stdout == "Haswell\n", done.stderr

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qags import driver, kernels
+from qags import driver, kernels, quantum
 from qags.classical import AgsConfig, run_ags
 from qags.contraction import TerminationPolicy, Verdict
 from qags.driver import IterationRecord, QagsConfig, RunReport, run, trace_boxes
@@ -153,10 +153,10 @@ class TestMemoryGuard:
         monkeypatch.setattr(driver, "grid_values", unreachable)
 
     def test_physical_memory_is_read(self):
-        assert driver.physical_memory_bytes() > 0
+        assert quantum.physical_memory_bytes() > 0
 
     def test_d10_q3_needs_17_gb(self, monkeypatch, no_lattice):
-        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: 8 << 30)
+        monkeypatch.setattr(quantum, "physical_memory_bytes", lambda: 8 << 30)
         obj = make_sphere(10)
         with pytest.raises(InvalidInputError, match="1073741824-state register"):
             run(obj, SearchBox.cube(10, -5.0, 5.0), QagsConfig(qubits_per_dim=3))
@@ -164,10 +164,10 @@ class TestMemoryGuard:
 
     def test_limit_is_sixteen_bytes_per_state(self, monkeypatch):
         # 2^10 states: 16,384 bytes fit in exactly that much memory
-        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: 1024 * 16)
+        monkeypatch.setattr(quantum, "physical_memory_bytes", lambda: 1024 * 16)
         _, report = sphere_run(qubits=5)
         assert report.peak_model_bytes == 1024 * 16
-        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: 1024 * 16 - 1)
+        monkeypatch.setattr(quantum, "physical_memory_bytes", lambda: 1024 * 16 - 1)
         monkeypatch.setattr(driver, "grid_values", None)
         with pytest.raises(InvalidInputError, match="16384 bytes"):
             sphere_run(qubits=5)
@@ -175,18 +175,18 @@ class TestMemoryGuard:
     def test_draw_counts_beside_the_register(self, monkeypatch, no_lattice):
         # 2^10 states and 10^11 shots: 16,384 bytes of register and 24 B
         # per shot of the draw's uniforms, indices and run starts
-        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: 1 << 30)
+        monkeypatch.setattr(quantum, "physical_memory_bytes", lambda: 1 << 30)
         obj = make_sphere(2)
         with pytest.raises(InvalidInputError, match="100000000000-shot draw needs 2400000016384 bytes"):
             run(obj, SearchBox.cube(2, -5.0, 5.0), QagsConfig(qubits_per_dim=5, shots=10**11))
         assert obj.eval_count == 0
 
     def test_limit_counts_the_draw_to_the_byte(self, monkeypatch):
-        needed = 1024 * 16 + 100 * driver.DRAW_BYTES_PER_SHOT
-        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: needed)
+        needed = 1024 * 16 + 100 * quantum.DRAW_BYTES_PER_SHOT
+        monkeypatch.setattr(quantum, "physical_memory_bytes", lambda: needed)
         _, report = sphere_run(qubits=5, shots=100)
         assert report.peak_model_bytes == 1024 * 16  # the model is the register's alone
-        monkeypatch.setattr(driver, "physical_memory_bytes", lambda: needed - 1)
+        monkeypatch.setattr(quantum, "physical_memory_bytes", lambda: needed - 1)
         monkeypatch.setattr(driver, "grid_values", None)
         with pytest.raises(InvalidInputError, match=f"{needed} bytes"):
             sphere_run(qubits=5, shots=100)

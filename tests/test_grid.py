@@ -1,6 +1,7 @@
 """Grid geometry and the flat-index codec."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qags.grid import (
     decode,
     decode_many,
     encode,
+    pack_indices,
 )
 
 
@@ -168,6 +170,21 @@ class TestCoordinate:
         spec = GridSpec(1, 2, SearchBox.cube(1, 0.0, 3.0))
         assert [coordinate(spec, 0, j) for j in (2.0, np.int64(2), np.uint8(2))] == [2.0] * 3
 
+    @pytest.mark.parametrize("i", [0.5, 1.5, np.float64(0.25), np.nan, np.inf, -1, -2, 2, 2**70,
+                                   "0", None])
+    def test_a_dimension_index_not_whole_in_range(self, i):
+        spec = GridSpec(2, 2, box2())
+        with pytest.raises(IndexError, match="dimension index"):
+            coordinate(spec, i, 0)
+        with pytest.raises(IndexError, match="dimension index"):
+            spec.axis_coordinates(i)
+
+    def test_integral_dimension_indices(self):
+        spec = GridSpec(2, 3, SearchBox(np.array([0.0, -1.0]), np.array([1.0, 6.0])))
+        for i in (1.0, np.float64(1.0), np.int64(1), np.uint8(1)):
+            assert coordinate(spec, i, 5) == coordinate(spec, 1, 5) == 4.0
+            assert spec.axis_coordinates(i).tobytes() == spec.axis_coordinates(1).tobytes()
+
 
 class TestCodec:
     def test_decode_bit_layout(self):
@@ -203,6 +220,19 @@ class TestCodec:
         spec = GridSpec(2, 2, box2())
         with pytest.raises(IndexError):
             decode_many(spec, flats)
+
+    @pytest.mark.parametrize("flat", [2**70, -2**70, 2**64, -2**63 - 1])
+    def test_an_index_beyond_int64(self, flat):
+        # a Python int beyond int64 makes an object array, which is refused
+        spec = GridSpec(2, 2, box2())
+        with pytest.raises(IndexError):
+            decode_many(spec, [flat])
+        with pytest.raises(IndexError):
+            decode_many(spec, [0, flat])
+        with pytest.raises(IndexError):
+            decode(spec, flat)
+        with pytest.raises(IndexError):
+            coordinate(spec, 0, flat)
 
     def test_integral_floats_decode_as_their_index(self):
         spec = GridSpec(2, 2, box2(0.0, 3.0))
@@ -280,6 +310,98 @@ class TestCodec:
         for point in ([0.0, bad], [bad, 1.0]):
             with pytest.raises(InvalidInputError, match="point must be finite"):
                 encode(spec, np.array(point))
+
+
+    @pytest.mark.parametrize("point,axis", [([1.7e308, 1.6e308], 0), ([-1.7e308, -1.7e308], 1)])
+    def test_encode_of_an_offset_that_overflows(self, point, axis):
+        # a finite point and box whose difference p - lower overflows to inf
+        spec = GridSpec(2, 2, SearchBox(np.array([-1.7e308, 1.6e308]), np.array([-1.6e308, 1.7e308])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OffGridError, match=f"not on grid axis {axis}"):
+                encode(spec, np.array(point))
+
+
+def loop_encode(spec, point):
+    """encode as it was written before it decoded its candidate once: a
+    loop over the axes with one coordinate() call each, kept as the
+    reference that encode must match."""
+    p = np.asarray(point, dtype=np.float64)
+    m = spec.points_per_dim
+    js = []
+    for i in range(spec.dimension):
+        width = spec.bounds.width[i]
+        if width == 0.0:
+            j = 0
+            if p[i] != spec.bounds.lower[i]:
+                raise OffGridError(f"coordinate {p[i]} off degenerate axis {i}")
+        else:
+            j = int(round((p[i] - spec.bounds.lower[i]) / spec.step[i]))
+            j = min(max(j, 0), m - 1)
+            tol = 1e-9 * width
+            if abs(coordinate(spec, i, j) - p[i]) > tol:
+                raise OffGridError(f"coordinate {p[i]} not on grid axis {i}")
+        js.append(j)
+    return pack_indices(spec, js)
+
+
+def _outcome(fn, spec, point):
+    try:
+        return fn(spec, point)
+    except OffGridError as exc:
+        return type(exc), str(exc)
+
+
+def _parity_points(spec, rng):
+    """Points on the grid, near it and off it, for encode's parity test."""
+    lower, upper, width, step = spec.bounds.lower, spec.bounds.upper, spec.bounds.width, spec.step
+    on = decode_many(spec, rng.integers(0, spec.total_points, 40))
+    points = list(on)
+    for x in on[:20]:
+        i = rng.integers(spec.dimension)
+        # at and beside a rounding tie, a random fraction of a step, and
+        # just inside and just outside the tolerance of 1e-9 x width
+        for offset in (0.5 * step[i], 0.49 * step[i], 0.51 * step[i],
+                       rng.uniform(-1.0, 1.0) * step[i],
+                       0.99e-9 * width[i], 1.01e-9 * width[i], -1.01e-9 * width[i]):
+            y = x.copy()
+            y[i] += offset
+            points.append(y)
+        for i in np.flatnonzero(width == 0.0):  # beside a zero-width axis's bound
+            y = x.copy()
+            y[i] = np.nextafter(lower[i], rng.choice([-np.inf, np.inf]))
+            points.append(y)
+    for x in on[:10]:  # outside the box, by up to five widths
+        i = rng.integers(spec.dimension)
+        y = x.copy()
+        y[i] = upper[i] + rng.uniform(0.0, 5.0) * (width[i] + 1.0)
+        points.append(y)
+        y = x.copy()
+        y[i] = lower[i] - rng.uniform(0.0, 5.0) * (width[i] + 1.0)
+        points.append(y)
+    points.append(np.where(width == 0.0, -lower, lower))  # a zero bound's other sign
+    return points
+
+
+@pytest.mark.parametrize("d,n", [(1, 1), (1, 5), (2, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize("bounds", ["random", "zero-width", "signed-zero"])
+def test_encode_matches_the_per_axis_loop(d, n, bounds):
+    rng = np.random.default_rng([d, n, len(bounds)])
+    lower = rng.uniform(-1e3, 1e3, d)
+    upper = lower + rng.uniform(1e-3, 7.3, d)
+    if bounds == "zero-width":
+        upper[0] = lower[0]
+    elif bounds == "signed-zero":
+        # a zero-width axis [-0.0, 0.0], and an axis from -0.0 up
+        lower[0], upper[0] = -0.0, 0.0
+        lower[-1], upper[-1] = -0.0, upper[-1] - lower[-1] if d > 1 else 0.0
+    spec = GridSpec(d, n, SearchBox(lower, upper))
+    outcomes = {True: 0, False: 0}
+    for point in _parity_points(spec, rng):
+        got, ref = _outcome(encode, spec, point), _outcome(loop_encode, spec, point)
+        assert got == ref, point.tolist()
+        outcomes[isinstance(ref, tuple)] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 @settings(max_examples=300, deadline=None)

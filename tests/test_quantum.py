@@ -681,3 +681,68 @@ class TestLawEquivalence:
         squared = prob.probabilities**2
         squared /= squared.sum()
         assert np.allclose(amp.probabilities, squared, atol=1e-12)
+
+
+class TestRegisterRule:
+    """grid_values (with no out), distribution_from_values,
+    build_distribution, draw and sample refuse a register as driver.run
+    does: 16 B per state, plus 24 B per shot of a draw, beyond physical
+    memory.  The memory reading is patched and the grids are small, so
+    nothing large is allocated."""
+
+    STATES = 64  # d = 2, q = 3
+
+    @pytest.fixture
+    def memory(self, monkeypatch):
+        def set_memory(size):
+            monkeypatch.setattr(quantum, "physical_memory_bytes", lambda: size)
+
+        return set_memory
+
+    def spec(self):
+        return GridSpec(2, 3, SearchBox.cube(2, -1.0, 1.0))
+
+    def test_grid_values(self, memory):
+        f = make_sphere(2)
+        memory(self.STATES * 16 - 1)
+        with pytest.raises(InvalidInputError, match="a 64-state register needs 1024 bytes, more "
+                           "than the 1023 bytes of physical memory"):
+            grid_values(f, self.spec())
+        assert f.eval_count == 0
+        # a caller's vector is not allocated, so the rule does not apply
+        assert grid_values(f, self.spec(), out=np.empty(self.STATES)).size == self.STATES
+        memory(self.STATES * 16)
+        assert grid_values(f, self.spec()).size == self.STATES
+
+    def test_build_distribution(self, memory):
+        f = make_sphere(2)
+        memory(self.STATES * 16 - 1)
+        with pytest.raises(InvalidInputError, match="1024 bytes"):
+            build_distribution(f, self.spec())
+        assert f.eval_count == 0
+        memory(self.STATES * 16)
+        assert build_distribution(f, self.spec()).probabilities.size == self.STATES
+
+    def test_distribution_from_values(self, memory):
+        values = np.arange(self.STATES, dtype=np.float64)
+        memory(self.STATES * 16 - 1)
+        with pytest.raises(InvalidInputError, match="1024 bytes"):
+            distribution_from_values(self.spec(), values)
+        memory(self.STATES * 16)
+        assert distribution_from_values(self.spec(), values).f_min_index == 0
+
+    @pytest.mark.parametrize("fn", [draw, sample])
+    def test_a_draw_counts_its_shots(self, memory, fn):
+        dist = distribution_from_values(self.spec(), np.arange(self.STATES, dtype=np.float64))
+        needed = self.STATES * 16 + 100 * DRAW_BYTES_PER_SHOT
+        memory(needed - 1)
+        with pytest.raises(InvalidInputError, match=f"a 64-state register with a 100-shot "
+                           f"draw needs {needed} bytes"):
+            fn(dist, 100, 0)
+        memory(needed)
+        fn(dist, 100, 0)
+
+    def test_exact_readout_allocates_nothing(self, memory):
+        dist = distribution_from_values(self.spec(), np.arange(self.STATES, dtype=np.float64))
+        memory(0)
+        assert sample(dist, 0, 0) is dist

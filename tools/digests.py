@@ -13,10 +13,11 @@ presets of this checkout's ``tests/test_acceptance.py`` through
 it records the SHA-256 of the report's ``to_json()``, ``total_f_evals``
 and the advance of the objective's evaluation counter; per preset, the
 exit code and the SHA-256 of stdout.  NumPy's version, its active
-SIMD dispatch targets and the OpenBLAS core go beside them, as CI prints
-them: the last digits of ``entropy_fraction`` and of batch functions
-that call ``np.exp`` can depend on that path, and those of batch
-functions that call ``@`` on the core (``OPENBLAS_CORETYPE`` picks it).
+SIMD dispatch targets and the OpenBLAS core go beside them (``host``,
+which CI prints too): the last digits of ``entropy_fraction`` and of
+batch functions that call ``np.exp`` can depend on that path, and those
+of batch functions that call ``@`` on the core (``OPENBLAS_CORETYPE``
+picks it).
 
 ``--compare`` names every entry that differs between two such files,
 or that only one of them has, and exits 1 if there is any.
@@ -80,7 +81,10 @@ def _openblas_core(numpy):
     return corename().decode()
 
 
-def _host():
+def host():
+    """NumPy's version, its SIMD dispatch targets and the active ones, and
+    the OpenBLAS core (None when NumPy bundles no OpenBLAS): the host
+    record of a digest file, and what CI's "NumPy dispatch" step prints."""
     import numpy
 
     umath = (getattr(numpy, "_core", None) or numpy.core)._multiarray_umath
@@ -155,9 +159,9 @@ def main(argv=None):
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
         for side, data in zip("AB", (a, b)):
-            host = data["host"]
-            print(f"{side}: numpy {host['numpy']}, active {host['active']}, "
-                  f"openblas {host.get('openblas')}")
+            record = data["host"]
+            print(f"{side}: numpy {record['numpy']}, active {record['active']}, "
+                  f"openblas {record.get('openblas')}")
         lines = compare(a, b)
         for line in lines:
             print(line)
@@ -168,7 +172,7 @@ def main(argv=None):
         parser.error("give --tree and --out, or --compare")
     tree = args.tree.resolve()
     entries = digests(tree, args.workload or WORKLOADS, args.seed or SEEDS)
-    args.out.write_text(json.dumps({"host": _host(), "entries": entries}, indent=1) + "\n")
+    args.out.write_text(json.dumps({"host": host(), "entries": entries}, indent=1) + "\n")
     print(f"{len(entries)} entries written to {args.out}")
     return 0
 
